@@ -26,7 +26,6 @@ from .satake import (
     bc_map,
     check_ia_bc_compat,
     delta_map,
-    kappa_twist,
     param_of_unramified_character,
     x_of,
 )
@@ -39,7 +38,6 @@ from .hecke import (
     constant_term,
     from_power_sums,
     satake_eval,
-    satake_eval_alg,
     to_power_sums,
 )
 from .reps import (
@@ -49,7 +47,6 @@ from .reps import (
     Product,
     Speh,
     TwistedPair,
-    UnitaryProduct,
     fiber_unitary,
     is_generic,
     lift_discrete,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .arith import Coordinate, primitive_root
@@ -33,6 +32,7 @@ from .satake import (
     SphericalRepE,
     check_ia_bc_compat,
     delta_map,
+    param_of_unramified_character,
 )
 
 
@@ -65,22 +65,24 @@ class Place:
         return {"label": self.label, "f": self.f}
 
 
-def _staircase(c: Coordinate, q: int, qscale: int):
-    half = Fraction(q - 1, 2)
-    return [c * Coordinate.of(0, qscale * (j - half)) for j in range(q)]
+def _staircase(y: SatakeParam, q: int, qscale: int) -> SatakeParam:
+    """Replace every coordinate c of y by the staircase of c of length q."""
+    return SatakeParam(
+        tuple(
+            x
+            for c in y.coords
+            for x in param_of_unramified_character(c, q, qscale).coords
+        )
+    )
 
 
 def speh_local_e(z: SphericalRepE, q: int, qscale: int) -> SphericalRepE:
     """Blockwise staircase: local component of u(Lambda, q) from that of Lambda."""
-    blocks = tuple(
-        SatakeParam(tuple(x for c in b.coords for x in _staircase(c, q, qscale)))
-        for b in z.blocks
-    )
-    return SphericalRepE(z.algebra, blocks)
+    return SphericalRepE(z.algebra, tuple(_staircase(b, q, qscale) for b in z.blocks))
 
 
 def speh_local_f(y: SatakeParam, q: int) -> SatakeParam:
-    return SatakeParam(tuple(x for c in y.coords for x in _staircase(c, q, 1)))
+    return _staircase(y, q, 1)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping
 
 
@@ -105,14 +105,6 @@ class Coordinate:
 ONE = Coordinate(Fraction(0), Fraction(0))
 
 
-def coord_mul(a: Coordinate, b: Coordinate) -> Coordinate:
-    return a * b
-
-
-def coord_root(a: Coordinate, k: int) -> Coordinate:
-    return a.root(k)
-
-
 def primitive_root(s: int) -> Coordinate:
     """The canonical primitive s-th root of unity ``(1/s, 0)``."""
     return Coordinate(Fraction(1, s), Fraction(0))
@@ -131,11 +123,28 @@ def _trim(coeffs):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
-    """Integer coefficients of Phi_n, cached (write-once memo table)."""
-    from sympy import Poly, cyclotomic_poly
-    from sympy.abc import x
+    """Integer coefficients of Phi_n, cached (write-once memo table).
 
-    return tuple(int(c) for c in reversed(Poly(cyclotomic_poly(n, x), x).all_coeffs()))
+    Both rules below follow from x^n - 1 = prod_{d | n} Phi_d.  With p the
+    least prime factor of n and m = n/p, Phi_n(x) is Phi_m(x^p) when p
+    divides m, and otherwise the exact integer quotient Phi_m(x^p) / Phi_m(x).
+    """
+    if n == 1:
+        return (-1, 1)
+    p = next(k for k in range(2, n + 1) if n % k == 0)
+    phi = cyclotomic_polynomial(n // p)
+    rem = [0] * (p * (len(phi) - 1) + 1)
+    rem[::p] = phi
+    if (n // p) % p == 0:
+        return tuple(rem)
+    deg = len(phi) - 1
+    quot = [0] * (len(rem) - deg)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + deg]
+        if c:
+            for j in range(deg + 1):
+                rem[i + j] -= c * phi[j]
+    return tuple(quot)
 
 
 def _poly_mod_cyclotomic(coeffs, n: int):
@@ -361,7 +370,3 @@ class QCyclo:
 
     def __repr__(self):
         return f"QCyclo({self.terms!r})"
-
-
-def qcyclo_is_zero(x: QCyclo) -> bool:
-    return x.is_zero()

@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import satake as satake_mod
 from .arith import Coordinate
 from .errors import DomainError
 from .satake import (
+    MAX_FIBER_RANK,
     CyclicAlgebra,
     SatakeParam,
     SphericalRepE,
@@ -25,7 +24,7 @@ from .satake import (
     bc_map,
     delta_map,
 )
-from .hecke import SymLaurent, ai_transfer, bc_transfer
+from .hecke import DEGREE_BUDGET, SymLaurent, ai_transfer, bc_transfer
 from .reps import Elliptic, factor_from_json, factor_to_json, lift_elliptic, lift_unitary
 from .adelic import GlobalDiscrete, InducedGlobal, Place, global_ai_lift, separate
 from .verify import run_suite
@@ -59,17 +58,18 @@ def cmd_bc_spherical(doc, args):
 
 
 def cmd_fibers(doc, args):
-    if args.max_rank is not None:
-        satake_mod.MAX_FIBER_RANK = args.max_rank
     direction = doc.get("direction", "ai")
     if direction == "ai":
         alg = CyclicAlgebra.from_json(doc["algebra"])
         pi = SatakeParam.from_json(doc["param"])
-        fib = sorted(ai_fiber(pi, alg), key=lambda z: tuple(b.coords for b in z.blocks))
+        fib = sorted(
+            ai_fiber(pi, alg, args.max_rank),
+            key=lambda z: tuple(b.coords for b in z.blocks),
+        )
         return {"count": len(fib), "fiber": [z.to_json() for z in fib]}
     if direction == "bc":
         z = _rep_from_doc(doc["rep"])
-        fib = sorted(bc_fiber(z), key=lambda y: y.coords)
+        fib = sorted(bc_fiber(z, args.max_rank), key=lambda y: y.coords)
         return {"count": len(fib), "fiber": [y.to_json() for y in fib]}
     raise ValueError(f"unknown fiber direction {direction!r}")
 
@@ -77,15 +77,13 @@ def cmd_fibers(doc, args):
 def cmd_hecke_ai(doc, args):
     alg = CyclicAlgebra.from_json(doc["algebra"])
     f = SymLaurent.from_json(doc["f"])
-    kwargs = {"budget": args.degree_budget} if args.degree_budget else {}
-    return ai_transfer(f, alg, **kwargs).to_json()
+    return ai_transfer(f, alg, args.degree_budget).to_json()
 
 
 def cmd_hecke_bc(doc, args):
     alg = CyclicAlgebra.from_json(doc["algebra"])
     factors = [SymLaurent.from_json(g) for g in doc["factors"]]
-    kwargs = {"budget": args.degree_budget} if args.degree_budget else {}
-    return bc_transfer(factors, alg, **kwargs).to_json()
+    return bc_transfer(factors, alg, args.degree_budget).to_json()
 
 
 def cmd_lift_unitary(doc, args):
@@ -200,8 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     for verb in HANDLERS:
         p = sub.add_parser(verb)
         p.add_argument("--input", "-i", default=None, help="JSON file (default stdin)")
-        p.add_argument("--degree-budget", type=int, default=None)
-        p.add_argument("--max-rank", type=int, default=None)
+        if verb == "fibers":
+            p.add_argument("--max-rank", type=int, default=MAX_FIBER_RANK)
+        if verb in ("hecke-ai", "hecke-bc"):
+            p.add_argument("--degree-budget", type=int, default=DEGREE_BUDGET)
     pv = sub.add_parser("verify")
     pv.add_argument("--suite", default="all")
     pv.add_argument("--seed", type=int, default=0)
@@ -222,12 +222,18 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": {"kind": "BadInput", "detail": str(exc)}}))
         return 1
+    if not isinstance(doc, dict):
+        detail = f"expected a JSON object, got {type(doc).__name__}"
+        print(json.dumps({"error": {"kind": "BadInput", "detail": detail}}))
+        return 1
     try:
         out = HANDLERS[args.verb](doc, args)
     except DomainError as exc:
         print(json.dumps({"error": {"kind": exc.kind, "detail": exc.detail}}))
         return 2
-    except (KeyError, ValueError, TypeError, IndexError, ZeroDivisionError) as exc:
+    except (
+        AttributeError, KeyError, ValueError, TypeError, IndexError, ZeroDivisionError
+    ) as exc:
         print(json.dumps({"error": {"kind": "BadInput", "detail": repr(exc)}}))
         return 1
     print(json.dumps(out, sort_keys=True))

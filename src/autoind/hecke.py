@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, Tuple
 
-from .arith import Coordinate, QCyclo
+from .arith import ONE, Coordinate, QCyclo
 from .errors import DegreeBudget, RankMismatch
 from .satake import CyclicAlgebra, SatakeParam, SphericalRepE
 
@@ -32,10 +32,24 @@ ExpVec = Tuple[int, ...]
 
 
 def _perms(exps: ExpVec):
-    from sympy.utilities.iterables import multiset_permutations
+    """Distinct permutations of a multiset, in lexicographic order.
 
-    for p in multiset_permutations(list(exps)):
+    Next-permutation step: find the last ascent p[i] < p[i+1], swap p[i] with
+    the last entry larger than it, then reverse the tail after i.
+    """
+    p = sorted(exps)
+    while True:
         yield tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1 :] = reversed(p[i + 1 :])
 
 
 def _dominant(v) -> ExpVec:
@@ -209,30 +223,27 @@ class SymLaurent:
 # Evaluation
 
 
+def _orbit_sum(coords, exps: ExpVec, base: Coordinate) -> QCyclo:
+    """``base`` times the monomial symmetric function m_exps at ``coords``:
+    the sum of ``base * prod_i coords[i]**p[i]`` over distinct permutations p.
+    """
+    orbit = []
+    for p in _perms(exps):
+        v = base
+        for c, e in zip(coords, p):
+            v = v * c**e
+        orbit.append(QCyclo.from_coordinate(v))
+    return QCyclo.sum(orbit)
+
+
 def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
     """Substitute the coordinates of y into f: the trace of the Hecke operator."""
     if f.nvars != y.rank:
         raise RankMismatch(f"f has {f.nvars} variables, parameter has rank {y.rank}")
-    coords = y.coords
-    base = Coordinate(Fraction(0), Fraction(0))
-    for c in coords:
-        base = base * c
-    base = base ** (-f.shift)
-    pieces = []
-    for k, coef in f.terms.items():
-        orbit = []
-        for p in _perms(k):
-            v = base
-            for ci, e in zip(coords, p):
-                v = v * ci**e
-            orbit.append(QCyclo.from_coordinate(v))
-        pieces.append(coef * QCyclo.sum(orbit))
-    return QCyclo.sum(pieces)
-
-
-def satake_eval_alg(f: SymLaurent, z: SphericalRepE) -> QCyclo:
-    """Evaluation over the algebra: substitution at the concatenated blocks."""
-    return satake_eval(f, z.flatten())
+    base = y.central_character() ** (-f.shift)
+    return QCyclo.sum(
+        coef * _orbit_sum(y.coords, k, base) for k, coef in f.terms.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +444,12 @@ class TensorSym:
     def eval(self, z: SphericalRepE) -> QCyclo:
         if len(z.blocks) != self.r or z.block_rank != self.m:
             raise RankMismatch("block shape mismatch")
-        base = Coordinate(Fraction(0), Fraction(0))
-        for c in z.flatten().coords:
-            base = base * c
-        base = base ** (-self.shift)
+        base = QCyclo.from_coordinate(z.flatten().central_character() ** (-self.shift))
         pieces = []
         for key, coef in self.terms.items():
-            blockvals = []
-            for b, chunk in enumerate(key):
-                coords = z.blocks[b].coords
-                orbit = []
-                for p in _perms(chunk):
-                    v = Coordinate(Fraction(0), Fraction(0))
-                    for ci, e in zip(coords, p):
-                        v = v * ci**e
-                    orbit.append(QCyclo.from_coordinate(v))
-                blockvals.append(QCyclo.sum(orbit))
-            acc = QCyclo.from_coordinate(base) * coef
-            for bv in blockvals:
-                acc = acc * bv
+            acc = base * coef
+            for block, chunk in zip(z.blocks, key):
+                acc = acc * _orbit_sum(block.coords, chunk, ONE)
             pieces.append(acc)
         return QCyclo.sum(pieces)
 

@@ -205,9 +205,6 @@ class Product:
         return tuple(f.sort_key() for f in self.factors)
 
 
-UnitaryProduct = Product
-
-
 def compositions(k: int):
     """All 2^(k-1) compositions of k, in lex order."""
     if k == 0:
@@ -222,11 +219,8 @@ def compositions(k: int):
 # Atom pairing
 
 
-_PAIR_MEMO: dict[str, CuspidalAtom] = {}
-
-
 def pair_atom(atom: CuspidalAtom) -> CuspidalAtom:
-    """The F-side cuspidal atom paired with an E-side one (memoized).
+    """The F-side cuspidal atom paired with an E-side one.
 
     Size multiplies by the Galois-orbit cardinality g; the twist-orbit size of
     the image is the stabilizer size r of the source; an unramified payload
@@ -234,11 +228,8 @@ def pair_atom(atom: CuspidalAtom) -> CuspidalAtom:
     """
     if atom.side != "E":
         raise ShapeError("pairing is defined on E-side atoms")
-    key = atom.uid
-    if key in _PAIR_MEMO:
-        return _PAIR_MEMO[key]
     payload = atom.payload.root(atom.d) if atom.payload is not None else None
-    out = CuspidalAtom(
+    return CuspidalAtom(
         uid=f"ai:{atom.uid}",
         side="F",
         size=atom.size * atom.g,
@@ -246,46 +237,33 @@ def pair_atom(atom: CuspidalAtom) -> CuspidalAtom:
         orbit=atom.orbit,
         payload=payload,
     )
-    _PAIR_MEMO[key] = out
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Lifting maps
 
 
-def _require_e_side(atom: CuspidalAtom):
-    if atom.side != "E":
-        raise ShapeError("lifting is defined on E-side data")
-
-
-def lift_discrete(dE: EssDiscrete) -> Product:
-    """Lift of a discrete datum: the r-fold product of twist-translates.
+def _translates(atom: CuspidalAtom, make) -> Product:
+    """The r-fold product ``make(atomF, i)``, i < r, over the paired atom atomF.
 
     The translate index of the source is dropped: Galois translates share a
     lift, which is what makes the fibers Galois orbits.
     """
-    _require_e_side(dE.atom)
-    r = dE.atom.orbit
-    atomF = pair_atom(dE.atom)
-    return Product(
-        tuple(
-            Speh(EssDiscrete(atomF, dE.k, dE.twist, translate=i), 1)
-            for i in range(r)
-        )
-    )
+    if atom.side != "E":
+        raise ShapeError("lifting is defined on E-side data")
+    atomF = pair_atom(atom)
+    return Product(tuple(make(atomF, i) for i in range(atom.orbit)))
+
+
+def lift_discrete(dE: EssDiscrete) -> Product:
+    """Lift of a discrete datum: the r-fold product of twist-translates."""
+    return lift_speh(Speh(dE, 1))
 
 
 def lift_speh(uE: Speh) -> Product:
-    _require_e_side(uE.base.atom)
-    r = uE.base.atom.orbit
-    atomF = pair_atom(uE.base.atom)
     b = uE.base
-    return Product(
-        tuple(
-            Speh(EssDiscrete(atomF, b.k, b.twist, translate=i), uE.q)
-            for i in range(r)
-        )
+    return _translates(
+        b.atom, lambda atomF, i: Speh(EssDiscrete(atomF, b.k, b.twist, i), uE.q)
     )
 
 
@@ -315,12 +293,7 @@ def lift_elliptic(e: Elliptic) -> Product:
     normalized composition of k is unchanged; the square-integrable corner
     (levi = (k,)) maps to the square-integrable corner.
     """
-    _require_e_side(e.atom)
-    r = e.atom.orbit
-    atomF = pair_atom(e.atom)
-    return Product(
-        tuple(Elliptic(atomF, e.k, e.levi, translate=i) for i in range(r))
-    )
+    return _translates(e.atom, lambda atomF, i: Elliptic(atomF, e.k, e.levi, i))
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,17 @@ twist-stable rank-(m d) multiset over F by taking canonical s-th roots and
 spreading them along the powers of the twist root zeta.
 
 All maps here are the parameter-level (weak-lift) versions; fibers are
-computed constructively and are exponential in the rank, so a hard cap
-(rank <= 12) protects against runaway enumeration.
+computed constructively and are exponential in the rank, so a rank cap
+(``max_rank``, 12 by default) protects against runaway enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .arith import ONE, Coordinate, coord_root, primitive_root
+from .arith import ONE, Coordinate, primitive_root
 from .errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
 
 MAX_FIBER_RANK = 12
@@ -182,10 +182,6 @@ def param_of_unramified_character(xi: Coordinate, n: int, qscale: int = 1) -> Sa
     )
 
 
-def kappa_twist(y: SatakeParam, zeta: Coordinate) -> SatakeParam:
-    return y.twist(zeta)
-
-
 def x_of(y: SatakeParam, d: int, zeta_d: Coordinate) -> int:
     """Cardinality of the twist orbit: the least k >= 1 with zeta_d^k y = y."""
     if zeta_d.torsion_order() != d:
@@ -205,7 +201,7 @@ def delta_map(y: SphericalRepE) -> SatakeParam:
     ``{zeta^j t_i : 0 <= j < s}``.  Independent of root choice and block order.
     """
     alg = y.algebra
-    t = [coord_root(c, alg.s) for c in y.flatten().coords]
+    t = [c.root(alg.s) for c in y.flatten().coords]
     out = []
     for j in range(alg.s):
         zj = alg.zeta**j
@@ -256,18 +252,21 @@ def _multiset_difference(items: tuple, sub: tuple) -> tuple:
     return tuple(out)
 
 
-def ai_fiber(pi: SatakeParam, algebra: CyclicAlgebra) -> set[SphericalRepE]:
+def ai_fiber(
+    pi: SatakeParam, algebra: CyclicAlgebra, max_rank: int = MAX_FIBER_RANK
+) -> set[SphericalRepE]:
     """All y over E with ``delta_map(y) == pi``, computed constructively.
 
     Decompose pi into zeta-orbits, raise orbit representatives to the s-th
     power, then enumerate all distributions of the resulting multiset into r
     blocks.  For r = 1 the map is injective and the fiber is a singleton.
+    Ranks above ``max_rank`` raise :class:`BudgetExceeded` before any work.
     """
     alg = algebra
     if pi.rank % alg.d:
         raise RankMismatch(f"rank {pi.rank} not divisible by d={alg.d}")
-    if pi.rank > MAX_FIBER_RANK:
-        raise BudgetExceeded(f"rank {pi.rank} exceeds fiber cap {MAX_FIBER_RANK}")
+    if pi.rank > max_rank:
+        raise BudgetExceeded(f"rank {pi.rank} exceeds fiber cap {max_rank}")
     if pi.twist(alg.zeta) != pi:
         raise NotStable("parameter is not stable under the zeta twist")
 
@@ -299,21 +298,22 @@ def bc_map(y: SatakeParam, algebra: CyclicAlgebra) -> SphericalRepE:
     return SphericalRepE(algebra, (block,) * algebra.r)
 
 
-def bc_fiber(z: SphericalRepE) -> set[SatakeParam]:
+def bc_fiber(z: SphericalRepE, max_rank: int = MAX_FIBER_RANK) -> set[SatakeParam]:
     """All y over F with ``bc_map(y) == z``; requires all blocks equal.
 
     Fiber members differ by coordinatewise multiplication by s-th roots of
-    unity, up to permutation.
+    unity, up to permutation.  Block ranks above ``max_rank`` raise
+    :class:`BudgetExceeded` before any work.
     """
     alg = z.algebra
     if any(b != z.blocks[0] for b in z.blocks[1:]):
         raise BlocksDiffer("blocks differ: parameter is not a base-change image")
     block = z.blocks[0]
-    if block.rank > MAX_FIBER_RANK:
-        raise BudgetExceeded(f"rank {block.rank} exceeds fiber cap {MAX_FIBER_RANK}")
+    if block.rank > max_rank:
+        raise BudgetExceeded(f"rank {block.rank} exceeds fiber cap {max_rank}")
     if alg.s**block.rank > 2_000_000:
         raise BudgetExceeded("root-choice enumeration too large")
-    roots = [coord_root(c, alg.s) for c in block.coords]
+    roots = [c.root(alg.s) for c in block.coords]
     mu = [primitive_root(alg.s) ** j for j in range(alg.s)]
     out = set()
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -27,10 +26,9 @@ from .satake import (
     ai_fiber,
     bc_fiber,
     bc_map,
-    check_ia_bc_compat,
     delta_map,
 )
-from .hecke import SymLaurent, ai_transfer, bc_transfer, constant_term, satake_eval
+from .hecke import SymLaurent, ai_transfer, bc_transfer, satake_eval
 from .reps import (
     CuspidalAtom,
     Elliptic,
@@ -486,17 +484,18 @@ def crit11_genericity(seed: int = 0, cases: int = 200) -> PropertyResult:
 
 
 def _suite(fns):
+    """Suite runner over ``(criterion, default case count)`` pairs.
+
+    A default of None marks a criterion with fixed inputs, called with no
+    arguments; every other criterion gets the seed and the case count.
+    """
+
     def run(seed: int = 0, cases: int = None) -> List[PropertyResult]:
-        out = []
-        for fn, default in fns:
-            kwargs = {}
-            params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-            if "seed" in params:
-                kwargs["seed"] = seed
-            if "cases" in params:
-                kwargs["cases"] = cases if cases is not None else default
-            out.append(fn(**kwargs))
-        return out
+        return [
+            fn() if default is None
+            else fn(seed=seed, cases=default if cases is None else cases)
+            for fn, default in fns
+        ]
 
     return run
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -50,6 +51,23 @@ class TestCyclo:
         assert cyclotomic_polynomial(1) == (-1, 1)
         assert cyclotomic_polynomial(4) == (1, 0, 1)
         assert cyclotomic_polynomial(6) == (1, -1, 1)
+
+    def test_cyclotomic_product_and_degree(self):
+        def mul(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        for n in [*range(1, 201), 420, 1980]:
+            prod = [1]
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    prod = mul(prod, cyclotomic_polynomial(d))
+            assert prod == [-1] + [0] * (n - 1) + [1]
+            totient = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+            assert len(cyclotomic_polynomial(n)) - 1 == totient
 
     def test_primitive_root_relation(self):
         # zeta_4^2 = -1

@@ -1,10 +1,18 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from autoind.cli import main
+import autoind
+from autoind.arith import Coordinate
+from autoind.cli import HANDLERS, build_parser, main
+from autoind.errors import BudgetExceeded
+from autoind.satake import CyclicAlgebra, SatakeParam, ai_fiber
 
 
 def run_cli(argv, stdin_doc=None, capsys=None):
@@ -78,6 +86,25 @@ class TestErrors:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "BadInput"
 
+    @pytest.mark.parametrize("verb", sorted(HANDLERS))
+    def test_non_object_exit_1(self, verb, capsys):
+        code, out = run_cli([verb], [], capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "BadInput"
+
+    def test_nested_non_object_exit_1(self, capsys):
+        code, out = run_cli(["lift-unitary"], {"tau": []}, capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "BadInput"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lift-spherical", "--max-rank", "3"], ["fibers", "--degree-budget", "3"]],
+    )
+    def test_caps_only_on_their_verbs(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestHeckeVerbs:
     def test_ai_transfer_example(self, capsys):
@@ -108,6 +135,18 @@ class TestHeckeVerbs:
         assert code == 0
         assert json.loads(out)["terms"][0]["exps"] == [2]
 
+    def test_zero_degree_budget_is_honoured(self, capsys):
+        doc = {
+            "algebra": {"d": 2, "r": 1, "s": 2},
+            "f": {"nvars": 2, "shift": 0, "terms": [
+                {"exps": [1, 0], "coef": {"terms": [
+                    {"qexp": [0, 1], "conductor": 1, "coeffs": [[1, 1]]}]}}
+            ]},
+        }
+        code, out = run_cli(["hecke-ai", "--degree-budget", "0"], doc, capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "DegreeBudget"
+
 
 class TestFibers:
     def test_bc_fiber_count(self, capsys):
@@ -118,6 +157,23 @@ class TestFibers:
         code, out = run_cli(["fibers"], doc, capsys)
         assert code == 0
         assert json.loads(out)["count"] == 2
+
+    def test_max_rank_applies_to_one_call(self, capsys):
+        doc = {
+            "direction": "bc",
+            "rep": {"d": 2, "r": 1, "s": 2, "y": [coord(0, 1, 2, 1)]},
+        }
+        code, out = run_cli(["fibers", "--max-rank", "0"], doc, capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "BudgetExceeded"
+        code, _ = run_cli(["fibers", "--max-rank", "20"], doc, capsys)
+        assert code == 0
+        # the raised cap must not outlive the command
+        pi = SatakeParam(
+            tuple(Coordinate.of(F(j % 2, 2), j // 2) for j in range(14))
+        )
+        with pytest.raises(BudgetExceeded):
+            ai_fiber(pi, CyclicAlgebra.field(2))
 
 
 class TestLiftUnitary:
@@ -175,3 +231,22 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         with pytest.raises(KeyError):
             run_cli(["verify", "--suite", "nope"], None, capsys)
+
+
+NO_SYMPY = """
+import sys
+from fractions import Fraction
+import autoind.cli
+from autoind.arith import Coordinate
+from autoind.hecke import SymLaurent, ai_transfer, satake_eval
+from autoind.satake import CyclicAlgebra, SatakeParam
+f = SymLaurent.elementary(2, 2)
+ai_transfer(f, CyclicAlgebra.field(2))
+satake_eval(f, SatakeParam((Coordinate.of(Fraction(1, 3)), Coordinate.of(Fraction(1, 5), 1))))
+assert "sympy" not in sys.modules, "sympy was imported"
+"""
+
+
+def test_runs_without_sympy():
+    env = dict(os.environ, PYTHONPATH=str(Path(autoind.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", NO_SYMPY], env=env, check=True, timeout=120)

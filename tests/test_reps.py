@@ -52,8 +52,14 @@ class TestAtoms:
     def test_pairing_memoized_and_sized(self):
         a = atom("rho", 6, 2, size=2)
         f1, f2 = pair_atom(a), pair_atom(a)
-        assert f1 is f2
+        assert f1 == f2
         assert f1.side == "F" and f1.size == 2 * a.g and f1.orbit == 2
+
+    def test_pairing_uses_the_whole_atom_not_its_uid(self):
+        # atoms sharing a uid but not their shape pair to different atoms
+        pair_atom(CuspidalAtom("x", "E", 1, 2, 1))
+        f = pair_atom(CuspidalAtom("x", "E", 2, 4, 2))
+        assert (f.size, f.d) == (4, 4)
 
     def test_pairing_takes_root_of_payload(self):
         a = atom("xi", 4, 4, payload=coord(F(1, 3), 2))
