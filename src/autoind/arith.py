@@ -4,12 +4,12 @@ A :class:`Coordinate` is one Satake eigenvalue: a root of unity ``e^{2 pi i a/N}
 times a rational power of the formal base ``q`` (``q`` transcendental, ``q > 1``;
 the unramified twist ``nu`` acts as multiplication by ``q^{-1}``).
 
-:class:`QCyclo` is the ring where sums of coordinates live: finite Q-linear
-combinations of q-powers with cyclotomic coefficients, each coefficient reduced
-modulo the cyclotomic polynomial of its conductor.  Zero testing is exact, so
-identities between Hecke traces can be checked with tolerance zero.
-
-No floating point anywhere.
+:class:`Cyclo` is an element of Q(zeta_N): int numerators over one positive int
+denominator, reduced modulo Phi_N by folding exponents with x^N = 1 and then by
+integer long division.  :class:`QCyclo` is the ring where sums of coordinates
+live: finite Q-linear combinations of q-powers with ``Cyclo`` coefficients.
+Zero testing is exact, so identities between Hecke traces are checked with
+tolerance zero.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping
 
 
@@ -111,14 +113,7 @@ def primitive_root(s: int) -> Coordinate:
 
 
 # ---------------------------------------------------------------------------
-# Integer/rational polynomial helpers (coefficient index = degree)
-
-
-def _trim(coeffs):
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+# Cyclotomic polynomials (coefficient index = degree)
 
 
 @lru_cache(maxsize=None)
@@ -135,30 +130,41 @@ def cyclotomic_polynomial(n: int):
     phi = cyclotomic_polynomial(n // p)
     rem = [0] * (p * (len(phi) - 1) + 1)
     rem[::p] = phi
-    if (n // p) % p == 0:
-        return tuple(rem)
-    deg = len(phi) - 1
-    quot = [0] * (len(rem) - deg)
-    for i in range(len(quot) - 1, -1, -1):
-        c = quot[i] = rem[i + deg]
-        if c:
-            for j in range(deg + 1):
-                rem[i + j] -= c * phi[j]
-    return tuple(quot)
+    return tuple(rem if (n // p) % p == 0 else _divide(rem, n // p))
 
 
-def _poly_mod_cyclotomic(coeffs, n: int):
-    """Remainder of a Fraction polynomial modulo Phi_n (monic, exact)."""
+@lru_cache(maxsize=None)
+def _divisor(n: int):
+    """``(phi(n), ((j, c), ...))``: the degree of Phi_n and its nonzero lower terms."""
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    rem = list(coeffs)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _divide(v: list, n: int) -> list:
+    """Integer long division by the monic Phi_n, skipping its zero terms:
+    returns the quotient and leaves the remainder in ``v[:phi(n)]``."""
+    deg, terms = _divisor(n)
+    quot = [0] * max(len(v) - deg, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = v[k + deg]
         if c:
-            rem[i] = Fraction(0)
-            for j in range(deg):
-                rem[i - deg + j] -= c * phi[j]
-    return _trim(rem[:deg])
+            for j, p in terms:
+                v[k + j] -= c * p
+    return quot
+
+
+def _reduce(v: list, n: int) -> list:
+    """Trimmed remainder of the integer vector v modulo Phi_n (v is consumed).
+    Exponents fold first by x^n = 1, exact because Phi_n divides x^n - 1."""
+    for start in range(n, len(v), n):
+        chunk = v[start : start + n]
+        v[: len(chunk)] = map(add, v, chunk)
+    del v[n:]
+    _divide(v, n)
+    del v[_divisor(n)[0] :]
+    while v and not v[-1]:
+        v.pop()
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -166,106 +172,104 @@ def _poly_mod_cyclotomic(coeffs, n: int):
 
 
 class Cyclo:
-    """An element of Q(zeta_N), as a coefficient vector reduced mod Phi_N.
+    """The element ``sum_i num[i] zeta_N^i / den`` of Q(zeta_N), N the conductor.
 
-    No minimal-conductor canonicalization: mixed-conductor operations lift to
-    the lcm, and equality goes through common-conductor subtraction.
+    ``num`` is the trimmed int remainder modulo Phi_N (at most phi(N) entries)
+    and ``den`` a positive int with gcd(num, den) = 1: one representation per
+    element and conductor.  The constructor takes ints or rationals of any
+    length over ``den`` and reduces them.  No minimal-conductor normal form:
+    mixed-conductor operations lift to the lcm of the conductors, and
+    equality is a zero test of the difference.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
-    def __init__(self, conductor: int, coeffs: Iterable[Fraction], reduced=False):
+    def __init__(self, conductor: int, coeffs: Iterable, den: int = 1):
+        if conductor < 1:
+            raise ValueError(f"conductor must be >= 1, got {conductor}")
+        v = list(coeffs)
+        if not all(map(isinstance, v, repeat(int))):
+            fs = [_as_fraction(c) for c in v]
+            common = lcm(*(f.denominator for f in fs))
+            v = [f.numerator * (common // f.denominator) for f in fs]
+            den *= common
+        v = _reduce(v, conductor)
+        g = gcd(*v, den)
         self.conductor = conductor
-        cs = tuple(_as_fraction(c) for c in coeffs)
-        self.coeffs = _trim(cs) if reduced else _poly_mod_cyclotomic(cs, conductor)
+        self.num = tuple(c // g for c in v) if g > 1 else tuple(v)
+        self.den = den // g
 
     @classmethod
     def rational(cls, c) -> "Cyclo":
-        return cls(1, (_as_fraction(c),))
+        return cls(1, (c,))
 
     @classmethod
     def root_of_unity(cls, a: int, n: int) -> "Cyclo":
         """zeta_n^a reduced mod Phi_n."""
-        a %= n
-        return cls(n, (Fraction(0),) * a + (Fraction(1),))
+        return cls(n, [0] * (a % n) + [1])
+
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of Fractions (a read-only view)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def lift(self, m: int) -> "Cyclo":
         """Image in Q(zeta_m) for conductor n dividing m (zeta_n = zeta_m^{m/n})."""
-        if m == self.conductor:
-            return self
         if m % self.conductor:
             raise ValueError("lift target must be a multiple of the conductor")
-        step = m // self.conductor
-        out = [Fraction(0)] * (len(self.coeffs) * step or 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return Cyclo(m, out)
-
-    def _pair(self, other: "Cyclo"):
-        m = lcm(self.conductor, other.conductor)
-        return self.lift(m), other.lift(m), m
+        return Cyclo.sum((self, Cyclo(m, ())))
 
     def __add__(self, other: "Cyclo") -> "Cyclo":
-        a, b, m = self._pair(other)
-        n = max(len(a.coeffs), len(b.coeffs))
-        cs = [Fraction(0)] * n
-        for i, c in enumerate(a.coeffs):
-            cs[i] += c
-        for i, c in enumerate(b.coeffs):
-            cs[i] += c
-        return Cyclo(m, _trim(cs), reduced=True)
+        return Cyclo.sum((self, other))
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(self.conductor, tuple(-c for c in self.coeffs), reduced=True)
+        return Cyclo(self.conductor, [-c for c in self.num], self.den)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
         return self + (-other)
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
-        a, b, m = self._pair(other)
-        if not a.coeffs or not b.coeffs:
-            return Cyclo(m, (), reduced=True)
-        cs = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ca in enumerate(a.coeffs):
+        """Sparse integer convolution at the lcm conductor, reduced once."""
+        m = lcm(self.conductor, other.conductor)
+        sa, sb = m // self.conductor, m // other.conductor
+        bs = [(j * sb, c) for j, c in enumerate(other.num) if c]
+        out = [0] * ((len(self.num) - 1) * sa + (len(other.num) - 1) * sb + 1)
+        for i, ca in enumerate(self.num):
             if ca:
-                for j, cb in enumerate(b.coeffs):
-                    if cb:
-                        cs[i + j] += ca * cb
-        return Cyclo(m, cs)
+                i *= sa
+                for j, cb in bs:
+                    out[i + j] += ca * cb
+        return Cyclo(m, out, self.den * other.den)
 
     def scale(self, c) -> "Cyclo":
         c = _as_fraction(c)
-        return Cyclo(self.conductor, tuple(c * x for x in self.coeffs), reduced=True)
+        return Cyclo(self.conductor, [c.numerator * x for x in self.num], self.den * c.denominator)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __eq__(self, other):
         if not isinstance(other, Cyclo):
             return NotImplemented
-        a, b, _ = self._pair(other)
-        return a.coeffs == b.coeffs
+        return (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("Cyclo is not hashable (no canonical conductor)")
+    __hash__ = None  # no canonical conductor
 
     @classmethod
     def sum(cls, items) -> "Cyclo":
+        """Sum at the lcm conductor: the numerators, spread to it and brought
+        over the lcm denominator, are added and then reduced once."""
         items = list(items)
-        if not items:
-            return cls.rational(0)
-        m = 1
-        for it in items:
-            m = lcm(m, it.conductor)
-        n = 0
-        lifted = [it.lift(m) for it in items]
-        for it in lifted:
-            n = max(n, len(it.coeffs))
-        cs = [Fraction(0)] * n
-        for it in lifted:
-            for i, c in enumerate(it.coeffs):
-                cs[i] += c
-        return Cyclo(m, _trim(cs), reduced=True)
+        m = lcm(*(it.conductor for it in items))
+        den = lcm(*(it.den for it in items))
+        stops = [(len(it.num) - 1) * (m // it.conductor) + 1 for it in items]
+        acc = [0] * max(stops, default=0)
+        for it, stop in zip(items, stops):
+            if it.num:
+                step, k = m // it.conductor, den // it.den
+                scaled = it.num if k == 1 else [k * c for c in it.num]
+                acc[:stop:step] = map(add, acc[:stop:step], scaled)
+        return cls(m, acc, den)
 
     def __repr__(self):
         return f"Cyclo({self.conductor}, {list(self.coeffs)})"
@@ -333,8 +337,7 @@ class QCyclo:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("QCyclo is not hashable")
+    __hash__ = None
 
     @classmethod
     def sum(cls, items: Iterable["QCyclo"]) -> "QCyclo":
@@ -347,17 +350,14 @@ class QCyclo:
     # io -------------------------------------------------------------------
 
     def to_json(self):
-        out = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            out.append(
-                {
-                    "qexp": [e.numerator, e.denominator],
-                    "conductor": c.conductor,
-                    "coeffs": [[x.numerator, x.denominator] for x in c.coeffs],
-                }
-            )
-        return {"terms": out}
+        return {"terms": [
+            {
+                "qexp": [e.numerator, e.denominator],
+                "conductor": c.conductor,
+                "coeffs": [[x.numerator, x.denominator] for x in c.coeffs],
+            }
+            for e, c in sorted(self.terms.items())
+        ]}
 
     @classmethod
     def from_json(cls, doc) -> "QCyclo":

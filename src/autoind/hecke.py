@@ -398,6 +398,21 @@ def ai_transfer(
     return out
 
 
+def _product_degree(factors) -> int:
+    """Degree of the product of the factors, found without multiplying them.
+
+    The polynomial ring is a domain, so the body degrees add, and so do the
+    valuations: the powers of e_n = z_1...z_n dividing the bodies.  The
+    normal form of the product then strips min(total shift, total valuation)
+    factors e_n, each of degree n.
+    """
+    if any(g.is_zero() for g in factors):
+        return 0
+    valuation = sum(min(min(k) for k in g.terms) for g in factors)
+    shift = sum(g.shift for g in factors)
+    return sum(g.degree() for g in factors) - factors[0].nvars * min(shift, valuation)
+
+
 def bc_transfer(
     factors, algebra: CyclicAlgebra, budget: int = DEGREE_BUDGET
 ) -> SymLaurent:
@@ -405,7 +420,8 @@ def bc_transfer(
 
     The r block transforms multiply (convolution over the split directions),
     then the field-stage rule ``p_k -> p_{ks}`` applies; the shift scales by s
-    through the determinant coordinate.
+    through the determinant coordinate.  The degree of the product is checked
+    against the budget before the factors are multiplied.
     """
     factors = list(factors)
     if len(factors) != algebra.r:
@@ -413,6 +429,9 @@ def bc_transfer(
     n = factors[0].nvars
     if any(g.nvars != n for g in factors):
         raise RankMismatch("factors must share the variable count")
+    degree = _product_degree(factors)
+    if degree > budget:
+        raise DegreeBudget(f"degree {degree} exceeds budget {budget}")
     prod = factors[0]
     for g in factors[1:]:
         prod = prod * g

@@ -141,3 +141,82 @@ def test_coordinate_root_tower(z, q, j, k):
 def test_root_of_unity_multiplication(n, a, b):
     lhs = Cyclo.root_of_unity(a, n) * Cyclo.root_of_unity(b, n)
     assert lhs == Cyclo.root_of_unity(a + b, n)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel of Cyclo against a Fraction reference
+
+
+def schoolbook_mod(coeffs, n):
+    """Remainder modulo Phi_n by plain long division over Fractions."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rem = [F(c) for c in coeffs]
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        for j in range(deg + 1):
+            rem[i - deg + j] -= c * phi[j]
+    rem = rem[:deg]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(rem)
+
+
+def assert_normalised(x):
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den >= 1 and gcd(*x.num, x.den) == 1
+    assert not x.num or x.num[-1] != 0
+    assert len(x.num) < len(cyclotomic_polynomial(x.conductor))
+
+
+mixed_fraction = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15)
+cyclos = st.builds(
+    Cyclo, st.sampled_from(CONDUCTORS), st.lists(small_fraction, max_size=16)
+)
+
+
+@st.composite
+def long_vectors(draw):
+    """A conductor N <= 60 and up to 3N coefficients, so the x^N fold runs."""
+    n = draw(st.integers(1, 60))
+    return n, draw(st.lists(mixed_fraction, max_size=3 * n))
+
+
+@given(long_vectors())
+def test_reduction_matches_schoolbook_division(case):
+    n, v = case
+    x = Cyclo(n, v)
+    assert x.coeffs == schoolbook_mod(v, n)
+    assert_normalised(x)
+
+
+@given(cyclos, cyclos, cyclos)
+def test_mixed_conductor_ring_axioms(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a and a + b == b + a
+    for x in (a * b, a + b, a - b, Cyclo.sum((a, b, c))):
+        assert_normalised(x)
+
+
+@given(cyclos, small_fraction, st.sampled_from((1, 2, 3, 5)))
+def test_negation_scaling_and_lift(a, r, k):
+    assert (a - a).is_zero()
+    assert a.scale(r) == a * Cyclo.rational(r)
+    assert_normalised(a.scale(r))
+    m = a.conductor * k
+    lifted = a.lift(m)
+    assert lifted == a and lifted.conductor == m
+    spread = [0] * (len(a.num) * k)
+    spread[::k] = a.coeffs
+    assert lifted.coeffs == schoolbook_mod(spread, m)
+
+
+def test_fold_and_bad_conductor():
+    assert Cyclo(5, [0] * 5 + [1]) == Cyclo.rational(1)
+    assert Cyclo(4, [F(1, 2)] * 12).is_zero()
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            Cyclo(n, [1])

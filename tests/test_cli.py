@@ -147,6 +147,45 @@ class TestHeckeVerbs:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "DegreeBudget"
 
+    def test_bc_budget_is_checked_before_multiplying(self):
+        # two staircases of degree 45 in 10 variables: multiplying them first
+        # used to run for minutes before the budget was checked
+        one = {"terms": [{"qexp": [0, 1], "conductor": 1, "coeffs": [[1, 1]]}]}
+        stair = {"nvars": 10, "shift": 0,
+                 "terms": [{"exps": list(range(9, -1, -1)), "coef": one}]}
+        doc = {"algebra": {"d": 2, "r": 2, "s": 1}, "factors": [stair, stair]}
+        env = dict(os.environ, PYTHONPATH=str(Path(autoind.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "autoind.cli", "hecke-bc"], input=json.dumps(doc),
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["kind"] == "DegreeBudget"
+
+    @pytest.mark.parametrize("conductor", [0, -4])
+    def test_conductor_below_one_is_bad_input(self, conductor, capsys):
+        coef = {"terms": [{"qexp": [0, 1], "conductor": conductor, "coeffs": [[1, 1]]}]}
+        doc = {
+            "algebra": {"d": 2, "r": 1, "s": 2},
+            "f": {"nvars": 2, "shift": 0, "terms": [{"exps": [1, 0], "coef": coef}]},
+        }
+        code, out = run_cli(["hecke-ai"], doc, capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "BadInput"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("doc", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_golden_output_is_byte_identical(doc, capsys):
+    """Stdout of hecke-ai / hecke-bc on documents with conductors 1, 3, 4, 6
+    and 12 and mixed denominators, pinned byte for byte."""
+    verb = doc.stem.split("_")[0]
+    code = main([verb, "--input", str(doc)])
+    assert code == 0
+    assert capsys.readouterr().out == doc.with_suffix(".out").read_text()
+
 
 class TestFibers:
     def test_bc_fiber_count(self, capsys):

@@ -15,6 +15,7 @@ from autoind.hecke import (
     constant_term,
     from_power_sums,
     _perms,
+    _product_degree,
     satake_eval,
     to_power_sums,
 )
@@ -235,6 +236,25 @@ class TestBcTransfer:
         alg = CyclicAlgebra.field(3)
         out = bc_transfer([SymLaurent.det_power(2, -1)], alg)
         assert out.shift == 3
+
+    def test_product_degree_is_predicted_exactly(self):
+        # z^-1 * z^2 = z: summing the degrees alone would give 2
+        fs = [SymLaurent.det_power(1, -1), SymLaurent.det_power(1, 2)]
+        assert _product_degree(fs) == 1
+        rng = random.Random(29)
+        stripped = 0
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            fs = [
+                random_symlaurent(rng, n, maxdeg=4) * SymLaurent.det_power(n, rng.randint(-2, 2))
+                for _ in range(rng.randint(1, 3))
+            ]
+            prod = fs[0]
+            for g in fs[1:]:
+                prod = prod * g
+            assert _product_degree(fs) == prod.degree()
+            stripped += prod.shift < sum(g.shift for g in fs)
+        assert stripped > 20  # the shift-against-valuation case is exercised
 
 
 class TestConstantTerm:
