@@ -30,7 +30,6 @@ from .satake import (
     x_of,
 )
 from .hecke import (
-    PowerSumExpr,
     SymLaurent,
     TensorSym,
     ai_transfer,

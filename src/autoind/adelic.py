@@ -236,14 +236,6 @@ class InducedGlobal:
         )
         return SphericalRepE(v.algebra, blocks)
 
-    def __eq__(self, other):
-        if not isinstance(other, InducedGlobal):
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        raise TypeError("InducedGlobal is not hashable")
-
 
 # ---------------------------------------------------------------------------
 # Global lifting

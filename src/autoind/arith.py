@@ -22,6 +22,13 @@ from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping
 
+from .errors import BudgetExceeded
+
+# Largest conductor a Cyclo may have: its vectors have about N entries, and
+# the lcm of two document conductors can be their product.  It lies above
+# lcm(1, ..., 12) = 27720, the largest conductor the seeded suites reach.
+MAX_CONDUCTOR = 30_000
+
 
 # ---------------------------------------------------------------------------
 # Coordinates
@@ -171,6 +178,15 @@ def _reduce(v: list, n: int) -> list:
 # Cyclotomic elements
 
 
+def _bounded(conductor: int) -> int:
+    """The conductor, checked before anything of its size is allocated."""
+    if conductor < 1:
+        raise ValueError(f"conductor must be >= 1, got {conductor}")
+    if conductor > MAX_CONDUCTOR:
+        raise BudgetExceeded(f"conductor {conductor} exceeds {MAX_CONDUCTOR}")
+    return conductor
+
+
 class Cyclo:
     """The element ``sum_i num[i] zeta_N^i / den`` of Q(zeta_N), N the conductor.
 
@@ -179,14 +195,14 @@ class Cyclo:
     element and conductor.  The constructor takes ints or rationals of any
     length over ``den`` and reduces them.  No minimal-conductor normal form:
     mixed-conductor operations lift to the lcm of the conductors, and
-    equality is a zero test of the difference.
+    equality is a zero test of the difference.  A conductor above
+    ``MAX_CONDUCTOR`` raises :class:`BudgetExceeded` before any allocation.
     """
 
     __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs: Iterable, den: int = 1):
-        if conductor < 1:
-            raise ValueError(f"conductor must be >= 1, got {conductor}")
+        _bounded(conductor)
         v = list(coeffs)
         if not all(map(isinstance, v, repeat(int))):
             fs = [_as_fraction(c) for c in v]
@@ -206,7 +222,7 @@ class Cyclo:
     @classmethod
     def root_of_unity(cls, a: int, n: int) -> "Cyclo":
         """zeta_n^a reduced mod Phi_n."""
-        return cls(n, [0] * (a % n) + [1])
+        return cls(n, [0] * (a % _bounded(n)) + [1])
 
     @property
     def coeffs(self):
@@ -230,7 +246,7 @@ class Cyclo:
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
         """Sparse integer convolution at the lcm conductor, reduced once."""
-        m = lcm(self.conductor, other.conductor)
+        m = _bounded(lcm(self.conductor, other.conductor))
         sa, sb = m // self.conductor, m // other.conductor
         bs = [(j * sb, c) for j, c in enumerate(other.num) if c]
         out = [0] * ((len(self.num) - 1) * sa + (len(other.num) - 1) * sb + 1)
@@ -260,7 +276,7 @@ class Cyclo:
         """Sum at the lcm conductor: the numerators, spread to it and brought
         over the lcm denominator, are added and then reduced once."""
         items = list(items)
-        m = lcm(*(it.conductor for it in items))
+        m = _bounded(lcm(*(it.conductor for it in items)))
         den = lcm(*(it.den for it in items))
         stops = [(len(it.num) - 1) * (m // it.conductor) + 1 for it in items]
         acc = [0] * max(stops, default=0)

@@ -30,13 +30,15 @@ class BlocksDiffer(DomainError):
 
 
 class BudgetExceeded(DomainError):
-    """Fiber enumeration past the hard rank cap."""
+    """Fiber enumeration past the hard rank cap, or a cyclotomic conductor
+    past ``arith.MAX_CONDUCTOR``."""
 
     kind = "BudgetExceeded"
 
 
 class DegreeBudget(DomainError):
-    """Power-sum conversion requested past the configured degree bound."""
+    """A Hecke transfer past the degree budget: for ``ai_transfer`` the degree
+    converted to power sums, for ``bc_transfer`` the degree of the product."""
 
     kind = "DegreeBudget"
 

@@ -9,14 +9,14 @@ evaluation identities:
 * ``satake_eval(f, delta_map(y)) == satake_eval(ai_transfer(f), y.flatten())``
 * ``eval of (f_1, .., f_r) at bc_map(y) == satake_eval(bc_transfer(..), y)``
 
-Both transfers are computed through the power-sum basis, where the rules are
-monomial: ``p_k -> s p_{k/s}`` (or 0) for induction, ``p_k -> p_{ks}`` for
-base change.
+Base change is the Adams operation f(z) -> f(z^s), a ring map that is
+monomial in the monomial basis: ``m_lam -> m_{s lam}``.  Only induction goes
+through the power-sum basis, where its rule ``p_k -> s p_{k/s}`` (or 0) is
+monomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -187,14 +187,9 @@ class SymLaurent:
     def __eq__(self, other):
         if not isinstance(other, SymLaurent):
             return NotImplemented
-        if self.nvars != other.nvars or self.shift != other.shift:
-            return False
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return (self.nvars, self.shift, self.terms) == (other.nvars, other.shift, other.terms)
 
-    def __hash__(self):
-        raise TypeError("SymLaurent is not hashable")
+    __hash__ = None
 
     def __repr__(self):
         return f"SymLaurent(n={self.nvars}, shift={self.shift}, {len(self.terms)} terms)"
@@ -250,58 +245,6 @@ def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
 # Power-sum basis
 
 
-@dataclass(frozen=True)
-class PowerSumExpr:
-    """QCyclo-linear combination of power-sum monomials p_lam."""
-
-    terms: Dict[Tuple[int, ...], QCyclo]
-
-    def __post_init__(self):
-        clean = {}
-        for lam, c in self.terms.items():
-            lam = _dominant(lam)
-            if any(p < 1 for p in lam):
-                raise ValueError("power-sum parts must be >= 1")
-            if not c.is_zero():
-                clean[lam] = clean[lam] + c if lam in clean else c
-        object.__setattr__(self, "terms", clean)
-
-    def map_parts(self, rule) -> "PowerSumExpr":
-        """Apply a monomial rule part-by-part.
-
-        ``rule(k)`` returns ``(new_part or None, scalar QCyclo factor)``;
-        ``None`` kills the whole monomial.
-        """
-        out: Dict[Tuple[int, ...], QCyclo] = {}
-        for lam, c in self.terms.items():
-            parts = []
-            coef = c
-            dead = False
-            for k in lam:
-                nk, fac = rule(k)
-                if nk is None:
-                    dead = True
-                    break
-                parts.append(nk)
-                if fac is not None:
-                    coef = coef * fac
-            if dead:
-                continue
-            key = _dominant(parts)
-            out[key] = out[key] + coef if key in out else coef
-        return PowerSumExpr(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSumExpr):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    def __hash__(self):
-        raise TypeError("PowerSumExpr is not hashable")
-
-
 @lru_cache(maxsize=None)
 def _p_monomial(nvars: int, lam: Tuple[int, ...]):
     """Body terms of p_{lam_1} ... p_{lam_l} in nvars variables (m-basis)."""
@@ -324,43 +267,34 @@ def _r_diag(lam: Tuple[int, ...]) -> int:
     return out
 
 
-def to_power_sums(f: SymLaurent, budget: int = DEGREE_BUDGET):
-    """Express the body of f in the power-sum basis.
+def to_power_sums(f: SymLaurent, budget: int = DEGREE_BUDGET) -> Dict[ExpVec, QCyclo]:
+    """The body of f in the power-sum basis, as a map ``{lam: coefficient}``.
 
-    Returns ``(PowerSumExpr, shift)``.  The conversion is a triangular solve:
-    p_lam expands as R_lam m_lam plus dominance-larger monomials, so peeling
-    the lexicographically smallest surviving key in each degree terminates.
+    The conversion is a triangular solve: p_lam expands as R_lam m_lam plus
+    dominance-larger monomials, so peeling the lexicographically smallest
+    surviving key in each degree terminates, and peels each key once.
     """
     if f.degree() > budget:
         raise DegreeBudget(f"degree {f.degree()} exceeds budget {budget}")
     rem: Dict[ExpVec, QCyclo] = dict(f.terms)
-    out: Dict[Tuple[int, ...], QCyclo] = {}
+    out: Dict[ExpVec, QCyclo] = {}
     while rem:
         key = min(rem, key=lambda k: (sum(k), k))
-        a = rem.pop(key)
-        if a.is_zero():
-            continue
         lam = tuple(e for e in key if e)
-        c = a.scale(Fraction(1, _r_diag(lam)))
-        out[lam] = out[lam] + c if lam in out else c
+        c = out[lam] = rem.pop(key).scale(Fraction(1, _r_diag(lam)))
         for k2, c2 in _p_monomial(f.nvars, lam).items():
-            if k2 == key:
-                continue
-            delta = c * c2
-            rem[k2] = rem[k2] - delta if k2 in rem else -delta
-        if key in rem:
-            del rem[key]
+            if k2 != key:
+                rem[k2] = rem[k2] - c * c2 if k2 in rem else -(c * c2)
         rem = {k: v for k, v in rem.items() if not v.is_zero()}
-    return PowerSumExpr(out), f.shift
-
-
-def from_power_sums(expr: PowerSumExpr, nvars: int, shift: int = 0) -> SymLaurent:
-    out = SymLaurent.zero(nvars)
-    for lam, c in expr.terms.items():
-        out = out + SymLaurent(nvars, 0, dict(_p_monomial(nvars, lam))).scale(c)
-    if shift:
-        return SymLaurent(nvars, shift + out.shift, out.terms)
     return out
+
+
+def from_power_sums(expr: Dict[ExpVec, QCyclo], nvars: int, shift: int = 0) -> SymLaurent:
+    """``(z_1 ... z_n)^(-shift)`` times the sum of ``c * p_lam`` over ``expr``."""
+    out = SymLaurent.zero(nvars)
+    for lam, c in expr.items():
+        out = out + SymLaurent(nvars, 0, dict(_p_monomial(nvars, lam))).scale(c)
+    return SymLaurent(nvars, shift, out.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +314,14 @@ def ai_transfer(
     if f.nvars % d:
         raise RankMismatch(f"{f.nvars} variables not divisible by d={d}")
     m = f.nvars // d
-    expr, shift = to_power_sums(f, budget)
-
-    s_fac = QCyclo.rational(s)
-
-    def rule(k):
-        if k % s:
-            return None, None
-        return k // s, s_fac
-
-    mapped = expr.map_parts(rule)
-    out = from_power_sums(mapped, m * r, shift=shift)
-    c = m * r * (s * (s - 1) // 2)
-    unit = algebra.zeta ** (-c * shift)
+    # distinct lam give distinct lam/s, so no two terms merge
+    mapped = {
+        tuple(k // s for k in lam): c.scale(s ** len(lam))
+        for lam, c in to_power_sums(f, budget).items()
+        if all(k % s == 0 for k in lam)
+    }
+    out = from_power_sums(mapped, m * r, shift=f.shift)
+    unit = algebra.zeta ** (-m * r * (s * (s - 1) // 2) * f.shift)
     if unit.zeta:
         out = out.scale(QCyclo.from_coordinate(unit))
     return out
@@ -419,9 +348,9 @@ def bc_transfer(
     """Base-change transfer: ``prod_i f_i(bc_map(y).blocks[i]) = (bf)(y)``.
 
     The r block transforms multiply (convolution over the split directions),
-    then the field-stage rule ``p_k -> p_{ks}`` applies; the shift scales by s
-    through the determinant coordinate.  The degree of the product is checked
-    against the budget before the factors are multiplied.
+    then the field stage substitutes z -> z^s: ``m_lam -> m_{s lam}``, and the
+    shift scales by s.  The degree of the product is checked against the
+    budget before the factors are multiplied.
     """
     factors = list(factors)
     if len(factors) != algebra.r:
@@ -435,10 +364,10 @@ def bc_transfer(
     prod = factors[0]
     for g in factors[1:]:
         prod = prod * g
-    expr, shift = to_power_sums(prod, budget)
     s = algebra.s
-    mapped = expr.map_parts(lambda k: (k * s, None))
-    return from_power_sums(mapped, n, shift=s * shift)
+    return SymLaurent(
+        n, s * prod.shift, {tuple(s * e for e in k): c for k, c in prod.terms.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +404,11 @@ class TensorSym:
     def __eq__(self, other):
         if not isinstance(other, TensorSym):
             return NotImplemented
-        if (self.r, self.m, self.shift) != (other.r, other.m, other.shift):
-            return False
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return (self.r, self.m, self.shift, self.terms) == (
+            other.r, other.m, other.shift, other.terms
+        )
 
-    def __hash__(self):
-        raise TypeError("TensorSym is not hashable")
+    __hash__ = None
 
     def __repr__(self):
         return f"TensorSym(r={self.r}, m={self.m}, shift={self.shift}, {len(self.terms)} terms)"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Tuple
 
 from .arith import Coordinate, primitive_root
@@ -325,21 +326,10 @@ def fiber_unitary(pi: Product, source: Product) -> set[Product]:
     """All E-side products lifting to pi: factorwise Galois translates of source."""
     if lift_unitary(source) != pi:
         raise NoProvenance("the given product is not a lift of the given source")
-    out = set()
-
-    def rec(i, acc):
-        if i == len(source.factors):
-            out.add(Product(tuple(acc)))
-            return
-        f = source.factors[i]
-        g = _factor_atom(f).g
-        for j in range(g):
-            acc.append(_galois_translated(f, j))
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(0, [])
-    return out
+    translates = [
+        [_galois_translated(f, j) for j in range(_factor_atom(f).g)] for f in source.factors
+    ]
+    return {Product(choice) for choice in product(*translates)}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Tuple
 
 from .arith import ONE, Coordinate, primitive_root
@@ -315,19 +316,10 @@ def bc_fiber(z: SphericalRepE, max_rank: int = MAX_FIBER_RANK) -> set[SatakePara
         raise BudgetExceeded("root-choice enumeration too large")
     roots = [c.root(alg.s) for c in block.coords]
     mu = [primitive_root(alg.s) ** j for j in range(alg.s)]
-    out = set()
-
-    def rec(i, acc):
-        if i == len(roots):
-            out.add(SatakeParam(tuple(acc)))
-            return
-        for z_j in mu:
-            acc.append(z_j * roots[i])
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(0, [])
-    return out
+    return {
+        SatakeParam(tuple(z_j * x for z_j, x in zip(choice, roots)))
+        for choice in product(mu, repeat=len(roots))
+    }
 
 
 def check_ia_bc_compat(y: SphericalRepE):

@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from autoind.arith import ONE, Coordinate, Cyclo, QCyclo, cyclotomic_polynomial
+from autoind.arith import MAX_CONDUCTOR, ONE, Coordinate, Cyclo, QCyclo, cyclotomic_polynomial
+from autoind.errors import BudgetExceeded
 
 
 def coord(z, q=0):
@@ -93,6 +94,18 @@ class TestCyclo:
     def test_not_hashable(self):
         with pytest.raises(TypeError):
             hash(Cyclo.rational(1))
+
+    def test_conductor_is_bounded(self):
+        a, b = Cyclo.root_of_unity(1, 9973), Cyclo.root_of_unity(1, 9967)
+        for build in (
+            lambda: a * b,
+            lambda: Cyclo.sum((a, b)),
+            lambda: Cyclo(MAX_CONDUCTOR + 1, (1,)),
+            lambda: Cyclo.root_of_unity(1, 99400891),
+        ):
+            with pytest.raises(BudgetExceeded):
+                build()
+        assert Cyclo(MAX_CONDUCTOR, (1,)) == Cyclo.rational(1)
 
 
 class TestQCyclo:

@@ -28,6 +28,15 @@ def run_cli(argv, stdin_doc=None, capsys=None):
     return code, out
 
 
+def run_cli_process(argv, doc, timeout=10):
+    """Run the CLI in a fresh interpreter that is killed after ``timeout`` s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(autoind.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "autoind.cli", *argv], input=json.dumps(doc),
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 def coord(a, n, p, q):
     return {"zeta": [a, n], "qexp": [p, q]}
 
@@ -154,13 +163,23 @@ class TestHeckeVerbs:
         stair = {"nvars": 10, "shift": 0,
                  "terms": [{"exps": list(range(9, -1, -1)), "coef": one}]}
         doc = {"algebra": {"d": 2, "r": 2, "s": 1}, "factors": [stair, stair]}
-        env = dict(os.environ, PYTHONPATH=str(Path(autoind.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "autoind.cli", "hecke-bc"], input=json.dumps(doc),
-            capture_output=True, text=True, env=env, timeout=10,
-        )
+        proc = run_cli_process(["hecke-bc"], doc)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["kind"] == "DegreeBudget"
+
+    @pytest.mark.parametrize("conductors", [(1000003, 1), (9973, 9967)])
+    def test_conductor_is_bounded_before_allocating(self, conductors):
+        # refused before Phi_1000003 (over a second) or Phi_99400891, for the
+        # lcm of the two primes (gigabytes), is built
+        def zeta(conductor):
+            coef = {"terms": [
+                {"qexp": [0, 1], "conductor": conductor, "coeffs": [[0, 1], [1, 1]]}]}
+            return {"nvars": 1, "shift": 0, "terms": [{"exps": [1], "coef": coef}]}
+
+        doc = {"algebra": {"d": 2, "r": 2, "s": 1}, "factors": [zeta(c) for c in conductors]}
+        proc = run_cli_process(["hecke-bc"], doc)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["kind"] == "BudgetExceeded"
 
     @pytest.mark.parametrize("conductor", [0, -4])
     def test_conductor_below_one_is_bad_input(self, conductor, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from autoind.arith import Coordinate, QCyclo
 from autoind.errors import DegreeBudget, RankMismatch
 from autoind.hecke import (
-    PowerSumExpr,
+    DEGREE_BUDGET,
     SymLaurent,
     ai_transfer,
     bc_transfer,
@@ -20,7 +20,12 @@ from autoind.hecke import (
     to_power_sums,
 )
 from autoind.satake import CyclicAlgebra, SatakeParam, SphericalRepE, bc_map, delta_map
-from autoind.verify import random_coordinate, random_spherical, random_symlaurent
+from autoind.verify import (
+    random_algebra,
+    random_coordinate,
+    random_spherical,
+    random_symlaurent,
+)
 
 
 def coord(z, q=0):
@@ -109,27 +114,21 @@ class TestEvaluation:
 
 class TestPowerSums:
     def test_newton_e2(self):
-        expr, shift = to_power_sums(SymLaurent.elementary(2, 2))
-        assert shift == 0
-        assert expr == PowerSumExpr(
-            {(1, 1): QCyclo.rational(F(1, 2)), (2,): QCyclo.rational(F(-1, 2))}
-        )
+        expr = to_power_sums(SymLaurent.elementary(2, 2))
+        assert expr == {(1, 1): QCyclo.rational(F(1, 2)), (2,): QCyclo.rational(F(-1, 2))}
 
     def test_e1_is_p1(self):
-        expr, _ = to_power_sums(SymLaurent.elementary(3, 1))
-        assert expr == PowerSumExpr({(1,): QCyclo.rational(1)})
+        assert to_power_sums(SymLaurent.elementary(3, 1)) == {(1,): QCyclo.rational(1)}
 
     def test_m2_is_exactly_p2(self):
-        expr, _ = to_power_sums(SymLaurent.monomial(2, (2,)))
-        assert expr == PowerSumExpr({(2,): QCyclo.rational(1)})
+        assert to_power_sums(SymLaurent.monomial(2, (2,))) == {(2,): QCyclo.rational(1)}
 
     def test_roundtrip_all_monomials(self):
         for n in (1, 2, 3, 4):
             for d in range(0, 7):
                 for lam in _partitions(d, n):
                     f = SymLaurent.monomial(n, lam)
-                    expr, shift = to_power_sums(f)
-                    assert from_power_sums(expr, n, shift) == f
+                    assert from_power_sums(to_power_sums(f), n, f.shift) == f
 
     def test_degree_budget(self):
         f = SymLaurent.monomial(2, (13,))
@@ -175,6 +174,17 @@ class TestAiTransfer:
                 assert satake_eval(f, delta_map(y)) == satake_eval(
                     ai_transfer(f, alg), y.flatten()
                 )
+
+    def test_oracle_at_the_largest_conductor_of_the_suites(self):
+        # coordinate orders 8, 9, 5, 7 and 11: e_6 takes a root of unity of
+        # order lcm(1, ..., 12) = 27720, which crit2 reaches at seed 27
+        alg = CyclicAlgebra(2, 2, 1)
+        blocks = tuple(
+            SatakeParam(tuple(coord(F(1, n)) for n in b)) for b in ((8, 9, 5), (7, 11, 1))
+        )
+        y = SphericalRepE(alg, blocks)
+        f = SymLaurent.elementary(6, 6) + SymLaurent.elementary(6, 3)
+        assert satake_eval(f, delta_map(y)) == satake_eval(ai_transfer(f, alg), y.flatten())
 
     def test_is_ring_homomorphism(self):
         rng = random.Random(5)
@@ -256,6 +266,29 @@ class TestBcTransfer:
             stripped += prod.shift < sum(g.shift for g in fs)
         assert stripped > 20  # the shift-against-valuation case is exercised
 
+    def test_matches_the_power_sum_route(self):
+        # reference: multiply, convert to power sums, map p_k -> p_{ks}, convert back
+        rng = random.Random(31)
+        for _ in range(60):
+            alg = random_algebra(rng, rng.choice((2, 3, 4, 6)))
+            n = rng.randint(1, 3)
+            fs = [random_symlaurent(rng, n, maxdeg=4) for _ in range(alg.r)]
+            prod = fs[0]
+            for g in fs[1:]:
+                prod = prod * g
+            if prod.degree() > DEGREE_BUDGET:
+                with pytest.raises(DegreeBudget):
+                    bc_transfer(fs, alg)
+                continue
+            s = alg.s
+            mapped = {tuple(s * k for k in lam): c for lam, c in to_power_sums(prod).items()}
+            ref = from_power_sums(mapped, n, s * prod.shift)
+            got = bc_transfer(fs, alg)
+            assert got == ref
+            for key, coef in got.terms.items():
+                for qexp, c in coef.terms.items():
+                    assert ref.terms[key].terms[qexp].conductor % c.conductor == 0
+
 
 class TestConstantTerm:
     def test_e1_splits_additively(self):
@@ -283,5 +316,4 @@ class TestConstantTerm:
 @given(st.integers(1, 4), st.integers(0, 5))
 def test_power_sum_roundtrip_random_degree(n, d):
     f = SymLaurent.monomial(n, (d,)) if d and n else SymLaurent.one(n)
-    expr, shift = to_power_sums(f)
-    assert from_power_sums(expr, n, shift) == f
+    assert from_power_sums(to_power_sums(f), n, f.shift) == f
