@@ -13,10 +13,11 @@ computed constructively and are exponential in the rank, so a rank cap
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Tuple
+from itertools import combinations, product
+from typing import Iterable, Optional, Tuple
 
 from .arith import ONE, Coordinate, primitive_root
 from .errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
@@ -92,9 +93,6 @@ class SatakeParam:
 
     def contragredient(self) -> "SatakeParam":
         return SatakeParam(tuple(c.inverse() for c in self.coords))
-
-    def concat(self, other: "SatakeParam") -> "SatakeParam":
-        return SatakeParam(self.coords + other.coords)
 
     def central_character(self) -> Coordinate:
         out = ONE
@@ -210,15 +208,42 @@ def delta_map(y: SphericalRepE) -> SatakeParam:
     return SatakeParam(tuple(out))
 
 
-def _multiset_remove_orbit(counter, c: Coordinate, zeta: Coordinate, s: int) -> bool:
-    """Remove one copy of the zeta-orbit of c; False if some member is missing."""
-    members = [zeta**j * c for j in range(s)]
-    for m in members:
-        if counter.get(m, 0) <= 0:
-            return False
-    for m in members:
-        counter[m] -= 1
-    return True
+def twist_split(pi: SatakeParam, zeta: Coordinate, r: int) -> Optional[Tuple[Coordinate, ...]]:
+    """Find A with the union of ``zeta^i A`` (i < r) equal to pi, or None.
+
+    The twist-orbit splitter of ``ai_fiber`` (r = s, the order of the root
+    of unity zeta) and of ``adelic.global_ai_lift`` (r below or above it).
+    Backtracking on the largest remaining coordinate c: it lies in some
+    ``zeta^i A``, so A holds one of the distinct ``c zeta^(-i)``, i < min(r,
+    order of zeta), tried in the order of i.
+    """
+    if pi.rank % r:
+        return None
+    size = pi.rank // r
+    coords = pi.coords  # sorted, so the largest remaining one is the last
+    counter = Counter(coords)
+    inverse = zeta.inverse()
+    tries = min(r, zeta.torsion_order())
+
+    def rec(acc, top):
+        if len(acc) == size:
+            return tuple(acc)
+        while not counter[coords[top]]:
+            top -= 1
+        a = coords[top]
+        for _ in range(tries):
+            need = Counter(zeta**i * a for i in range(r))
+            if all(counter[m] >= k for m, k in need.items()):
+                counter.subtract(need)
+                acc.append(a)
+                if rec(acc, top) is not None:
+                    return tuple(acc)
+                acc.pop()
+                counter.update(need)
+            a = a * inverse
+        return None
+
+    return rec([], len(coords) - 1)
 
 
 def _multiset_splits(items: tuple, r: int, size: int):
@@ -226,24 +251,10 @@ def _multiset_splits(items: tuple, r: int, size: int):
     if r == 1:
         yield (items,)
         return
-    for head in _multiset_combinations(items, size):
+    for head in dict.fromkeys(combinations(items, size)):
         rest = _multiset_difference(items, head)
         for tail in _multiset_splits(rest, r - 1, size):
             yield (head,) + tail
-
-
-def _multiset_combinations(items: tuple, k: int):
-    """Distinct k-combinations of a sorted tuple (multiset-aware)."""
-    if k == 0:
-        yield ()
-        return
-    seen = None
-    for i, it in enumerate(items):
-        if it == seen:
-            continue
-        seen = it
-        for rest in _multiset_combinations(items[i + 1 :], k - 1):
-            yield (it,) + rest
 
 
 def _multiset_difference(items: tuple, sub: tuple) -> tuple:
@@ -258,35 +269,25 @@ def ai_fiber(
 ) -> set[SphericalRepE]:
     """All y over E with ``delta_map(y) == pi``, computed constructively.
 
-    Decompose pi into zeta-orbits, raise orbit representatives to the s-th
-    power, then enumerate all distributions of the resulting multiset into r
-    blocks.  For r = 1 the map is injective and the fiber is a singleton.
-    Ranks above ``max_rank`` raise :class:`BudgetExceeded` before any work.
+    ``twist_split(pi, zeta, s)`` splits pi into zeta-orbits, or returns None
+    exactly when pi is not zeta-stable (zeta acts freely).  The distributions
+    of the orbits' s-th powers into r blocks are the fiber; for r = 1 it is a
+    singleton.  Ranks above ``max_rank`` raise :class:`BudgetExceeded` first.
     """
     alg = algebra
     if pi.rank % alg.d:
         raise RankMismatch(f"rank {pi.rank} not divisible by d={alg.d}")
     if pi.rank > max_rank:
         raise BudgetExceeded(f"rank {pi.rank} exceeds fiber cap {max_rank}")
-    if pi.twist(alg.zeta) != pi:
+    reps = twist_split(pi, alg.zeta, alg.s)
+    if reps is None:
         raise NotStable("parameter is not stable under the zeta twist")
-
-    counter: dict[Coordinate, int] = {}
-    for c in pi.coords:
-        counter[c] = counter.get(c, 0) + 1
-    reps = []
-    for c in pi.coords:  # sorted, so representatives are orbit minima
-        if counter.get(c, 0) > 0:
-            ok = _multiset_remove_orbit(counter, c, alg.zeta, alg.s)
-            if not ok:
-                raise NotStable("parameter is not stable under the zeta twist")
-            reps.append(c**alg.s)
-    pool = tuple(sorted(reps, key=lambda c: c.sort_key))
+    pool = tuple(sorted((c**alg.s for c in reps), key=lambda c: c.sort_key))
     m = len(pool) // alg.r
-    out = set()
-    for split in _multiset_splits(pool, alg.r, m):
-        out.add(SphericalRepE(alg, tuple(SatakeParam(b) for b in split)))
-    return out
+    return {
+        SphericalRepE(alg, tuple(SatakeParam(b) for b in split))
+        for split in _multiset_splits(pool, alg.r, m)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +333,7 @@ def check_ia_bc_compat(y: SphericalRepE):
     alg = y.algebra
     lifted = delta_map(y)
     back = bc_map(lifted, alg)
-    flat = y.flatten()
-    expected = flat
-    for _ in range(alg.s - 1):
-        expected = expected.concat(flat)
+    expected = SatakeParam(y.flatten().coords * alg.s)
     for i, b in enumerate(back.blocks):
         if b != expected:
             return False, {"block": i, "got": b, "expected": expected}

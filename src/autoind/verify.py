@@ -428,10 +428,15 @@ def crit9_separate(seed: int = 0, cases: int = 200) -> PropertyResult:
             return PropertyResult("separation verdicts", i + 1, False, f"twist case {i}")
         if delta.translated(v.gamma) != delta.translated(j):
             return PropertyResult("separation verdicts", i + 1, False, f"gamma case {i}")
+        # a fresh draw can be a Galois translate of delta (common at one place
+        # with rank-1 blocks): check the verdict against a rotation of the blocks
         other = random_global_discrete(rng, d, r, places, m0=delta.cusp_rank, q=delta.q)
         v2 = separate(Pi, InducedGlobal((other,) * l))
-        if not v2.distinct:
-            # astronomically unlikely random collision; treat as failure
+        pairs = [(delta.cusp_locals[k].blocks, other.cusp_locals[k].blocks) for k in delta.cusp_locals]
+        translate = any(
+            all(a[t % len(a) :] + a[: t % len(a)] == b for a, b in pairs) for t in range(d)
+        )
+        if v2.distinct == translate:
             return PropertyResult("separation verdicts", i + 1, False, f"distinct case {i}")
     return PropertyResult("separation verdicts", cases, True)
 

@@ -280,6 +280,37 @@ class TestGlobalVerbs:
         assert got == {"distinct": False, "l": 2, "gamma": 0}
 
 
+    def test_separate_is_bounded_by_the_places_not_by_d(self):
+        # one place with f = d: each translate acts on its single block as
+        # the identity, so only gamma = 0 is tried and no lift is built
+        d = 10**6
+        rep = {"label": "A", "r": 1, "q": 1, "locals": {"v": {"blocks": [[coord(1, 3, 1, 1)]]}}}
+        doc = {
+            "d": d, "places": [{"label": "v", "f": d}],
+            "pi": {"rep": rep, "l": 2}, "pi_prime": {"rep": rep, "l": 2},
+        }
+        proc = run_cli_process(["separate"], doc)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"distinct": False, "l": 2, "gamma": 0}
+
+    def test_global_lift_is_linear_in_r(self):
+        # r = d = f = 4000 twist translates of one coordinate: the split tries
+        # each candidate once and the lift is built as one tuple per place
+        d = 4000
+        doc = {
+            "d": d, "places": [{"label": "v", "f": d}],
+            "rep": {"label": "L", "r": d, "q": 1, "locals": {"v": {"blocks": [[coord(1, 3, 1, 1)]]}}},
+        }
+        proc = run_cli_process(["global-lift"], doc)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert len(got["factors"]) == d
+        assert [f["translate"] for f in got["factors"]] == list(range(d))
+        # the split keeps the largest 4000-th root of (1/3, q): the canonical
+        # order puts zeta = 11989/12000 last among the roots
+        assert got["factors"][0]["locals"]["v"]["coords"] == [coord(11989, 12000, 1, 4000)]
+
+
 class TestVerify:
     def test_small_suite_passes(self, capsys):
         code, out = run_cli(["verify", "--suite", "hecke", "--seed", "7", "--cases", "5"], None, capsys)

@@ -15,6 +15,7 @@ from autoind.adelic import (
     GlobalDiscrete,
     InducedGlobal,
     Place,
+    Verdict,
     check_global_compat,
     global_ai_lift,
     lemma46_local_identity,
@@ -23,7 +24,7 @@ from autoind.adelic import (
     separate,
 )
 from autoind.satake import SatakeParam, SphericalRepE, delta_map
-from autoind.verify import random_global_discrete, random_places
+from autoind.verify import crit9_separate, random_global_discrete, random_places
 
 
 def coord(z, q=0):
@@ -196,6 +197,98 @@ class TestSeparate:
         mixed = InducedGlobal((a, b))
         with pytest.raises(ShapeError):
             separate(mixed, mixed)
+
+
+def separate_reference(Pi, Pi_p):
+    """Reference verdict: compare the lifts at every place, search the
+    translates below d and cross-check the Euler-factor identity on a match."""
+    for p in (Pi, Pi_p):
+        if p.side != "E":
+            raise ShapeError("separation argument applies to E-side products")
+        if any(f != p.factors[0] for f in p.factors[1:]):
+            raise ShapeError("input is not of the shape Delta^l")
+    if Pi.places != Pi_p.places:
+        raise PlaceSetMismatch("place sets differ")
+    delta, delta_p = Pi.factors[0], Pi_p.factors[0]
+    l, l_p = len(Pi.factors), len(Pi_p.factors)
+    lift_agrees = all(
+        delta_map(Pi.local(v)) == delta_map(Pi_p.local(v)) for v in Pi.places
+    )
+    if not lift_agrees or l != l_p:
+        return Verdict(distinct=True)
+    for j in range(delta.d):
+        cand = delta.translated(j)
+        if cand.q == delta_p.q and all(
+            cand.cusp_local(v) == delta_p.cusp_local(v) for v in Pi.places
+        ):
+            for v in Pi.places:
+                y = delta.local(v).flatten()
+                y_p = delta_p.local(v).flatten()
+                if not lemma46_local_identity(y, l, y_p, l_p, delta.d):
+                    raise LocalMismatch(v.label, "Euler-factor cross-check failed")
+            return Verdict(distinct=False, l=l, gamma=j % delta.d)
+    return Verdict(distinct=True)
+
+
+class TestSeparateReference:
+    def test_verdicts_match_on_seeded_pairs(self):
+        rng = random.Random(81)  # two of its fresh draws are translates
+        seen = set()
+        for i in range(600):
+            d = rng.choice((1, 2, 3, 4, 6))
+            r = rng.choice([x for x in range(1, d + 1) if d % x == 0])
+            places = random_places(rng, d)
+            delta = random_global_discrete(rng, d, r, places)
+            l = l_p = rng.randint(1, 3)
+            kind = ("translate", "fresh", "unequal l")[i % 3]
+            if kind == "fresh":
+                other = random_global_discrete(rng, d, r, places, m0=delta.cusp_rank, q=delta.q)
+            else:
+                other = delta.translated(rng.randrange(2 * d))
+            if kind == "unequal l":
+                l_p = rng.choice([k for k in (1, 2, 3) if k != l])
+            a, b = InducedGlobal((delta,) * l), InducedGlobal((other,) * l_p)
+            got = separate(a, b)
+            assert got == separate_reference(a, b), (i, kind)
+            seen.add((kind, got.distinct))
+        assert seen == {
+            ("translate", False), ("fresh", True), ("fresh", False), ("unequal l", True)
+        }
+
+    def test_equal_lifts_that_are_not_translates(self):
+        # d = 2, r = 1, two split places: (x, y)/(x, y) against (x, y)/(y, x).
+        # Every place lifts to {x, y}, but a translate rotates both places
+        x, y = coord(F(1, 3)), coord(F(1, 5), 1)
+        places = (Place("a", 2, 1), Place("b", 2, 1))
+
+        def datum(a_blocks, b_blocks):
+            locals_ = {
+                v.label: SphericalRepE(v.algebra, tuple(SatakeParam((c,)) for c in blocks))
+                for v, blocks in zip(places, (a_blocks, b_blocks))
+            }
+            return InducedGlobal((GlobalDiscrete("A", "E", 2, 1, 1, places, locals_),))
+
+        Pi, Pi_p = datum((x, y), (x, y)), datum((x, y), (y, x))
+        assert rigidity_check(global_ai_lift(Pi.factors[0]), global_ai_lift(Pi_p.factors[0]))
+        assert separate(Pi, Pi_p) == separate_reference(Pi, Pi_p) == Verdict(distinct=True)
+
+    def test_least_gamma_below_lcm_of_e(self):
+        # d = 6 with e_v in {2, 3}: the translates repeat with period 6, and
+        # at e_v = 1 alone (f = d) only gamma = 0 is ever tried
+        Pi = make_discrete(71, 6, 1, [3, 2])
+        for j in range(12):
+            a, b = InducedGlobal((Pi,)), InducedGlobal((Pi.translated(j),))
+            assert separate(a, b) == separate_reference(a, b)
+        Pi = make_discrete(73, 6, 1, [6])
+        got = separate(InducedGlobal((Pi,)), InducedGlobal((Pi.translated(5),)))
+        assert got == Verdict(distinct=False, l=1, gamma=0)
+
+
+def test_crit9_separate_seed_19():
+    # the second draw of case 51 is a Galois translate of the first, so
+    # "not distinct" is the right verdict there
+    result = crit9_separate(seed=19, cases=60)
+    assert result.passed, result.detail
 
 
 class TestCompat:

@@ -16,6 +16,7 @@ from autoind.satake import (
     check_ia_bc_compat,
     delta_map,
     param_of_unramified_character,
+    twist_split,
     x_of,
 )
 
@@ -129,6 +130,66 @@ class TestAiFiber:
         big = SatakeParam(tuple(coord(F(j, 14)) for j in range(14)))
         with pytest.raises(BudgetExceeded):
             ai_fiber(big, alg)
+
+
+def spread(a, zeta, r):
+    """The multiset union of zeta^i a for a in A and i < r."""
+    return SatakeParam(tuple(zeta**i * c for c in a for i in range(r)))
+
+
+class TestTwistSplit:
+    def test_full_orbits(self):
+        z3 = primitive_root(3)
+        a, b = coord(F(1, 5), 1), coord(0, -1)
+        pi = spread((a, b, b), z3, 3)
+        got = twist_split(pi, z3, 3)
+        assert len(got) == 3 and spread(got, z3, 3) == pi
+
+    def test_r_below_the_order_of_zeta(self):
+        z4 = primitive_root(4)
+        c = coord(F(3, 28), 2)
+        # the largest coordinate c cannot open a window {c, zeta c}: the
+        # split must start one step back, at c zeta^-1
+        pi = SatakeParam((c * z4.inverse(), c))
+        assert pi.coords[-1] == c
+        assert twist_split(pi, z4, 2) == (c * z4.inverse(),)
+        pi = spread((c, coord(0)), z4, 2)
+        got = twist_split(pi, z4, 2)
+        assert len(got) == 2 and spread(got, z4, 2) == pi
+
+    def test_r_above_the_order_of_zeta(self):
+        # global_ai_lift at a place with f < d: r = 4 translates by a zeta of
+        # order 2 visit each orbit member twice
+        z2 = primitive_root(2)
+        a = coord(F(1, 3), 1)
+        pi = spread((a,), z2, 4)
+        assert pi.rank == 4
+        got = twist_split(pi, z2, 4)
+        assert len(got) == 1 and spread(got, z2, 4) == pi
+
+    def test_none_when_no_split(self):
+        z2 = primitive_root(2)
+        assert twist_split(SatakeParam((coord(0), coord(F(1, 3)))), z2, 2) is None
+        assert twist_split(SatakeParam((coord(0),) * 3), z2, 2) is None
+
+    def test_none_exactly_when_not_stable(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            s = rng.choice((2, 3, 4))
+            zeta = primitive_root(s)
+            if rng.random() < 0.5:
+                orbits = [coord(F(rng.randrange(6), 6), rng.randint(-1, 1)) for _ in range(rng.randint(1, 3))]
+                pi = spread(orbits, zeta, s)
+                if rng.random() < 0.5:
+                    cs = list(pi.coords)
+                    cs[rng.randrange(len(cs))] = coord(F(rng.randrange(6), 6))
+                    pi = SatakeParam(tuple(cs))
+            else:
+                pi = SatakeParam(tuple(coord(F(rng.randrange(4), 4)) for _ in range(s * rng.randint(1, 2))))
+            got = twist_split(pi, zeta, s)
+            assert (got is None) == (pi.twist(zeta) != pi)
+            if got is not None:
+                assert spread(got, zeta, s) == pi
 
 
 class TestBaseChange:
