@@ -12,19 +12,24 @@ evaluation identities:
 Base change is the Adams operation f(z) -> f(z^s), a ring map that is
 monomial in the monomial basis: ``m_lam -> m_{s lam}``.  Only induction goes
 through the power-sum basis, where its rule ``p_k -> s p_{k/s}`` (or 0) is
-monomial.
+monomial.  Only evaluation expands the n! exponent vectors of an orbit:
+m_a * m_b is counted in l(a) + l(b) slots, and p_lam is the integer row R_lam
+of the p -> m transition matrix (Macdonald, Symmetric Functions, I.6) built
+from it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, reduce
+from math import factorial, prod
+from operator import mul
 from typing import Dict, Tuple
 
 from .arith import ONE, Coordinate, QCyclo
 from .errors import DegreeBudget, RankMismatch
-from .satake import CyclicAlgebra, SatakeParam, SphericalRepE
+from .satake import CyclicAlgebra, SatakeParam, SphericalRepE, _multiset_splits
 
 DEGREE_BUDGET = 12
 
@@ -56,13 +61,47 @@ def _dominant(v) -> ExpVec:
     return tuple(sorted(v, reverse=True))
 
 
+def _orbit_size(v) -> int:
+    """The number of distinct permutations of v."""
+    return factorial(len(v)) // prod(map(factorial, Counter(v).values()))
+
+
+def _m_product(ka: ExpVec, kb: ExpVec, n: int) -> Dict[ExpVec, int]:
+    """m_ka * m_kb in n variables, as integer m-basis coefficients.
+
+    A key is a partition times a power of e_n: m_ka = e_n^min(ka) m_a, a the
+    nonzero parts of ka - min(ka).  Pairs alpha in O(a), beta in O(b) with
+    alpha + beta = k vanish past the first l(k) <= l(a) + l(b) slots, so they
+    are counted in L = min(n, l(a) + l(b)) slots, with a fixed, as
+    |O_L(a)| * #{beta : sort(a + beta) = k} / |O_L(k)|.
+    """
+    v = ka[-1] + kb[-1]
+    a, b = (tuple(e - k[-1] for e in k if e > k[-1]) for k in (ka, kb))
+    L = min(n, len(a) + len(b))
+    A, B = (p + (0,) * (L - len(p)) for p in (a, b))
+    hits = Counter(_dominant(map(sum, zip(A, beta))) for beta in _perms(B))
+    size, rest = _orbit_size(A), (v,) * (n - L)
+    return {tuple(e + v for e in k) + rest: h * size // _orbit_size(k) for k, h in hits.items()}
+
+
+def _combine(pairs) -> Dict[ExpVec, QCyclo]:
+    """The sum of c * row over (c, row) pairs, each row an integer m-basis map."""
+    out: Dict[ExpVec, QCyclo] = {}
+    for c, row in pairs:
+        for k, v in row.items():
+            x = c if v == 1 else c.scale(v)
+            out[k] = out[k] + x if k in out else x
+    return out
+
+
 class SymLaurent:
     """Symmetric Laurent polynomial ``(z_1 ... z_n)^(-shift) * body``.
 
     The body is a genuine symmetric polynomial kept in the monomial symmetric
     basis: a map from dominant exponent vectors (length nvars, entries >= 0,
     weakly decreasing) to QCyclo coefficients.  The normal form takes the
-    shift minimal, so equal Laurent polynomials compare equal.
+    shift minimal and never negative, so equal Laurent polynomials compare
+    equal.
     """
 
     __slots__ = ("nvars", "shift", "terms")
@@ -74,24 +113,17 @@ class SymLaurent:
                 raise ValueError(f"bad dominant exponent vector {k}")
             if not c.is_zero():
                 clean[k] = c
-        if clean:
-            # normal form: strip common z_1..z_n factors into the shift,
-            # but never push the shift below zero
-            drop = min(shift, min(min(k) for k in clean))
-            if drop > 0:
-                clean = {tuple(e - drop for e in k): c for k, c in clean.items()}
-                shift -= drop
-        else:
-            shift = 0
+        # normal form: strip common z_1..z_n factors into the shift, never
+        # below zero (a negative shift folds into the body); zero gets shift 0
+        drop = min(shift, min((min(k) for k in clean), default=shift))
+        if drop:
+            clean = {tuple(e - drop for e in k): c for k, c in clean.items()}
+            shift -= drop
         self.nvars = nvars
         self.shift = shift
         self.terms = clean
 
     # constructors ----------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "SymLaurent":
-        return cls(n, 0, {})
 
     @classmethod
     def one(cls, n: int) -> "SymLaurent":
@@ -120,8 +152,6 @@ class SymLaurent:
     @classmethod
     def det_power(cls, n: int, k: int) -> "SymLaurent":
         """(z_1 ... z_n)^k for any integer k."""
-        if k >= 0:
-            return cls.monomial(n, (k,) * n)
         return cls(n, -k, {(0,) * n: QCyclo.rational(1)})
 
     # structure -------------------------------------------------------------
@@ -132,20 +162,17 @@ class SymLaurent:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _aligned(self, shift: int) -> Dict[ExpVec, QCyclo]:
-        lift = shift - self.shift
-        if lift == 0:
-            return self.terms
-        return {tuple(e + lift for e in k): c for k, c in self.terms.items()}
-
     def __add__(self, other: "SymLaurent") -> "SymLaurent":
         if self.nvars != other.nvars:
             raise RankMismatch("variable counts differ")
         m = max(self.shift, other.shift)
-        out = dict(self._aligned(m))
-        for k, c in other._aligned(m).items():
-            out[k] = out[k] + c if k in out else c
-        return SymLaurent(self.nvars, m, out)
+        # both bodies times e_n^(m - shift), over the common shift m
+        pairs = (
+            (c, {tuple(e + m - g.shift for e in k): 1})
+            for g in (self, other)
+            for k, c in g.terms.items()
+        )
+        return SymLaurent(self.nvars, m, _combine(pairs))
 
     def __neg__(self) -> "SymLaurent":
         return SymLaurent(
@@ -155,28 +182,15 @@ class SymLaurent:
     def __sub__(self, other: "SymLaurent") -> "SymLaurent":
         return self + (-other)
 
-    def _expand(self) -> Dict[ExpVec, QCyclo]:
-        """Full (non-symmetrized) monomial dictionary of the body."""
-        out: Dict[ExpVec, QCyclo] = {}
-        for k, c in self.terms.items():
-            for p in _perms(k):
-                out[p] = c
-        return out
-
     def __mul__(self, other: "SymLaurent") -> "SymLaurent":
         if self.nvars != other.nvars:
             raise RankMismatch("variable counts differ")
-        a, b = self._expand(), other._expand()
-        # the m-basis coefficient of a product is the coefficient of the
-        # dominant monomial in the full convolution
-        out: Dict[ExpVec, QCyclo] = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                if _dominant(k) == k:
-                    p = ca * cb
-                    out[k] = out[k] + p if k in out else p
-        return SymLaurent(self.nvars, self.shift + other.shift, out)
+        pairs = (
+            (ca * cb, _m_product(ka, kb, self.nvars))
+            for ka, ca in self.terms.items()
+            for kb, cb in other.terms.items()
+        )
+        return SymLaurent(self.nvars, self.shift + other.shift, _combine(pairs))
 
     def scale(self, c) -> "SymLaurent":
         x = c if isinstance(c, QCyclo) else QCyclo.rational(c)
@@ -208,10 +222,13 @@ class SymLaurent:
 
     @classmethod
     def from_json(cls, doc) -> "SymLaurent":
-        terms = {
-            tuple(t["exps"]): QCyclo.from_json(t["coef"]) for t in doc["terms"]
-        }
-        return cls(doc["nvars"], doc.get("shift", 0), terms)
+        """Parse a document, summing the terms that repeat an ``exps``."""
+        nvars, shift = doc["nvars"], doc.get("shift", 0)
+        keys = [tuple(t["exps"]) for t in doc["terms"]]
+        if {type(e) for k in [(nvars, shift), *keys] for e in k} - {int} or nvars < 1:
+            raise ValueError("nvars, shift and exps must be ints, and nvars at least 1")
+        pairs = ((QCyclo.from_json(t["coef"]), {k: 1}) for k, t in zip(keys, doc["terms"]))
+        return cls(nvars, shift, _combine(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -246,32 +263,26 @@ def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
 
 
 @lru_cache(maxsize=None)
-def _p_monomial(nvars: int, lam: Tuple[int, ...]):
-    """Body terms of p_{lam_1} ... p_{lam_l} in nvars variables (m-basis)."""
-    f = SymLaurent.one(nvars)
-    for k in lam:
-        f = f * SymLaurent.power_sum(nvars, k)
-    return f.terms
-
-
-def _r_diag(lam: Tuple[int, ...]) -> int:
-    """Leading coefficient of m_lam in p_lam: product of part-multiplicity factorials."""
-    out = 1
-    i = 0
-    while i < len(lam):
-        j = i
-        while j < len(lam) and lam[j] == lam[i]:
-            j += 1
-        out *= factorial(j - i)
-        i = j
-    return out
+def _p_monomial(nvars: int, lam: Tuple[int, ...]) -> Dict[ExpVec, int]:
+    """The row R_lam: p_{lam_1} ... p_{lam_l} in nvars variables, as integer
+    m-basis coefficients.  R_{lam mu} counts the maps f from the parts of lam
+    to those of mu with mu_j = sum_{f(i) = j} lam_i; mu with more than nvars
+    parts drop out."""
+    row = {(0,) * nvars: 1}
+    for part in lam:
+        nxt: Dict[ExpVec, int] = {}
+        for key, c in row.items():
+            for k, v in _m_product(key, (part,) + (0,) * (nvars - 1), nvars).items():
+                nxt[k] = nxt.get(k, 0) + c * v
+        row = nxt
+    return row
 
 
 def to_power_sums(f: SymLaurent, budget: int = DEGREE_BUDGET) -> Dict[ExpVec, QCyclo]:
     """The body of f in the power-sum basis, as a map ``{lam: coefficient}``.
 
-    The conversion is a triangular solve: p_lam expands as R_lam m_lam plus
-    dominance-larger monomials, so peeling the lexicographically smallest
+    The conversion is a triangular solve: p_lam expands as R_{lam lam} m_lam
+    plus dominance-larger monomials, so peeling the lexicographically smallest
     surviving key in each degree terminates, and peels each key once.
     """
     if f.degree() > budget:
@@ -281,20 +292,18 @@ def to_power_sums(f: SymLaurent, budget: int = DEGREE_BUDGET) -> Dict[ExpVec, QC
     while rem:
         key = min(rem, key=lambda k: (sum(k), k))
         lam = tuple(e for e in key if e)
-        c = out[lam] = rem.pop(key).scale(Fraction(1, _r_diag(lam)))
-        for k2, c2 in _p_monomial(f.nvars, lam).items():
-            if k2 != key:
-                rem[k2] = rem[k2] - c * c2 if k2 in rem else -(c * c2)
+        row = _p_monomial(f.nvars, lam)
+        c = out[lam] = rem.pop(key).scale(Fraction(1, row[key]))
+        for k2 in row.keys() - {key}:
+            rem[k2] = rem[k2] - c.scale(row[k2]) if k2 in rem else c.scale(-row[k2])
         rem = {k: v for k, v in rem.items() if not v.is_zero()}
     return out
 
 
 def from_power_sums(expr: Dict[ExpVec, QCyclo], nvars: int, shift: int = 0) -> SymLaurent:
     """``(z_1 ... z_n)^(-shift)`` times the sum of ``c * p_lam`` over ``expr``."""
-    out = SymLaurent.zero(nvars)
-    for lam, c in expr.items():
-        out = out + SymLaurent(nvars, 0, dict(_p_monomial(nvars, lam))).scale(c)
-    return SymLaurent(nvars, shift, out.terms)
+    pairs = ((c, _p_monomial(nvars, lam)) for lam, c in expr.items())
+    return SymLaurent(nvars, shift, _combine(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +370,9 @@ def bc_transfer(
     degree = _product_degree(factors)
     if degree > budget:
         raise DegreeBudget(f"degree {degree} exceeds budget {budget}")
-    prod = factors[0]
-    for g in factors[1:]:
-        prod = prod * g
-    s = algebra.s
+    product, s = reduce(mul, factors), algebra.s
     return SymLaurent(
-        n, s * prod.shift, {tuple(s * e for e in k): c for k, c in prod.terms.items()}
+        n, s * product.shift, {tuple(s * e for e in k): c for k, c in product.terms.items()}
     )
 
 
@@ -422,10 +428,7 @@ def constant_term(f: SymLaurent, r: int) -> TensorSym:
     if f.nvars % r:
         raise RankMismatch(f"{f.nvars} variables not divisible into {r} blocks")
     m = f.nvars // r
-    full = f._expand()
-    terms = {}
-    for vec, c in full.items():
-        chunks = tuple(vec[i * m : (i + 1) * m] for i in range(r))
-        if all(_dominant(ch) == ch for ch in chunks):
-            terms[chunks] = terms[chunks] + c if chunks in terms else c
+    # the permutations of a key with dominant chunks are its splits into r
+    # ordered sub-multisets of m parts; distinct keys give distinct splits
+    terms = {ch: c for vec, c in f.terms.items() for ch in _multiset_splits(vec, r, m)}
     return TensorSym(r, m, f.shift, terms)

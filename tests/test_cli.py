@@ -37,6 +37,9 @@ def run_cli_process(argv, doc, timeout=10):
     )
 
 
+ONE = {"terms": [{"qexp": [0, 1], "conductor": 1, "coeffs": [[1, 1]]}]}
+
+
 def coord(a, n, p, q):
     return {"zeta": [a, n], "qexp": [p, q]}
 
@@ -191,6 +194,70 @@ class TestHeckeVerbs:
         code, out = run_cli(["hecke-ai"], doc, capsys)
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "BadInput"
+
+    def test_repeated_terms_are_summed(self, capsys):
+        # 2 m_(2,0) = 2 p_2 over the quadratic field maps to 4 p_1 = 4 m_(1)
+        term = {"exps": [2, 0], "coef": ONE}
+        doc = {"algebra": {"d": 2, "r": 1, "s": 2},
+               "f": {"nvars": 2, "shift": 0, "terms": [term, term]}}
+        code, out = run_cli(["hecke-ai"], doc, capsys)
+        assert code == 0
+        got = json.loads(out)["terms"]
+        assert [t["exps"] for t in got] == [[1]]
+        assert got[0]["coef"]["terms"][0]["coeffs"] == [[4, 1]]
+
+    @pytest.mark.parametrize("f", [
+        {"nvars": 2, "shift": 0, "terms": [{"exps": [2.0, 0], "coef": ONE}]},
+        {"nvars": 2, "shift": 0, "terms": [{"exps": [2.5, 0.5], "coef": ONE}]},
+        {"nvars": 2, "shift": 0, "terms": [{"exps": [2, 0], "coef": ONE},
+                                           {"exps": [2.0, 0], "coef": ONE}]},
+        {"nvars": 2, "shift": 1.0, "terms": [{"exps": [2, 0], "coef": ONE}]},
+        {"nvars": 2.0, "shift": 0, "terms": [{"exps": [2, 0], "coef": ONE}]},
+        {"nvars": True, "shift": 0, "terms": [{"exps": [1], "coef": ONE}]},
+        {"nvars": -2, "shift": 0, "terms": []},
+        {"nvars": 0, "shift": 0, "terms": []},
+    ], ids=["float-exps", "fractional-exps", "float-repeat", "float-shift",
+            "float-nvars", "bool-nvars", "negative-nvars", "zero-nvars"])
+    def test_non_int_or_non_positive_fields_are_bad_input(self, f, capsys):
+        alg = {"d": 2, "r": 1, "s": 2}
+        for verb, doc in (("hecke-ai", {"f": f}), ("hecke-bc", {"factors": [f]})):
+            code, out = run_cli([verb], {"algebra": alg, **doc}, capsys)
+            assert code == 1
+            assert json.loads(out)["error"]["kind"] == "BadInput"
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_ai_transfer_of_e8_does_not_expand_the_orbits(self, n):
+        # m_(1^8) = e_8 in n variables: its orbit has C(n, 8) vectors, and
+        # expanding the products of power sums ran for minutes
+        f = {"nvars": n, "shift": 0, "terms": [{"exps": [1] * 8 + [0] * (n - 8), "coef": ONE}]}
+        proc = run_cli_process(["hecke-ai"], {"algebra": {"d": 2, "r": 1, "s": 2}, "f": f})
+        assert proc.returncode == 0
+        got = json.loads(proc.stdout)
+        assert got["nvars"] == n // 2
+        assert [t["exps"] for t in got["terms"]] == [[1] * 4 + [0] * (n // 2 - 4)]
+
+    def test_bc_product_of_e6_in_24_variables(self):
+        e6 = {"nvars": 24, "shift": 0, "terms": [{"exps": [1] * 6 + [0] * 18, "coef": ONE}]}
+        doc = {"algebra": {"d": 2, "r": 2, "s": 1}, "factors": [e6, e6]}
+        proc = run_cli_process(["hecke-bc"], doc)
+        assert proc.returncode == 0
+        terms = json.loads(proc.stdout)["terms"]
+        got = {tuple(t["exps"]): t["coef"]["terms"][0]["coeffs"] for t in terms}
+        assert got[(1,) * 12 + (0,) * 12] == [[924, 1]]
+        assert got[(2,) * 6 + (0,) * 18] == [[1, 1]]
+
+    def test_bc_product_strips_the_power_of_e_n_before_counting(self):
+        # e_24 * m_(3,2,1^5) times det^-1 is m_(3,2,1^5), of degree 10: the
+        # second factor alone has an orbit of 14 M vectors in 24 slots
+        det_inv = {"nvars": 24, "shift": 1, "terms": [{"exps": [0] * 24, "coef": ONE}]}
+        exps = [4, 3] + [2] * 5 + [1] * 17
+        flat = {"nvars": 24, "shift": 0, "terms": [{"exps": exps, "coef": ONE}]}
+        doc = {"algebra": {"d": 2, "r": 2, "s": 1}, "factors": [det_inv, flat]}
+        proc = run_cli_process(["hecke-bc"], doc)
+        assert proc.returncode == 0
+        got = json.loads(proc.stdout)
+        assert got["shift"] == 0
+        assert [t["exps"] for t in got["terms"]] == [[3, 2] + [1] * 5 + [0] * 17]
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -10,6 +10,7 @@ from autoind.errors import DegreeBudget, RankMismatch
 from autoind.hecke import (
     DEGREE_BUDGET,
     SymLaurent,
+    TensorSym,
     ai_transfer,
     bc_transfer,
     constant_term,
@@ -50,6 +51,75 @@ def test_perms_are_the_distinct_permutations_in_lex_order():
         assert all(sorted(p) == sorted(v) for p in got)
 
 
+def _expanded(f):
+    """Every exponent vector of the body of f, with its coefficient."""
+    return {p: c for k, c in f.terms.items() for p in _perms(k)}
+
+
+def mul_reference(f, g):
+    """The product as the full n-slot convolution of both expanded bodies,
+    read off at the dominant vectors."""
+    out = {}
+    for ka, ca in _expanded(f).items():
+        for kb, cb in _expanded(g).items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            if tuple(sorted(k, reverse=True)) == k:
+                out[k] = out[k] + ca * cb if k in out else ca * cb
+    return SymLaurent(f.nvars, f.shift + g.shift, out)
+
+
+def constant_term_reference(f, r):
+    """The exponent vectors of f whose r chunks of m are each dominant."""
+    m = f.nvars // r
+    terms = {}
+    for vec, c in _expanded(f).items():
+        chunks = tuple(vec[i * m : (i + 1) * m] for i in range(r))
+        if all(tuple(sorted(ch, reverse=True)) == ch for ch in chunks):
+            terms[chunks] = terms[chunks] + c if chunks in terms else c
+    return TensorSym(r, m, f.shift, terms)
+
+
+def random_laurent(rng, n):
+    """A random element with any shift, and often a power of e_n in its body."""
+    f = random_symlaurent(rng, n, maxdeg=5)
+    if rng.random() < 0.5:
+        f = mul_reference(f, SymLaurent.det_power(n, rng.randint(-2, 2)))
+    return f
+
+
+class TestPartitionKernel:
+    def test_product_matches_the_n_slot_convolution(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            f, g = random_laurent(rng, n), random_laurent(rng, n)
+            got, ref = f * g, mul_reference(f, g)
+            assert got == ref
+            assert got.to_json() == ref.to_json()  # conductors too
+
+    def test_constant_term_matches_the_expansion_for_every_block_count(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            f = random_laurent(rng, n)
+            for r in range(1, n + 1):
+                if n % r == 0:
+                    assert constant_term(f, r) == constant_term_reference(f, r)
+
+    def test_power_sums_rebuild_through_the_reference_product(self):
+        rng = random.Random(47)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            f = random_symlaurent(rng, n, maxdeg=5)
+            total = SymLaurent(n, 0, {})
+            for lam, c in to_power_sums(f).items():
+                p = SymLaurent.one(n)
+                for k in lam:
+                    p = mul_reference(p, SymLaurent.power_sum(n, k))
+                total = total + p.scale(c)
+            assert SymLaurent(n, f.shift, total.terms) == f
+
+
 class TestSymLaurent:
     def test_normal_form_reduces_shift(self):
         f = SymLaurent(2, 2, {(3, 1): QCyclo.rational(1)})
@@ -58,6 +128,13 @@ class TestSymLaurent:
     def test_shift_never_negative(self):
         f = SymLaurent(2, 0, {(2, 1): QCyclo.rational(1)})
         assert f.shift == 0 and (2, 1) in f.terms
+
+    def test_negative_shift_folds_into_the_body(self):
+        f = SymLaurent(2, -1, {(2, 0): QCyclo.rational(1)})
+        g = SymLaurent(2, 0, {(3, 1): QCyclo.rational(1)})
+        assert f == g
+        assert f.to_json() == g.to_json()
+        assert SymLaurent.det_power(3, 2) == SymLaurent.monomial(3, (2, 2, 2))
 
     def test_add_aligns_shifts(self):
         a = SymLaurent.det_power(2, -1)
