@@ -48,9 +48,6 @@ from .reps import (
     TwistedPair,
     fiber_unitary,
     is_generic,
-    lift_discrete,
-    lift_elliptic,
-    lift_speh,
     lift_unitary,
     specialize,
 )

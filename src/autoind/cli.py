@@ -25,9 +25,8 @@ from .satake import (
     delta_map,
 )
 from .hecke import DEGREE_BUDGET, SymLaurent, ai_transfer, bc_transfer
-from .reps import Elliptic, factor_from_json, factor_to_json, lift_elliptic, lift_unitary
+from .reps import Elliptic, factor_from_json, lift_unitary
 from .adelic import GlobalDiscrete, InducedGlobal, Place, global_ai_lift, separate
-from .verify import run_suite
 
 
 def _coords(docs):
@@ -88,14 +87,14 @@ def cmd_hecke_bc(doc, args):
 
 def cmd_lift_unitary(doc, args):
     tau = factor_from_json(doc["tau"] if "tau" in doc else doc)
-    return factor_to_json(lift_unitary(tau))
+    return lift_unitary(tau).to_json()
 
 
 def cmd_lift_elliptic(doc, args):
     e = factor_from_json(doc["elliptic"] if "elliptic" in doc else doc)
     if not isinstance(e, Elliptic):
         raise ValueError("expected an elliptic expression")
-    return factor_to_json(lift_elliptic(e))
+    return lift_unitary(e).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +166,8 @@ def cmd_separate(doc, args):
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite  # compute verbs need not import it
+
     results = run_suite(args.suite, seed=args.seed, cases=args.cases)
     for r in results:
         print(r.line())

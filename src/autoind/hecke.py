@@ -107,6 +107,8 @@ class SymLaurent:
     __slots__ = ("nvars", "shift", "terms")
 
     def __init__(self, nvars: int, shift: int, terms: Dict[ExpVec, QCyclo]):
+        if nvars < 1:
+            raise ValueError(f"nvars must be at least 1, got {nvars}")
         clean = {}
         for k, c in terms.items():
             if len(k) != nvars or any(e < 0 for e in k) or _dominant(k) != k:
@@ -225,8 +227,8 @@ class SymLaurent:
         """Parse a document, summing the terms that repeat an ``exps``."""
         nvars, shift = doc["nvars"], doc.get("shift", 0)
         keys = [tuple(t["exps"]) for t in doc["terms"]]
-        if {type(e) for k in [(nvars, shift), *keys] for e in k} - {int} or nvars < 1:
-            raise ValueError("nvars, shift and exps must be ints, and nvars at least 1")
+        if {type(e) for k in [(nvars, shift), *keys] for e in k} - {int}:
+            raise ValueError("nvars, shift and exps must be ints")
         pairs = ((QCyclo.from_json(t["coef"]), {k: 1}) for k, t in zip(keys, doc["terms"]))
         return cls(nvars, shift, _combine(pairs))
 

@@ -11,11 +11,16 @@ become computable functions.
 The lift of a discrete datum with stabilizer r over a degree-d field
 extension is the r-fold product of twist-translates (exponents 0..r-1) of a
 single F-side datum; fibers are Galois orbits, enumerated factorwise.
+
+A :class:`Product` is a multiset of factors of three kinds (:class:`Speh`,
+:class:`TwistedPair`, :class:`Elliptic`), which share one protocol: ``atom``,
+``translated(j)``, ``lift()``, ``is_generic()``, ``coords(qscale, d)`` and
+``to_json()``.  The maps below run factor by factor and never ask the kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Tuple
@@ -49,21 +54,22 @@ class CuspidalAtom:
         if self.size < 1 or self.d < 1:
             raise ValueError("size and d must be >= 1")
         if self.orbit < 1 or self.d % self.orbit:
-            raise BadOrbit(
-                f"orbit cardinality {self.orbit} does not divide d={self.d}"
-            )
+            raise BadOrbit(f"orbit cardinality {self.orbit} does not divide d={self.d}")
         if self.payload is not None:
             if self.size != 1:
                 raise NotUnramified("unramified payload requires a rank-1 atom")
             if self.side == "E" and self.orbit != self.d:
-                raise NotUnramified(
-                    "unramified atoms over E are Galois-stable (r = d)"
-                )
+                raise NotUnramified("unramified atoms over E are Galois-stable (r = d)")
 
     @property
     def g(self) -> int:
         """Orbit complement: Galois-orbit size (E side) or d/x (F side)."""
         return self.d // self.orbit
+
+    @property
+    def translates(self) -> int:
+        """Modulus of translate indices: x twist-translates (F) or g Galois translates (E)."""
+        return self.orbit if self.side == "F" else self.g
 
     def to_json(self):
         doc = {"id": self.uid, "side": self.side, "size": self.size, "d": self.d}
@@ -74,9 +80,10 @@ class CuspidalAtom:
 
     @classmethod
     def from_json(cls, doc) -> "CuspidalAtom":
-        orbit = doc["r"] if "r" in doc else doc["x"]
+        key = "r" if "r" in doc else "x"
+        size, d, orbit = (_int(doc[k], k) for k in ("size", "d", key))
         payload = Coordinate.from_json(doc["payload"]) if "payload" in doc else None
-        return cls(doc["id"], doc["side"], doc["size"], doc["d"], orbit, payload)
+        return cls(doc["id"], doc["side"], size, d, orbit, payload)
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,7 @@ class EssDiscrete:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("segment length must be >= 1")
-        mod = self.atom.orbit if self.atom.side == "F" else self.atom.g
-        object.__setattr__(self, "translate", self.translate % mod)
+        object.__setattr__(self, "translate", self.translate % self.atom.translates)
         object.__setattr__(self, "twist", Fraction(self.twist))
 
     @property
@@ -119,12 +125,46 @@ class Speh:
             raise ValueError("Speh parameter q must be >= 1")
 
     @property
+    def atom(self) -> CuspidalAtom:
+        return self.base.atom
+
+    @property
     def rank(self) -> int:
         return self.base.rank * self.q
 
     def twisted(self, c) -> "Speh":
+        return replace(self, base=replace(self.base, twist=self.base.twist + Fraction(c)))
+
+    def translated(self, j: int) -> "Speh":
+        return replace(self, base=replace(self.base, translate=self.base.translate + j))
+
+    def lift(self) -> tuple:
+        """The r twist-translates of the same Speh datum over the paired atom."""
         b = self.base
-        return Speh(EssDiscrete(b.atom, b.k, b.twist + Fraction(c), b.translate), self.q)
+        return _translates(b.atom, lambda a, i: replace(self, base=replace(b, atom=a, translate=i)))
+
+    def is_generic(self) -> bool:
+        return self.q == 1
+
+    def coords(self, qscale: int, d: int) -> tuple:
+        """Satake coordinates of the spherical member; ``qscale`` is the
+        residue degree of the side, applied to q-exponents."""
+        b, xi = self.base, self.atom.payload
+        if xi is None:
+            raise NotUnramified(f"atom {b.atom.uid!r} carries no unramified payload")
+        if b.k != 1:
+            raise NotUnramified("segments of length > 1 are not spherical")
+        if b.atom.side == "F" and b.translate:
+            xi = xi * primitive_root(d) ** b.translate
+        # nu^c multiplies by q^(-c), scaled by the residue degree of the side
+        xi = xi * Coordinate.of(0, -b.twist * qscale)
+        return param_of_unramified_character(xi, self.q, qscale).coords
+
+    def to_json(self):
+        b = self.base
+        twist = [b.twist.numerator, b.twist.denominator]
+        return {"kind": "speh", "atom": b.atom.to_json(), "k": b.k, "twist": twist,
+                "translate": b.translate, "q": self.q}
 
     def sort_key(self):
         return (0,) + self.base.sort_key() + (self.q,)
@@ -144,8 +184,32 @@ class TwistedPair:
         object.__setattr__(self, "alpha", a)
 
     @property
+    def atom(self) -> CuspidalAtom:
+        return self.base.atom
+
+    @property
     def rank(self) -> int:
         return 2 * self.base.rank
+
+    def _halves(self) -> tuple:
+        """nu^alpha u and nu^-alpha u: lift and Satake data go half by half."""
+        return (self.base.twisted(self.alpha), self.base.twisted(-self.alpha))
+
+    def translated(self, j: int) -> "TwistedPair":
+        return replace(self, base=self.base.translated(j))
+
+    def lift(self) -> tuple:
+        return tuple(f for half in self._halves() for f in half.lift())
+
+    def is_generic(self) -> bool:
+        return self.base.is_generic()
+
+    def coords(self, qscale: int, d: int) -> tuple:
+        return tuple(c for half in self._halves() for c in half.coords(qscale, d))
+
+    def to_json(self):
+        alpha = [self.alpha.numerator, self.alpha.denominator]
+        return dict(self.base.to_json(), kind="pair", alpha=alpha)
 
     def sort_key(self):
         return (1,) + self.base.sort_key() + (self.alpha,)
@@ -170,8 +234,7 @@ class Elliptic:
         if sum(levi) != self.k or any(p < 1 for p in levi):
             raise ValueError(f"{levi} is not a composition of {self.k}")
         object.__setattr__(self, "levi", levi)
-        mod = self.atom.orbit if self.atom.side == "F" else self.atom.g
-        object.__setattr__(self, "translate", self.translate % mod)
+        object.__setattr__(self, "translate", self.translate % self.atom.translates)
 
     @property
     def rank(self) -> int:
@@ -182,6 +245,29 @@ class Elliptic:
 
     def is_square_integrable(self) -> bool:
         return self.levi == (self.k,)
+
+    is_generic = is_square_integrable
+
+    def translated(self, j: int) -> "Elliptic":
+        return replace(self, translate=self.translate + j)
+
+    def lift(self) -> tuple:
+        """Same composition over the paired atom.
+
+        The Levi block sizes multiply by g through the atom size, so the
+        normalized composition of k is unchanged; the square-integrable corner
+        (levi = (k,)) maps to the square-integrable corner.
+        """
+        return _translates(self.atom, lambda atomF, i: replace(self, atom=atomF, translate=i))
+
+    def coords(self, qscale: int, d: int) -> tuple:
+        if self.k != 1:
+            raise NotUnramified("elliptic data of length > 1 have no spherical member")
+        return Speh(EssDiscrete(self.atom, 1, translate=self.translate), 1).coords(qscale, d)
+
+    def to_json(self):
+        return {"kind": "elliptic", "atom": self.atom.to_json(), "k": self.k,
+                "levi": list(self.levi), "translate": self.translate}
 
     def sort_key(self):
         return (2, self.atom.side, self.atom.uid, self.k, self.levi, self.translate)
@@ -194,9 +280,7 @@ class Product:
     factors: Tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "factors", tuple(sorted(self.factors, key=lambda f: f.sort_key()))
-        )
+        object.__setattr__(self, "factors", tuple(sorted(self.factors, key=lambda f: f.sort_key())))
 
     @property
     def rank(self) -> int:
@@ -204,6 +288,14 @@ class Product:
 
     def sort_key(self):
         return tuple(f.sort_key() for f in self.factors)
+
+    def to_json(self):
+        return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
+
+
+def _factors(x) -> tuple:
+    """The factors of a Product; a single factor stands for itself."""
+    return x.factors if isinstance(x, Product) else (x,)
 
 
 def compositions(k: int):
@@ -230,22 +322,15 @@ def pair_atom(atom: CuspidalAtom) -> CuspidalAtom:
     if atom.side != "E":
         raise ShapeError("pairing is defined on E-side atoms")
     payload = atom.payload.root(atom.d) if atom.payload is not None else None
-    return CuspidalAtom(
-        uid=f"ai:{atom.uid}",
-        side="F",
-        size=atom.size * atom.g,
-        d=atom.d,
-        orbit=atom.orbit,
-        payload=payload,
-    )
+    return CuspidalAtom(f"ai:{atom.uid}", "F", atom.size * atom.g, atom.d, atom.orbit, payload)
 
 
 # ---------------------------------------------------------------------------
 # Lifting maps
 
 
-def _translates(atom: CuspidalAtom, make) -> Product:
-    """The r-fold product ``make(atomF, i)``, i < r, over the paired atom atomF.
+def _translates(atom: CuspidalAtom, make) -> tuple:
+    """The r factors ``make(atomF, i)``, i < r, over the paired atom atomF.
 
     The translate index of the source is dropped: Galois translates share a
     lift, which is what makes the fibers Galois orbits.
@@ -253,82 +338,24 @@ def _translates(atom: CuspidalAtom, make) -> Product:
     if atom.side != "E":
         raise ShapeError("lifting is defined on E-side data")
     atomF = pair_atom(atom)
-    return Product(tuple(make(atomF, i) for i in range(atom.orbit)))
-
-
-def lift_discrete(dE: EssDiscrete) -> Product:
-    """Lift of a discrete datum: the r-fold product of twist-translates."""
-    return lift_speh(Speh(dE, 1))
-
-
-def lift_speh(uE: Speh) -> Product:
-    b = uE.base
-    return _translates(
-        b.atom, lambda atomF, i: Speh(EssDiscrete(atomF, b.k, b.twist, i), uE.q)
-    )
+    return tuple(make(atomF, i) for i in range(atom.orbit))
 
 
 def lift_unitary(tau) -> Product:
-    """Factorwise lift of a unitary product; preserves genericity."""
-    if not isinstance(tau, Product):
-        tau = Product((tau,))
-    out = []
-    for f in tau.factors:
-        if isinstance(f, Speh):
-            out.extend(lift_speh(f).factors)
-        elif isinstance(f, TwistedPair):
-            lifted = lift_speh(f.base)
-            out.extend(p.twisted(f.alpha) for p in lifted.factors)
-            out.extend(p.twisted(-f.alpha) for p in lifted.factors)
-        elif isinstance(f, Elliptic):
-            out.extend(lift_elliptic(f).factors)
-        else:
-            raise ShapeError(f"cannot lift factor of type {type(f).__name__}")
-    return Product(tuple(out))
-
-
-def lift_elliptic(e: Elliptic) -> Product:
-    """Lift of an elliptic datum: same composition over the paired atom.
-
-    The Levi block sizes multiply by g through the atom size, so the
-    normalized composition of k is unchanged; the square-integrable corner
-    (levi = (k,)) maps to the square-integrable corner.
-    """
-    return _translates(e.atom, lambda atomF, i: Elliptic(atomF, e.k, e.levi, i))
+    """Factorwise lift of a unitary product (or a single factor); preserves
+    genericity."""
+    return Product(tuple(f for factor in _factors(tau) for f in factor.lift()))
 
 
 # ---------------------------------------------------------------------------
 # Fibers
 
 
-def _galois_translated(factor, j: int):
-    if isinstance(factor, Speh):
-        b = factor.base
-        return Speh(EssDiscrete(b.atom, b.k, b.twist, b.translate + j), factor.q)
-    if isinstance(factor, TwistedPair):
-        return TwistedPair(_galois_translated(factor.base, j), factor.alpha)
-    if isinstance(factor, Elliptic):
-        return Elliptic(factor.atom, factor.k, factor.levi, factor.translate + j)
-    raise ShapeError(f"cannot translate factor of type {type(factor).__name__}")
-
-
-def _factor_atom(factor) -> CuspidalAtom:
-    if isinstance(factor, Speh):
-        return factor.base.atom
-    if isinstance(factor, TwistedPair):
-        return factor.base.base.atom
-    if isinstance(factor, Elliptic):
-        return factor.atom
-    raise ShapeError(f"unknown factor type {type(factor).__name__}")
-
-
 def fiber_unitary(pi: Product, source: Product) -> set[Product]:
     """All E-side products lifting to pi: factorwise Galois translates of source."""
     if lift_unitary(source) != pi:
         raise NoProvenance("the given product is not a lift of the given source")
-    translates = [
-        [_galois_translated(f, j) for j in range(_factor_atom(f).g)] for f in source.factors
-    ]
+    translates = [[f.translated(j) for j in range(f.atom.g)] for f in _factors(source)]
     return {Product(choice) for choice in product(*translates)}
 
 
@@ -339,39 +366,7 @@ def fiber_unitary(pi: Product, source: Product) -> set[Product]:
 def is_generic(x) -> bool:
     """Generic = every unitary building block has q = 1; elliptic data are
     generic exactly at the square-integrable corner."""
-    if isinstance(x, Product):
-        return all(is_generic(f) for f in x.factors)
-    if isinstance(x, Speh):
-        return x.q == 1
-    if isinstance(x, TwistedPair):
-        return x.base.q == 1
-    if isinstance(x, Elliptic):
-        return x.is_square_integrable()
-    raise ShapeError(f"unknown factor type {type(x).__name__}")
-
-
-def _factor_coords(factor, qscale: int, d: int) -> list[Coordinate]:
-    if isinstance(factor, TwistedPair):
-        return _factor_coords(factor.base.twisted(factor.alpha), qscale, d) + _factor_coords(
-            factor.base.twisted(-factor.alpha), qscale, d
-        )
-    if isinstance(factor, Elliptic):
-        if factor.k != 1:
-            raise NotUnramified("elliptic data of length > 1 have no spherical member")
-        factor = Speh(EssDiscrete(factor.atom, 1, Fraction(0), factor.translate), 1)
-    if not isinstance(factor, Speh):
-        raise ShapeError(f"cannot specialize factor of type {type(factor).__name__}")
-    b = factor.base
-    if b.atom.payload is None:
-        raise NotUnramified(f"atom {b.atom.uid!r} carries no unramified payload")
-    if b.k != 1:
-        raise NotUnramified("segments of length > 1 are not spherical")
-    xi = b.atom.payload
-    if b.atom.side == "F" and b.translate:
-        xi = xi * primitive_root(d) ** b.translate
-    # nu^c multiplies by q^(-c), scaled by the residue degree of the side
-    xi = xi * Coordinate.of(0, -b.twist * qscale)
-    return list(param_of_unramified_character(xi, factor.q, qscale).coords)
+    return all(f.is_generic() for f in _factors(x))
 
 
 def specialize(x):
@@ -381,73 +376,47 @@ def specialize(x):
     extension (residue-degree scale d on q-exponents); F-side products give a
     plain :class:`SatakeParam`.
     """
-    if not isinstance(x, Product):
-        x = Product((x,))
-    if not x.factors:
+    factors = _factors(x)
+    if not factors:
         raise ShapeError("cannot specialize an empty product")
-    sides = {_factor_atom(f).side for f in x.factors}
-    ds = {_factor_atom(f).d for f in x.factors}
-    if len(sides) > 1 or len(ds) > 1:
+    shapes = {(f.atom.side, f.atom.d) for f in factors}
+    if len(shapes) > 1:
         raise ShapeError("factors must share one side and one extension degree")
-    side, d = sides.pop(), ds.pop()
+    ((side, d),) = shapes
     qscale = d if side == "E" else 1
-    coords = []
-    for f in x.factors:
-        coords.extend(_factor_coords(f, qscale, d))
+    param = SatakeParam(tuple(c for f in factors for c in f.coords(qscale, d)))
     if side == "F":
-        return SatakeParam(tuple(coords))
-    return SphericalRepE(CyclicAlgebra.field(d), (SatakeParam(tuple(coords)),))
+        return param
+    return SphericalRepE(CyclicAlgebra.field(d), (param,))
 
 
 # ---------------------------------------------------------------------------
 # JSON expression trees
 
 
-def factor_to_json(f):
-    if isinstance(f, Speh):
-        b = f.base
-        return {
-            "kind": "speh",
-            "atom": b.atom.to_json(),
-            "k": b.k,
-            "twist": [b.twist.numerator, b.twist.denominator],
-            "translate": b.translate,
-            "q": f.q,
-        }
-    if isinstance(f, TwistedPair):
-        doc = factor_to_json(f.base)
-        doc["kind"] = "pair"
-        doc["alpha"] = [f.alpha.numerator, f.alpha.denominator]
-        return doc
-    if isinstance(f, Elliptic):
-        return {
-            "kind": "elliptic",
-            "atom": f.atom.to_json(),
-            "k": f.k,
-            "levi": list(f.levi),
-            "translate": f.translate,
-        }
-    if isinstance(f, Product):
-        return {"kind": "product", "factors": [factor_to_json(x) for x in f.factors]}
-    raise ShapeError(f"cannot serialize {type(f).__name__}")
+def _int(value, name: str) -> int:
+    """A JSON int; floats and bools are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 def factor_from_json(doc):
+    """Parse one factor, or a product of factors; products do not nest."""
     kind = doc.get("kind")
     if kind == "product":
+        if any(x.get("kind") == "product" for x in doc["factors"]):
+            raise ValueError("a product cannot be a factor of a product")
         return Product(tuple(factor_from_json(x) for x in doc["factors"]))
-    if kind in ("speh", "pair"):
-        atom = CuspidalAtom.from_json(doc["atom"])
-        tw = doc.get("twist", [0, 1])
-        base = EssDiscrete(
-            atom, doc["k"], Fraction(tw[0], tw[1]), doc.get("translate", 0)
-        )
-        speh = Speh(base, doc.get("q", 1))
-        if kind == "pair":
-            a = doc["alpha"]
-            return TwistedPair(speh, Fraction(a[0], a[1]))
-        return speh
+    if kind not in ("speh", "pair", "elliptic"):
+        raise ShapeError(f"unknown expression kind {kind!r}")
+    atom = CuspidalAtom.from_json(doc["atom"])
+    k, translate = _int(doc["k"], "k"), _int(doc.get("translate", 0), "translate")
     if kind == "elliptic":
-        atom = CuspidalAtom.from_json(doc["atom"])
-        return Elliptic(atom, doc["k"], tuple(doc["levi"]), doc.get("translate", 0))
-    raise ShapeError(f"unknown expression kind {kind!r}")
+        return Elliptic(atom, k, tuple(_int(p, "levi") for p in doc["levi"]), translate)
+    tw = doc.get("twist", [0, 1])
+    speh = Speh(EssDiscrete(atom, k, Fraction(tw[0], tw[1]), translate), _int(doc.get("q", 1), "q"))
+    if kind == "speh":
+        return speh
+    a = doc["alpha"]
+    return TwistedPair(speh, Fraction(a[0], a[1]))

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .arith import ONE, Coordinate, primitive_root
 from .errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
@@ -91,9 +91,6 @@ class SatakeParam:
     def power(self, k: int) -> "SatakeParam":
         return SatakeParam(tuple(c**k for c in self.coords))
 
-    def contragredient(self) -> "SatakeParam":
-        return SatakeParam(tuple(c.inverse() for c in self.coords))
-
     def central_character(self) -> Coordinate:
         out = ONE
         for c in self.coords:
@@ -106,10 +103,6 @@ class SatakeParam:
     @classmethod
     def from_json(cls, doc) -> "SatakeParam":
         return cls(tuple(Coordinate.from_json(c) for c in doc["coords"]))
-
-    @classmethod
-    def of(cls, coords: Iterable[Coordinate]) -> "SatakeParam":
-        return cls(tuple(coords))
 
 
 @dataclass(frozen=True)

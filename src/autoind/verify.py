@@ -39,7 +39,6 @@ from .reps import (
     compositions,
     fiber_unitary,
     is_generic,
-    lift_elliptic,
     lift_unitary,
     specialize,
 )
@@ -371,7 +370,7 @@ def crit8_elliptic(kmax: int = 5) -> PropertyResult:
             levis = list(compositions(k))
             if len(levis) != 2 ** (k - 1):
                 return PropertyResult("elliptic combinatorics", n, False, f"count k={k}")
-            images = [lift_elliptic(Elliptic(atom, k, lv)) for lv in levis]
+            images = [lift_unitary(Elliptic(atom, k, lv)) for lv in levis]
             seen = set()
             for im in images:
                 key = tuple((f.k, f.levi, f.translate) for f in im.factors)

@@ -265,8 +265,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("doc", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
 def test_golden_output_is_byte_identical(doc, capsys):
-    """Stdout of hecke-ai / hecke-bc on documents with conductors 1, 3, 4, 6
-    and 12 and mixed denominators, pinned byte for byte."""
+    """Stdout pinned byte for byte: hecke-ai / hecke-bc on documents with
+    conductors 1, 3, 4, 6 and 12 and mixed denominators; lift-unitary and
+    lift-elliptic on every factor kind, r < d, payloads and translates."""
     verb = doc.stem.split("_")[0]
     code = main([verb, "--input", str(doc)])
     assert code == 0
@@ -315,6 +316,38 @@ class TestLiftUnitary:
         assert code == 0
         got = json.loads(out)
         assert got["kind"] == "product" and len(got["factors"]) == 2
+
+
+ATOM = {"id": "a", "side": "E", "size": 1, "d": 2, "r": 2}
+SPEH = {"kind": "speh", "atom": ATOM, "k": 1, "q": 1}
+ELLIPTIC = {"kind": "elliptic", "atom": ATOM, "k": 2, "levi": [1, 1]}
+
+
+def _with(factor, key, value):
+    """A copy of factor with factor[key] (or its atom's key) set to value."""
+    if key in ("size", "d", "r"):
+        return dict(factor, atom=dict(factor["atom"], **{key: value}))
+    return dict(factor, **{key: value})
+
+
+class TestRepsDocuments:
+    @pytest.mark.parametrize("verb, doc", [
+        ("lift-elliptic", _with(_with(ELLIPTIC, "k", 1.5), "levi", [1.5])),
+        ("lift-elliptic", _with(ELLIPTIC, "levi", [True, True])),
+        ("lift-elliptic", _with(ELLIPTIC, "translate", 1.0)),
+        ("lift-elliptic", _with(ELLIPTIC, "d", 2.0)),
+        ("lift-unitary", _with(SPEH, "q", True)),
+        ("lift-unitary", _with(SPEH, "k", 1.0)),
+        ("lift-unitary", _with(SPEH, "size", True)),
+        ("lift-unitary", _with(SPEH, "r", True)),
+        ("lift-unitary", {"kind": "product", "factors": [_with(SPEH, "translate", False)]}),
+        ("lift-unitary", {"kind": "product", "factors": [{"kind": "product", "factors": [SPEH]}]}),
+    ], ids=["float-k-levi", "bool-levi", "float-translate", "float-d", "bool-q", "float-k",
+            "bool-size", "bool-r", "bool-translate-in-product", "nested-product"])
+    def test_non_int_fields_and_nested_products_are_bad_input(self, verb, doc, capsys):
+        code, out = run_cli([verb], doc, capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "BadInput"
 
 
 class TestGlobalVerbs:
@@ -406,3 +439,17 @@ assert "sympy" not in sys.modules, "sympy was imported"
 def test_runs_without_sympy():
     env = dict(os.environ, PYTHONPATH=str(Path(autoind.__file__).resolve().parents[1]))
     subprocess.run([sys.executable, "-c", NO_SYMPY], env=env, check=True, timeout=120)
+
+
+NO_VERIFY = """
+import io, sys
+sys.stdin = io.StringIO('{"d": 2, "r": 1, "s": 2, "y": [{"zeta": [0, 1], "qexp": [0, 1]}]}')
+from autoind.cli import main
+assert main(["lift-spherical"]) == 0
+assert "autoind.verify" not in sys.modules, "autoind.verify was imported"
+"""
+
+
+def test_compute_verbs_do_not_import_verify():
+    env = dict(os.environ, PYTHONPATH=str(Path(autoind.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", NO_VERIFY], env=env, check=True, timeout=120)

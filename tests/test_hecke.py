@@ -160,6 +160,15 @@ class TestSymLaurent:
         f = SymLaurent(3, 1, {(2, 1, 0): QCyclo.rational(F(3, 7))})
         assert SymLaurent.from_json(f.to_json()) == f
 
+    @pytest.mark.parametrize("build", [
+        lambda: SymLaurent(0, 0, {}),
+        lambda: SymLaurent(-3, 0, {}),
+        lambda: SymLaurent.one(0),
+    ], ids=["zero", "negative", "one"])
+    def test_fewer_than_one_variable_is_refused(self, build):
+        with pytest.raises(ValueError, match="nvars"):
+            build()
+
 
 class TestEvaluation:
     def test_e1_staircase(self):

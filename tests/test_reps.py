@@ -14,12 +14,8 @@ from autoind.reps import (
     TwistedPair,
     compositions,
     factor_from_json,
-    factor_to_json,
     fiber_unitary,
     is_generic,
-    lift_discrete,
-    lift_elliptic,
-    lift_speh,
     lift_unitary,
     pair_atom,
     specialize,
@@ -74,20 +70,16 @@ class TestAtoms:
 class TestLiftShapes:
     def test_discrete_factor_count_is_r(self):
         d1 = EssDiscrete(atom("r3", 6, 3, size=2), 2, F(1, 2))
-        pi = lift_discrete(d1)
+        pi = lift_unitary(Speh(d1, 1))
         assert len(pi.factors) == 3
         assert sorted(f.base.translate for f in pi.factors) == [0, 1, 2]
         assert all(f.q == 1 and f.base.twist == F(1, 2) for f in pi.factors)
-
-    def test_speh_q1_equals_discrete(self):
-        d1 = EssDiscrete(atom("rq", 4, 2), 1)
-        assert lift_speh(Speh(d1, 1)) == lift_discrete(d1)
 
     def test_galois_translates_share_lift(self):
         a = atom("g2", 4, 2, size=2)
         u0 = Speh(EssDiscrete(a, 2, translate=0), 2)
         u1 = Speh(EssDiscrete(a, 2, translate=1), 2)
-        assert lift_speh(u0) == lift_speh(u1)
+        assert lift_unitary(u0) == lift_unitary(u1)
 
     def test_twisted_pair_lifts_to_twisted_product(self):
         a = atom("tp", 2, 2)
@@ -106,7 +98,7 @@ class TestLiftShapes:
 
     def test_orbit_bookkeeping(self):
         a = atom("bk", 6, 3, size=2)
-        for f in lift_speh(Speh(EssDiscrete(a, 1), 2)).factors:
+        for f in lift_unitary(Speh(EssDiscrete(a, 1), 2)).factors:
             assert f.base.atom.orbit == 3
 
 
@@ -122,23 +114,23 @@ class TestElliptic:
     def test_square_integrable_corner(self):
         e = Elliptic(atom("e2", 2, 1), 3, (3,))
         assert e.is_square_integrable()
-        out = lift_elliptic(e)
+        out = lift_unitary(e)
         assert all(f.is_square_integrable() for f in out.factors)
 
     def test_levi_sizes_scale_with_g(self):
         e = Elliptic(atom("e3", 2, 1), 3, (1, 2))
-        out = lift_elliptic(e)
+        out = lift_unitary(e)
         assert out.factors[0].levi_sizes() == (2, 4)
 
     def test_r2_gives_pair(self):
         e = Elliptic(atom("e4", 2, 2), 2, (1, 1))
-        out = lift_elliptic(e)
+        out = lift_unitary(e)
         assert len(out.factors) == 2
         assert {f.translate for f in out.factors} == {0, 1}
 
     def test_injective_across_levis(self):
         a = atom("e5", 4, 2, size=2)
-        images = [lift_elliptic(Elliptic(a, 4, lv)) for lv in compositions(4)]
+        images = [lift_unitary(Elliptic(a, 4, lv)) for lv in compositions(4)]
         keys = {tuple((f.levi, f.translate) for f in im.factors) for im in images}
         assert len(keys) == 8
 
@@ -239,4 +231,4 @@ class TestJson:
         rng = random.Random(29)
         for _ in range(10):
             tau = random_symbolic_product(rng, 4)
-            assert factor_from_json(factor_to_json(tau)) == tau
+            assert factor_from_json(tau.to_json()) == tau
