@@ -278,11 +278,7 @@ class LocalRSFactor:
     inverse_roots: Tuple[Coordinate, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "inverse_roots",
-            tuple(sorted(self.inverse_roots, key=lambda c: c.sort_key)),
-        )
+        object.__setattr__(self, "inverse_roots", tuple(sorted(self.inverse_roots)))
 
     def pole_order_at_1(self) -> int:
         """Multiplicity of the inverse root q (the only source of a pole at s=1)."""

@@ -1,32 +1,28 @@
 """Exact arithmetic in the value group (roots of unity) x q^Q and its group ring.
 
-A :class:`Coordinate` is one Satake eigenvalue: a root of unity ``e^{2 pi i a/N}``
-times a rational power of the formal base ``q`` (``q`` transcendental, ``q > 1``;
-the unramified twist ``nu`` acts as multiplication by ``q^{-1}``).
-
-:class:`Cyclo` is an element of Q(zeta_N): int numerators over one positive int
-denominator, reduced modulo Phi_N by folding exponents with x^N = 1 and then by
-integer long division.  :class:`QCyclo` is the ring where sums of coordinates
-live: finite Q-linear combinations of q-powers with ``Cyclo`` coefficients.
-Zero testing is exact, so identities between Hecke traces are checked with
-tolerance zero.  No floating point anywhere.
+A :class:`Coordinate` is one Satake eigenvalue ``e^{2 pi i a/n} q^(p/r)``, kept
+as four normalised ints; ``q`` is formal (transcendental, ``q > 1``) and the
+unramified twist ``nu`` multiplies by ``q^{-1}``.  :class:`Cyclo` is an element
+of Q(zeta_N): int numerators over one positive int denominator, reduced modulo
+Phi_N by folding exponents with x^N = 1 and then by integer long division.
+:class:`QCyclo` is the ring where sums of coordinates live: Q-linear sums of
+q-powers with ``Cyclo`` coefficients.  Zero tests are exact, so Hecke trace
+identities hold with tolerance zero.  No floats: JSON reads via :func:`json_int`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Mapping
 
 from .errors import BudgetExceeded
 
-# Largest conductor a Cyclo may have: its vectors have about N entries, and
-# the lcm of two document conductors can be their product.  It lies above
-# lcm(1, ..., 12) = 27720, the largest conductor the seeded suites reach.
+# Largest conductor of a Cyclo (about N entries; the lcm of two document
+# conductors can be their product), above the seeded suites' lcm(1..12) = 27720.
 MAX_CONDUCTOR = 30_000
 
 
@@ -34,89 +30,108 @@ MAX_CONDUCTOR = 30_000
 # Coordinates
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def json_int(value, name: str) -> int:
+    """A JSON int; floats and bools are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
 
 
-@dataclass(frozen=True)
+def json_fraction(pair, name: str) -> Fraction:
+    """A JSON pair ``[numerator, denominator]`` of ints."""
+    num, den = pair
+    return Fraction(json_int(num, name), json_int(den, name))
+
+
 class Coordinate:
-    """One eigenvalue ``e^{2 pi i zeta} * q^qexp`` with ``zeta``, ``qexp`` rational.
-
-    ``zeta`` is stored reduced in ``[0, 1)``; multiplication is componentwise
-    addition.  The total order (lexicographic on ``(qexp, N, a)`` for
-    ``zeta = a/N``) is only used for canonical multiset sorting.
+    """One eigenvalue ``e^{2 pi i a/n} * q^(p/r)``: four immutable ints with n, r >= 1,
+    0 <= a < n and gcd(a, n) = gcd(p, r) = 1, so equality and the hash are the
+    int tuple's and each operation takes an lcm or a gcd per part.
+    ``Coordinate(zeta, qexp)`` takes ints or Fractions (``zeta`` mod 1), which
+    ``zeta`` and ``qexp`` give back.  The total order, on ``(qexp, n, a)`` as
+    ``sort_key``, is only used for canonical multiset sorting.
     """
 
-    zeta: Fraction
-    qexp: Fraction
+    __slots__ = ("a", "n", "p", "r")
 
-    def __post_init__(self):
-        z = _as_fraction(self.zeta) % 1
-        object.__setattr__(self, "zeta", z)
-        object.__setattr__(self, "qexp", _as_fraction(self.qexp))
+    def __new__(cls, zeta, qexp):
+        n = zeta.denominator
+        return _reduced(zeta.numerator % n, n, qexp.numerator, qexp.denominator)
 
-    # group law ------------------------------------------------------------
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Coordinate is immutable: cannot set {name!r}")
+
+    zeta = property(lambda self: Fraction(self.a, self.n))
+    qexp = property(lambda self: Fraction(self.p, self.r))
 
     def __mul__(self, other: "Coordinate") -> "Coordinate":
-        return Coordinate(self.zeta + other.zeta, self.qexp + other.qexp)
+        n, r = lcm(self.n, other.n), lcm(self.r, other.r)
+        a = (self.a * (n // self.n) + other.a * (n // other.n)) % n
+        return _reduced(a, n, self.p * (r // self.r) + other.p * (r // other.r), r)
 
     def inverse(self) -> "Coordinate":
-        return Coordinate(-self.zeta, -self.qexp)
+        return _reduced(-self.a % self.n, self.n, -self.p, self.r)
 
     def __pow__(self, k: int) -> "Coordinate":
-        return Coordinate(k * self.zeta, k * self.qexp)
+        return _reduced(self.a * k % self.n, self.n, self.p * k, self.r)
 
     def root(self, k: int) -> "Coordinate":
         """Canonical k-th root; all others are this times ``(j/k, 0)``."""
         if k < 1:
             raise ValueError("root index must be >= 1")
-        return Coordinate(Fraction(self.zeta, k), Fraction(self.qexp, k))
-
-    # order / torsion ------------------------------------------------------
+        return _reduced(self.a, self.n * k, self.p, self.r * k)
 
     def torsion_order(self):
         """Multiplicative order, or None if the q-part is nontrivial."""
-        if self.qexp != 0:
-            return None
-        return self.zeta.denominator
+        return None if self.p else self.n
 
-    @property
-    def sort_key(self):
-        return (self.qexp, self.zeta.denominator, self.zeta.numerator)
+    sort_key = property(lambda self: (self.qexp, self.n, self.a))
 
     def __lt__(self, other: "Coordinate"):
-        return self.sort_key < other.sort_key
+        x, y = self.p * other.r, other.p * self.r
+        return x < y or (x == y and (self.n, self.a) < (other.n, other.a))
 
-    # io -------------------------------------------------------------------
+    def __eq__(self, other):
+        return isinstance(other, Coordinate) and _ints(self) == _ints(other)
+
+    def __hash__(self):
+        return hash(_ints(self))
 
     def to_json(self):
-        return {
-            "zeta": [self.zeta.numerator, self.zeta.denominator],
-            "qexp": [self.qexp.numerator, self.qexp.denominator],
-        }
+        return {"zeta": [self.a, self.n], "qexp": [self.p, self.r]}
 
     @classmethod
     def from_json(cls, doc) -> "Coordinate":
-        a, n = doc["zeta"]
-        p, q = doc["qexp"]
-        return cls(Fraction(a, n), Fraction(p, q))
+        return cls(json_fraction(doc["zeta"], "zeta"), json_fraction(doc["qexp"], "qexp"))
 
-    @classmethod
-    def of(cls, zeta=0, qexp=0) -> "Coordinate":
-        return cls(_as_fraction(zeta), _as_fraction(qexp))
+    of = classmethod(lambda cls, zeta=0, qexp=0: cls(zeta, qexp))
+    __reduce__ = lambda self: (_reduced, _ints(self))  # copy and pickle by the ints
 
     def __repr__(self):
         return f"Coordinate({self.zeta}, {self.qexp})"
 
 
-ONE = Coordinate(Fraction(0), Fraction(0))
+_new, _ints = object.__new__, attrgetter(*Coordinate.__slots__)
+_set_a, _set_n, _set_p, _set_r = (Coordinate.__dict__[k].__set__ for k in Coordinate.__slots__)
+
+
+def _reduced(a: int, n: int, p: int, r: int) -> Coordinate:
+    """The coordinate of (a/n, p/r) for n, r >= 1, 0 <= a < n, set by the slot setters."""
+    g, h = gcd(a, n), gcd(p, r)
+    c = _new(Coordinate)
+    _set_a(c, a // g)
+    _set_n(c, n // g)
+    _set_p(c, p // h)
+    _set_r(c, r // h)
+    return c
+
+
+ONE = Coordinate(0, 0)
 
 
 def primitive_root(s: int) -> Coordinate:
-    """The canonical primitive s-th root of unity ``(1/s, 0)``."""
-    return Coordinate(Fraction(1, s), Fraction(0))
+    """The canonical primitive s-th root of unity ``(1/s, 0)``, for s >= 1."""
+    return _reduced(1 % s, s, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +220,7 @@ class Cyclo:
         _bounded(conductor)
         v = list(coeffs)
         if not all(map(isinstance, v, repeat(int))):
-            fs = [_as_fraction(c) for c in v]
+            fs = [Fraction(c) for c in v]
             common = lcm(*(f.denominator for f in fs))
             v = [f.numerator * (common // f.denominator) for f in fs]
             den *= common
@@ -228,12 +243,6 @@ class Cyclo:
     def coeffs(self):
         """The coefficients as a tuple of Fractions (a read-only view)."""
         return tuple(Fraction(c, self.den) for c in self.num)
-
-    def lift(self, m: int) -> "Cyclo":
-        """Image in Q(zeta_m) for conductor n dividing m (zeta_n = zeta_m^{m/n})."""
-        if m % self.conductor:
-            raise ValueError("lift target must be a multiple of the conductor")
-        return Cyclo.sum((self, Cyclo(m, ())))
 
     def __add__(self, other: "Cyclo") -> "Cyclo":
         return Cyclo.sum((self, other))
@@ -258,7 +267,7 @@ class Cyclo:
         return Cyclo(m, out, self.den * other.den)
 
     def scale(self, c) -> "Cyclo":
-        c = _as_fraction(c)
+        c = Fraction(c)
         return Cyclo(self.conductor, [c.numerator * x for x in self.num], self.den * c.denominator)
 
     def is_zero(self) -> bool:
@@ -298,9 +307,8 @@ class Cyclo:
 class QCyclo:
     """Finite map from rational q-exponents to cyclotomic coefficients.
 
-    The exact evaluation ring for Satake transforms: closed under the ring
-    operations, with decidable zero test (reduce every coefficient mod its
-    cyclotomic polynomial and check the vectors vanish).
+    The exact evaluation ring for Satake transforms, closed under the ring
+    operations; the zero test reduces every coefficient mod its Phi_N.
     """
 
     __slots__ = ("terms",)
@@ -309,17 +317,12 @@ class QCyclo:
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
 
     @classmethod
-    def zero(cls) -> "QCyclo":
-        return cls({})
-
-    @classmethod
     def rational(cls, c) -> "QCyclo":
         return cls({Fraction(0): Cyclo.rational(c)})
 
     @classmethod
     def from_coordinate(cls, x: Coordinate) -> "QCyclo":
-        z = x.zeta
-        return cls({x.qexp: Cyclo.root_of_unity(z.numerator, z.denominator)})
+        return cls({x.qexp: Cyclo.root_of_unity(x.a, x.n)})
 
     def __add__(self, other: "QCyclo") -> "QCyclo":
         out = dict(self.terms)
@@ -337,8 +340,7 @@ class QCyclo:
         out: dict[Fraction, Cyclo] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = e1 + e2
-                p = c1 * c2
+                e, p = e1 + e2, c1 * c2
                 out[e] = out[e] + p if e in out else p
         return QCyclo(out)
 
@@ -363,8 +365,6 @@ class QCyclo:
                 buckets.setdefault(e, []).append(c)
         return QCyclo({e: Cyclo.sum(cs) for e, cs in buckets.items()})
 
-    # io -------------------------------------------------------------------
-
     def to_json(self):
         return {"terms": [
             {
@@ -379,9 +379,9 @@ class QCyclo:
     def from_json(cls, doc) -> "QCyclo":
         terms = {}
         for t in doc["terms"]:
-            p, q = t["qexp"]
-            coeffs = tuple(Fraction(a, b) for a, b in t["coeffs"])
-            terms[Fraction(p, q)] = Cyclo(t["conductor"], coeffs)
+            coeffs = [json_fraction(c, "coeffs") for c in t["coeffs"]]
+            n = json_int(t["conductor"], "conductor")
+            terms[json_fraction(t["qexp"], "qexp")] = Cyclo(n, coeffs)
         return cls(terms)
 
     def __repr__(self):

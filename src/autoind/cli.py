@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .arith import Coordinate
+from .arith import Coordinate, json_int
 from .errors import DomainError
 from .satake import (
     MAX_FIBER_RANK,
@@ -102,13 +102,13 @@ def cmd_lift_elliptic(doc, args):
 
 
 def _places_from_doc(doc):
-    d = doc["d"]
-    return d, tuple(Place(p["label"], d, p["f"]) for p in doc["places"])
+    d = json_int(doc["d"], "d")
+    return d, tuple(Place(p["label"], d, json_int(p["f"], "f")) for p in doc["places"])
 
 
 def _gd_from_json(doc, d, places) -> GlobalDiscrete:
     side = doc.get("side", "E")
-    orbit = doc["r"] if "r" in doc else doc["x"]
+    orbit = json_int(doc["r"], "r") if "r" in doc else json_int(doc["x"], "x")
     locals_ = {}
     for v in places:
         raw = doc["locals"][v.label]
@@ -117,10 +117,8 @@ def _gd_from_json(doc, d, places) -> GlobalDiscrete:
             locals_[v.label] = SphericalRepE(v.algebra, blocks)
         else:
             locals_[v.label] = SatakeParam(_coords(raw["coords"]))
-    return GlobalDiscrete(
-        doc["label"], side, d, orbit, doc.get("q", 1), places, locals_,
-        doc.get("translate", 0),
-    )
+    q, translate = json_int(doc.get("q", 1), "q"), json_int(doc.get("translate", 0), "translate")
+    return GlobalDiscrete(doc["label"], side, d, orbit, q, places, locals_, translate)
 
 
 def _gd_to_json(g: GlobalDiscrete):
@@ -159,7 +157,7 @@ def cmd_separate(doc, args):
 
     def induced(sub):
         rep = _gd_from_json(sub["rep"], d, places)
-        return InducedGlobal((rep,) * sub.get("l", 1))
+        return InducedGlobal((rep,) * json_int(sub.get("l", 1), "l"))
 
     v = separate(induced(doc["pi"]), induced(doc["pi_prime"]))
     return {"distinct": v.distinct, "l": v.l, "gamma": v.gamma}

@@ -333,7 +333,7 @@ def ai_transfer(
     }
     out = from_power_sums(mapped, m * r, shift=f.shift)
     unit = algebra.zeta ** (-m * r * (s * (s - 1) // 2) * f.shift)
-    if unit.zeta:
+    if unit.a:
         out = out.scale(QCyclo.from_coordinate(unit))
     return out
 

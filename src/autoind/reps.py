@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Tuple
 
-from .arith import Coordinate, primitive_root
+from .arith import Coordinate, json_fraction, json_int, primitive_root
 from .errors import BadOrbit, NoProvenance, NotUnramified, ShapeError
 from .satake import CyclicAlgebra, SatakeParam, SphericalRepE, param_of_unramified_character
 
@@ -81,7 +81,7 @@ class CuspidalAtom:
     @classmethod
     def from_json(cls, doc) -> "CuspidalAtom":
         key = "r" if "r" in doc else "x"
-        size, d, orbit = (_int(doc[k], k) for k in ("size", "d", key))
+        size, d, orbit = (json_int(doc[k], k) for k in ("size", "d", key))
         payload = Coordinate.from_json(doc["payload"]) if "payload" in doc else None
         return cls(doc["id"], doc["side"], size, d, orbit, payload)
 
@@ -394,13 +394,6 @@ def specialize(x):
 # JSON expression trees
 
 
-def _int(value, name: str) -> int:
-    """A JSON int; floats and bools are refused."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    return value
-
-
 def factor_from_json(doc):
     """Parse one factor, or a product of factors; products do not nest."""
     kind = doc.get("kind")
@@ -411,12 +404,11 @@ def factor_from_json(doc):
     if kind not in ("speh", "pair", "elliptic"):
         raise ShapeError(f"unknown expression kind {kind!r}")
     atom = CuspidalAtom.from_json(doc["atom"])
-    k, translate = _int(doc["k"], "k"), _int(doc.get("translate", 0), "translate")
+    k, translate = json_int(doc["k"], "k"), json_int(doc.get("translate", 0), "translate")
     if kind == "elliptic":
-        return Elliptic(atom, k, tuple(_int(p, "levi") for p in doc["levi"]), translate)
-    tw = doc.get("twist", [0, 1])
-    speh = Speh(EssDiscrete(atom, k, Fraction(tw[0], tw[1]), translate), _int(doc.get("q", 1), "q"))
+        return Elliptic(atom, k, tuple(json_int(p, "levi") for p in doc["levi"]), translate)
+    twist = json_fraction(doc.get("twist", [0, 1]), "twist")
+    speh = Speh(EssDiscrete(atom, k, twist, translate), json_int(doc.get("q", 1), "q"))
     if kind == "speh":
         return speh
-    a = doc["alpha"]
-    return TwistedPair(speh, Fraction(a[0], a[1]))
+    return TwistedPair(speh, json_fraction(doc["alpha"], "alpha"))

@@ -8,7 +8,9 @@ spreading them along the powers of the twist root zeta.
 
 All maps here are the parameter-level (weak-lift) versions; fibers are
 computed constructively and are exponential in the rank, so a rank cap
-(``max_rank``, 12 by default) protects against runaway enumeration.
+(``max_rank``, 12 by default) and a cap on the number of members
+(``MAX_FIBER_SIZE``, checked before any member is built) protect against
+runaway enumeration.
 """
 
 from __future__ import annotations
@@ -16,13 +18,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations_with_replacement, islice, product
+from math import comb, prod
 from typing import Optional, Tuple
 
-from .arith import ONE, Coordinate, primitive_root
+from .arith import ONE, Coordinate, json_fraction, json_int, primitive_root
 from .errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
 
 MAX_FIBER_RANK = 12
+# Most members a fiber may have, checked before enumeration.  It lies above
+# 64, the largest fiber the seeded suites and the lift-global benchmark reach.
+MAX_FIBER_SIZE = 100
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,7 @@ class CyclicAlgebra:
     zeta: Coordinate = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.d != self.r * self.s or self.d < 1:
+        if self.d != self.r * self.s or self.r < 1 or self.s < 1:
             raise ValueError(f"need d = r*s, got d={self.d}, r={self.r}, s={self.s}")
         if self.zeta is None:
             object.__setattr__(self, "zeta", primitive_root(self.s))
@@ -59,11 +65,8 @@ class CyclicAlgebra:
 
     @classmethod
     def from_json(cls, doc) -> "CyclicAlgebra":
-        zeta = None
-        if "zeta" in doc:
-            a, n = doc["zeta"]
-            zeta = Coordinate(Fraction(a, n), Fraction(0))
-        return cls(doc["d"], doc["r"], doc["s"], zeta)
+        zeta = Coordinate(json_fraction(doc["zeta"], "zeta"), 0) if "zeta" in doc else None
+        return cls(*(json_int(doc[k], k) for k in "drs"), zeta)
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,7 @@ class SatakeParam:
     coords: Tuple[Coordinate, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(sorted(self.coords, key=lambda c: c.sort_key))
-        )
+        object.__setattr__(self, "coords", tuple(sorted(self.coords)))
 
     @property
     def rank(self) -> int:
@@ -168,9 +169,8 @@ def param_of_unramified_character(xi: Coordinate, n: int, qscale: int = 1) -> Sa
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    half = Fraction(n - 1, 2)
     return SatakeParam(
-        tuple(xi * Coordinate(Fraction(0), qscale * (j - half)) for j in range(n))
+        tuple(xi * Coordinate(0, Fraction(qscale * (2 * j + 1 - n), 2)) for j in range(n))
     )
 
 
@@ -239,22 +239,38 @@ def twist_split(pi: SatakeParam, zeta: Coordinate, r: int) -> Optional[Tuple[Coo
     return rec([], len(coords) - 1)
 
 
+def _sub_multisets(mults: tuple, size: int, i: int = 0):
+    """Every tuple c of the length of mults, c <= mults entrywise, with sum size."""
+    if i == len(mults):
+        yield ()
+        return
+    rest = sum(mults[i + 1 :])
+    for c in range(max(0, size - rest), min(mults[i], size) + 1):
+        for tail in _sub_multisets(mults, size - c, i + 1):
+            yield (c,) + tail
+
+
 def _multiset_splits(items: tuple, r: int, size: int):
-    """All ways to split the sorted multiset into r ordered blocks of `size`."""
+    """All ways to split the sorted multiset into r ordered blocks of ``size``.
+
+    A block is a sub-multiset, not a choice of positions, and every head
+    extends to a split, so each split comes once and the work grows with the
+    number of splits taken.
+    """
     if r == 1:
         yield (items,)
         return
-    for head in dict.fromkeys(combinations(items, size)):
-        rest = _multiset_difference(items, head)
+    pool = Counter(items)
+    for head in _sub_multisets(tuple(pool.values()), size):
+        block = tuple(v for v, h in zip(pool, head) for _ in range(h))
+        rest = tuple(v for v, k, h in zip(pool, pool.values(), head) for _ in range(k - h))
         for tail in _multiset_splits(rest, r - 1, size):
-            yield (head,) + tail
+            yield (block,) + tail
 
 
-def _multiset_difference(items: tuple, sub: tuple) -> tuple:
-    out = list(items)
-    for s in sub:
-        out.remove(s)
-    return tuple(out)
+def _check_fiber_size(size: int):
+    if size > MAX_FIBER_SIZE:
+        raise BudgetExceeded(f"fiber of more than {MAX_FIBER_SIZE} members")
 
 
 def ai_fiber(
@@ -265,7 +281,9 @@ def ai_fiber(
     ``twist_split(pi, zeta, s)`` splits pi into zeta-orbits, or returns None
     exactly when pi is not zeta-stable (zeta acts freely).  The distributions
     of the orbits' s-th powers into r blocks are the fiber; for r = 1 it is a
-    singleton.  Ranks above ``max_rank`` raise :class:`BudgetExceeded` first.
+    singleton.  Ranks above ``max_rank`` raise :class:`BudgetExceeded` first,
+    and so do fibers of more than ``MAX_FIBER_SIZE`` members, seen by taking
+    at most one split more than that before any member is built.
     """
     alg = algebra
     if pi.rank % alg.d:
@@ -275,12 +293,10 @@ def ai_fiber(
     reps = twist_split(pi, alg.zeta, alg.s)
     if reps is None:
         raise NotStable("parameter is not stable under the zeta twist")
-    pool = tuple(sorted((c**alg.s for c in reps), key=lambda c: c.sort_key))
-    m = len(pool) // alg.r
-    return {
-        SphericalRepE(alg, tuple(SatakeParam(b) for b in split))
-        for split in _multiset_splits(pool, alg.r, m)
-    }
+    pool = tuple(sorted(c**alg.s for c in reps))
+    splits = list(islice(_multiset_splits(pool, alg.r, len(pool) // alg.r), MAX_FIBER_SIZE + 1))
+    _check_fiber_size(len(splits))
+    return {SphericalRepE(alg, tuple(SatakeParam(b) for b in split)) for split in splits}
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +313,10 @@ def bc_fiber(z: SphericalRepE, max_rank: int = MAX_FIBER_RANK) -> set[SatakePara
     """All y over F with ``bc_map(y) == z``; requires all blocks equal.
 
     Fiber members differ by coordinatewise multiplication by s-th roots of
-    unity, up to permutation.  Block ranks above ``max_rank`` raise
-    :class:`BudgetExceeded` before any work.
+    unity, up to permutation: a coordinate of multiplicity k takes a
+    multiset of k of its s roots, so the fiber has prod C(k + s - 1, k)
+    members.  Block ranks above ``max_rank``, and fibers of more than
+    ``MAX_FIBER_SIZE`` members, raise :class:`BudgetExceeded` before any work.
     """
     alg = z.algebra
     if any(b != z.blocks[0] for b in z.blocks[1:]):
@@ -306,14 +324,14 @@ def bc_fiber(z: SphericalRepE, max_rank: int = MAX_FIBER_RANK) -> set[SatakePara
     block = z.blocks[0]
     if block.rank > max_rank:
         raise BudgetExceeded(f"rank {block.rank} exceeds fiber cap {max_rank}")
-    if alg.s**block.rank > 2_000_000:
-        raise BudgetExceeded("root-choice enumeration too large")
-    roots = [c.root(alg.s) for c in block.coords]
+    counts = Counter(block.coords)
+    _check_fiber_size(prod(comb(k + alg.s - 1, k) for k in counts.values()))
     mu = [primitive_root(alg.s) ** j for j in range(alg.s)]
-    return {
-        SatakeParam(tuple(z_j * x for z_j, x in zip(choice, roots)))
-        for choice in product(mu, repeat=len(roots))
-    }
+    picks = [
+        combinations_with_replacement([z_j * c.root(alg.s) for z_j in mu], k)
+        for c, k in counts.items()
+    ]
+    return {SatakeParam(sum(choice, ())) for choice in product(*picks)}
 
 
 def check_ia_bc_compat(y: SphericalRepE):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+from dataclasses import dataclass
 from fractions import Fraction as F
 from math import gcd
 
@@ -119,7 +122,7 @@ class TestQCyclo:
         b = QCyclo.from_coordinate(coord(F(1, 4), -1))
         c = QCyclo.rational(F(2, 5))
         assert a * (b + c) == a * b + a * c
-        assert a - a == QCyclo.zero()
+        assert a - a == QCyclo({})
 
     def test_exact_zero_detection(self):
         # 1 + zeta_3 + zeta_3^2 = 0 in the group ring
@@ -220,7 +223,7 @@ def test_negation_scaling_and_lift(a, r, k):
     assert a.scale(r) == a * Cyclo.rational(r)
     assert_normalised(a.scale(r))
     m = a.conductor * k
-    lifted = a.lift(m)
+    lifted = Cyclo.sum((a, Cyclo(m, ())))  # a spread to conductor m
     assert lifted == a and lifted.conductor == m
     spread = [0] * (len(a.num) * k)
     spread[::k] = a.coeffs
@@ -233,3 +236,100 @@ def test_fold_and_bad_conductor():
     for n in (0, -4):
         with pytest.raises(ValueError):
             Cyclo(n, [1])
+
+
+# ---------------------------------------------------------------------------
+# The integer Coordinate against the Fraction-based class it replaced
+
+
+@dataclass(frozen=True)
+class coordinate_reference:
+    """The former ``Coordinate``: two Fractions, ``zeta`` reduced into [0, 1)."""
+
+    zeta: F
+    qexp: F
+
+    def __post_init__(self):
+        object.__setattr__(self, "zeta", F(self.zeta) % 1)
+        object.__setattr__(self, "qexp", F(self.qexp))
+
+    def __mul__(self, other):
+        return coordinate_reference(self.zeta + other.zeta, self.qexp + other.qexp)
+
+    def inverse(self):
+        return coordinate_reference(-self.zeta, -self.qexp)
+
+    def __pow__(self, k):
+        return coordinate_reference(k * self.zeta, k * self.qexp)
+
+    def root(self, k):
+        return coordinate_reference(F(self.zeta, k), F(self.qexp, k))
+
+    def torsion_order(self):
+        return None if self.qexp != 0 else self.zeta.denominator
+
+    @property
+    def sort_key(self):
+        return (self.qexp, self.zeta.denominator, self.zeta.numerator)
+
+    def to_json(self):
+        return {
+            "zeta": [self.zeta.numerator, self.zeta.denominator],
+            "qexp": [self.qexp.numerator, self.qexp.denominator],
+        }
+
+
+def agree(c, ref):
+    """c is the reference value, field by field and through every reader."""
+    assert (c.zeta, c.qexp) == (ref.zeta, ref.qexp)
+    assert (c.a, c.n, c.p, c.r) == (
+        ref.zeta.numerator, ref.zeta.denominator, ref.qexp.numerator, ref.qexp.denominator
+    )
+    assert c.to_json() == ref.to_json() and c.sort_key == ref.sort_key
+    assert c.torsion_order() == ref.torsion_order()
+
+
+wide_fraction = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+pairs = st.tuples(wide_fraction, wide_fraction)
+
+
+@given(st.lists(pairs, min_size=1, max_size=6), st.integers(-7, 7), st.integers(1, 12))
+def test_coordinate_agrees_with_the_fraction_reference(raw, k, j):
+    cs = [Coordinate(z, q) for z, q in raw]
+    refs = [coordinate_reference(z, q) for z, q in raw]
+    for c, ref in zip(cs, refs):
+        agree(c, ref)
+        agree(c.inverse(), ref.inverse())
+        agree(c**k, ref**k)
+        agree(c.root(j), ref.root(j))
+        assert Coordinate.from_json(c.to_json()) == c
+        for other, oref in zip(cs, refs):
+            agree(c * other, ref * oref)
+            assert (c == other) == (ref == oref)
+            assert (c < other) == (ref.sort_key < oref.sort_key)
+            if c == other:
+                assert hash(c) == hash(other)
+    order = sorted(range(len(cs)), key=lambda i: refs[i].sort_key)
+    assert [c.to_json() for c in sorted(cs)] == [cs[i].to_json() for i in order]
+    assert sorted(cs, key=lambda c: c.sort_key) == sorted(cs)
+
+
+@given(wide_fraction, wide_fraction)
+def test_coordinate_construction_and_immutability(z, q):
+    c = Coordinate(z, q)
+    assert c == Coordinate.of(z, q) == Coordinate(c.zeta, c.qexp)
+    assert hash(c) == hash(Coordinate.of(z, q))
+    n = z.denominator
+    assert Coordinate(z.numerator % n + 3 * n, 0) == Coordinate(z.numerator % n, 0)
+    for name in ("a", "n", "p", "r", "zeta", "qexp", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, 1)
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert twin == c and type(twin) is Coordinate
+
+
+def test_coordinate_from_ints_and_defaults():
+    assert Coordinate(0, 0) == ONE == Coordinate.of() == Coordinate(F(3), -0)
+    assert Coordinate(1, 2) == Coordinate.of(0, 2) and Coordinate(1, 2).qexp == 2
+    assert Coordinate.of(F(1, 2)) != Coordinate.of(0, F(1, 2))
+    assert Coordinate.of(0) != 0 and Coordinate.of(0) is not None

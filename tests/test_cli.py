@@ -267,7 +267,9 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_golden_output_is_byte_identical(doc, capsys):
     """Stdout pinned byte for byte: hecke-ai / hecke-bc on documents with
     conductors 1, 3, 4, 6 and 12 and mixed denominators; lift-unitary and
-    lift-elliptic on every factor kind, r < d, payloads and translates."""
+    lift-elliptic on every factor kind, r < d, payloads and translates;
+    lift-spherical, bc-spherical, fibers (ai and bc, members whose
+    coordinates tie on qexp and differ in (N, a)), global-lift and separate."""
     verb = doc.stem.split("_")[0]
     code = main([verb, "--input", str(doc)])
     assert code == 0
@@ -300,6 +302,19 @@ class TestFibers:
         )
         with pytest.raises(BudgetExceeded):
             ai_fiber(pi, CyclicAlgebra.field(2))
+
+    @pytest.mark.parametrize("doc", [
+        # 12 distinct coordinates into 4 blocks of 3: 369 600 members
+        {"direction": "ai", "algebra": {"d": 4, "r": 4, "s": 1},
+         "param": {"coords": [coord(j % 5, 5, j, 1) for j in range(12)]}},
+        # 4 distinct coordinates, each with 30 roots: 810 000 members
+        {"direction": "bc", "rep": {"d": 30, "r": 1, "s": 30,
+                                    "y": [coord(0, 1, j, 1) for j in range(4)]}},
+    ], ids=["ai-split4-rank12", "bc-field30-rank4"])
+    def test_fiber_size_is_bounded_before_enumeration(self, doc):
+        proc = run_cli_process(["fibers"], doc)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["error"]["kind"] == "BudgetExceeded"
 
 
 class TestLiftUnitary:
@@ -348,6 +363,78 @@ class TestRepsDocuments:
         code, out = run_cli([verb], doc, capsys)
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "BadInput"
+
+
+def _lift_doc(zeta=(1, 2), qexp=(0, 1), algebra_zeta=None):
+    doc = {"d": 2, "r": 1, "s": 2, "y": [{"zeta": list(zeta), "qexp": list(qexp)}]}
+    if algebra_zeta is not None:
+        doc["zeta"] = list(algebra_zeta)
+    return doc
+
+
+PAIR = {"kind": "pair", "atom": ATOM, "k": 1, "q": 1, "alpha": [1, 3]}
+GLOBAL = {
+    "d": 2,
+    "places": [{"label": "v0", "f": 2}],
+    "rep": {"label": "Lam", "r": 1, "q": 1, "locals": {"v0": {"blocks": [[coord(0, 1, 0, 1)]]}}},
+}
+
+
+def _global_with(key, value):
+    """A copy of GLOBAL with doc[key], the place's key or the rep's key set to value."""
+    doc = json.loads(json.dumps(GLOBAL))
+    if key == "d":
+        doc[key] = value
+    elif key == "f":  # over d = 1, where f = True would read as 1
+        doc["d"], doc["places"][0]["f"] = 1, value
+    else:
+        doc["rep"][key] = value
+    return doc
+
+
+class TestJsonInts:
+    """Every number a document gives is a JSON int: a bool or a float in a
+    rational pair or a count is malformed input, never read as 1 or 1/2."""
+
+    @pytest.mark.parametrize("verb, doc", [
+        ("lift-spherical", _lift_doc(zeta=(True, 2))),
+        ("lift-spherical", _lift_doc(zeta=(1, 2.0))),
+        ("lift-spherical", _lift_doc(qexp=(True, 2))),
+        ("lift-spherical", _lift_doc(algebra_zeta=(True, 2))),
+        ("lift-spherical", dict(_lift_doc(), s=2.0)),
+        ("bc-spherical", _lift_doc(qexp=(1, True))),
+        ("fibers", {"direction": "bc", "rep": _lift_doc(zeta=(False, 1))}),
+        ("lift-unitary", _with(SPEH, "twist", [True, 2])),
+        ("lift-unitary", _with(SPEH, "twist", [1, 2, 3])),
+        ("lift-unitary", _with(PAIR, "alpha", [True, 3])),
+        ("lift-unitary", _with(SPEH, "atom", dict(ATOM, payload={"zeta": [True, 2], "qexp": [0, 1]}))),
+        ("global-lift", _global_with("q", True)),
+        ("global-lift", _global_with("translate", True)),
+        ("global-lift", _global_with("r", True)),
+        ("global-lift", _global_with("d", 2.0)),
+        ("global-lift", _global_with("f", True)),
+        ("separate", {"d": True, "places": [{"label": "v0", "f": 1}],
+                      "pi": {"rep": GLOBAL["rep"]}, "pi_prime": {"rep": GLOBAL["rep"]}}),
+        ("separate", {"d": 2, "places": GLOBAL["places"], "pi": {"rep": GLOBAL["rep"], "l": True},
+                      "pi_prime": {"rep": GLOBAL["rep"], "l": True}}),
+    ], ids=["bool-zeta", "float-zeta-den", "bool-qexp", "bool-algebra-zeta", "float-s",
+            "bool-qexp-den", "bool-fiber-zeta", "bool-twist", "twist-triple", "bool-alpha",
+            "bool-payload", "bool-q", "bool-translate", "bool-r", "float-d", "bool-f", "bool-d",
+            "bool-l"])
+    def test_non_int_entries_are_bad_input(self, verb, doc, capsys):
+        code, out = run_cli([verb], doc, capsys)
+        assert code == 1, out
+        assert json.loads(out)["error"]["kind"] == "BadInput"
+
+    def test_the_same_documents_with_ints_pass(self, capsys):
+        for verb, doc in [
+            ("lift-spherical", _lift_doc(zeta=(1, 2), algebra_zeta=(1, 2))),
+            ("lift-unitary", _with(SPEH, "twist", [1, 2])),
+            ("lift-unitary", PAIR),
+            ("global-lift", _global_with("translate", 1)),
+        ]:
+            code, out = run_cli([verb], doc, capsys)
+            assert code == 0, out
 
 
 class TestGlobalVerbs:

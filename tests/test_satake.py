@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from autoind.arith import Coordinate, primitive_root
 from autoind.errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
 from autoind.satake import (
+    MAX_FIBER_SIZE,
     CyclicAlgebra,
     SatakeParam,
     SphericalRepE,
@@ -131,6 +133,24 @@ class TestAiFiber:
         with pytest.raises(BudgetExceeded):
             ai_fiber(big, alg)
 
+    def test_repeated_pool_is_counted_exactly(self):
+        # six copies each of a and b into 3 blocks of 4: a block is a^k b^(4-k)
+        # with k1 + k2 + k3 = 6, 19 members, though 12!/(4!)^3 = 34 650 > the cap
+        alg = CyclicAlgebra.split(3)
+        a, b = coord(F(1, 3)), coord(0, 1)
+        pi = SatakeParam((a,) * 6 + (b,) * 6)
+        fib = ai_fiber(pi, alg)
+        assert len(fib) == sum(1 for ks in product(range(5), repeat=3) if sum(ks) == 6) == 19
+        assert all(delta_map(y) == pi for y in fib)
+
+    def test_fiber_size_cap(self):
+        # 3 distinct coordinates over split(3): 6 members; over split(4) with
+        # 8 distinct ones, 8!/2^4 = 2520 > MAX_FIBER_SIZE
+        assert len(ai_fiber(SatakeParam(tuple(coord(F(j, 3)) for j in range(3))), CyclicAlgebra.split(3))) == 6
+        pi = SatakeParam(tuple(coord(F(j, 8)) for j in range(8)))
+        with pytest.raises(BudgetExceeded, match=f"more than {MAX_FIBER_SIZE} members"):
+            ai_fiber(pi, CyclicAlgebra.split(4))
+
 
 def spread(a, zeta, r):
     """The multiset union of zeta^i a for a in A and i < r."""
@@ -206,6 +226,17 @@ class TestBaseChange:
         fib = bc_fiber(bc_map(y, alg))
         assert y in fib
         assert all(bc_map(w, alg) == bc_map(y, alg) for w in fib)
+
+    def test_fiber_is_every_root_choice_once(self):
+        # (a, a, b) over s = 3: C(4, 2) * C(3, 1) = 18 multisets of roots
+        alg = CyclicAlgebra.field(3)
+        a, b = coord(F(1, 5), 1), coord(0, -2)
+        z = bc_map(SatakeParam((a, a, b)), alg)
+        fib = bc_fiber(z)
+        roots = [c.root(3) for c in z.blocks[0].coords]
+        mu = [primitive_root(3) ** j for j in range(3)]
+        brute = {SatakeParam(tuple(w * x for w, x in zip(ch, roots))) for ch in product(mu, repeat=3)}
+        assert fib == brute and len(fib) == 18
 
     def test_differing_blocks_rejected(self):
         alg = CyclicAlgebra(4, 2, 2)
