@@ -14,55 +14,9 @@ Layers, from bottom to top:
   the global lift, rigidity, Euler-factor identities and separation.
 * :mod:`autoind.verify` — seeded property suites; :mod:`autoind.cli` — the
   JSON command-line front end.
-"""
 
-from .arith import Coordinate, Cyclo, QCyclo
-from .satake import (
-    CyclicAlgebra,
-    SatakeParam,
-    SphericalRepE,
-    ai_fiber,
-    bc_fiber,
-    bc_map,
-    check_ia_bc_compat,
-    delta_map,
-    param_of_unramified_character,
-    x_of,
-)
-from .hecke import (
-    SymLaurent,
-    TensorSym,
-    ai_transfer,
-    bc_transfer,
-    constant_term,
-    from_power_sums,
-    satake_eval,
-    to_power_sums,
-)
-from .reps import (
-    CuspidalAtom,
-    Elliptic,
-    EssDiscrete,
-    Product,
-    Speh,
-    TwistedPair,
-    fiber_unitary,
-    is_generic,
-    lift_unitary,
-    specialize,
-)
-from .adelic import (
-    GlobalDiscrete,
-    InducedGlobal,
-    LocalRSFactor,
-    Place,
-    Verdict,
-    check_global_compat,
-    global_ai_lift,
-    lemma46_local_identity,
-    rigidity_check,
-    rs_local_factor,
-    separate,
-)
+The package root exports nothing else: import from the layer modules, as in
+``from autoind.satake import delta_map``.
+"""
 
 __version__ = "0.1.0"

@@ -381,7 +381,8 @@ class QCyclo:
         for t in doc["terms"]:
             coeffs = [json_fraction(c, "coeffs") for c in t["coeffs"]]
             n = json_int(t["conductor"], "conductor")
-            terms[json_fraction(t["qexp"], "qexp")] = Cyclo(n, coeffs)
+            e, c = json_fraction(t["qexp"], "qexp"), Cyclo(n, coeffs)
+            terms[e] = terms[e] + c if e in terms else c
         return cls(terms)
 
     def __repr__(self):

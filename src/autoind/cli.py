@@ -163,9 +163,11 @@ def cmd_separate(doc, args):
     return {"distinct": v.distinct, "l": v.l, "gamma": v.gamma}
 
 
-def cmd_verify(args) -> int:
-    from .verify import run_suite  # compute verbs need not import it
+def cmd_verify(args, parser) -> int:
+    from .verify import SUITES, run_suite  # compute verbs need not import it
 
+    if args.suite != "all" and args.suite not in SUITES:
+        parser.error(f"unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}")
     results = run_suite(args.suite, seed=args.seed, cases=args.cases)
     for r in results:
         print(r.line())
@@ -209,9 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.verb == "verify":
-        return cmd_verify(args)
+        return cmd_verify(args, parser)
     try:
         if args.input:
             with open(args.input) as fh:

@@ -1,9 +1,10 @@
 """Seeded property suites: randomized oracles for every library invariant.
 
-Each criterion function draws its own deterministic generator from a seed,
-runs the stated number of cases and returns a :class:`PropertyResult`; the
-CLI `verify` verb and the acceptance tests both call these directly, so the
-pass/fail logic lives in exactly one place.
+Each seeded criterion is a check of one case, run by ``_seeded``: it seeds
+the one generator, loops over the cases and returns a :class:`PropertyResult`
+whose failure detail names the seed and the case index, so the failure can be
+replayed.  The CLI `verify` verb and the acceptance tests both call the
+criteria directly, so the pass/fail logic lives in exactly one place.
 
 All comparisons are exact (Coordinate / QCyclo equality); there are no
 tolerances anywhere.
@@ -16,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, List
+from typing import List
 
 from .arith import ONE, Coordinate, QCyclo, primitive_root
 from .satake import (
@@ -196,12 +197,30 @@ def random_global_discrete(
 
 
 # ---------------------------------------------------------------------------
+# The runner of every seeded criterion
+
+
+def _seeded(name: str, seed: int, cases: int, check) -> PropertyResult:
+    """Run ``check(rng, i)`` for i < cases on one generator seeded with ``seed``.
+
+    A check draws its case from ``rng`` and returns a short failure tag, or
+    None when the case holds.  The first failure ends the run and names its
+    seed and case index: the same seed and case count replay it.
+    """
+    rng = random.Random(seed)
+    for i in range(cases):
+        tag = check(rng, i)
+        if tag:
+            return PropertyResult(name, i + 1, False, f"seed {seed}, case {i}: {tag}")
+    return PropertyResult(name, cases, True)
+
+
+# ---------------------------------------------------------------------------
 # Criterion 1: the lifting map does not depend on the choice of roots
 
 
 def crit1_delta_well_defined(seed: int = 0, cases: int = 500) -> PropertyResult:
-    rng = random.Random(seed)
-    for i in range(cases):
+    def check(rng, i):
         d = rng.choice((2, 3, 4, 6))
         alg = random_algebra(rng, d)
         m = rng.randint(1, 3)
@@ -214,10 +233,9 @@ def crit1_delta_well_defined(seed: int = 0, cases: int = 500) -> PropertyResult:
             roots = [mu**j * t for j, t in zip(choice, base)]
             spread = [alg.zeta**j * t for j in range(s) for t in roots]
             if SatakeParam(tuple(spread)) != ref:
-                return PropertyResult(
-                    "delta well-definedness", i + 1, False, f"case {i}"
-                )
-    return PropertyResult("delta well-definedness", cases, True)
+                return f"roots {choice}"
+
+    return _seeded("delta well-definedness", seed, cases, check)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +243,7 @@ def crit1_delta_well_defined(seed: int = 0, cases: int = 500) -> PropertyResult:
 
 
 def crit2_hecke_oracle(seed: int = 0, cases: int = 100) -> PropertyResult:
-    rng = random.Random(seed)
-    for i in range(cases):
+    def check(rng, i):
         d = rng.choice((2, 3))
         alg = random_algebra(rng, d)
         m = rng.randint(1, 6 // d)
@@ -236,13 +253,13 @@ def crit2_hecke_oracle(seed: int = 0, cases: int = 100) -> PropertyResult:
         lhs = satake_eval(f, delta_map(y))
         rhs = satake_eval(ai_transfer(f, alg), y.flatten())
         if lhs != rhs:
-            return PropertyResult("induction transfer oracle", i + 1, False, f"case {i}")
-    return PropertyResult("induction transfer oracle", cases, True)
+            return "oracle"
+
+    return _seeded("induction transfer oracle", seed, cases, check)
 
 
 def crit3_bc_oracle(seed: int = 0, cases: int = 100) -> PropertyResult:
-    rng = random.Random(seed)
-    for i in range(cases):
+    def check(rng, i):
         d = rng.choice((2, 3))
         alg = random_algebra(rng, d)
         n = rng.randint(1, 3)
@@ -254,8 +271,9 @@ def crit3_bc_oracle(seed: int = 0, cases: int = 100) -> PropertyResult:
             lhs = lhs * satake_eval(g, b)
         rhs = satake_eval(bc_transfer(factors, alg), y)
         if lhs != rhs:
-            return PropertyResult("base-change transfer oracle", i + 1, False, f"case {i}")
-    return PropertyResult("base-change transfer oracle", cases, True)
+            return "oracle"
+
+    return _seeded("base-change transfer oracle", seed, cases, check)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +281,7 @@ def crit3_bc_oracle(seed: int = 0, cases: int = 100) -> PropertyResult:
 
 
 def crit4_central_character(seed: int = 0, cases: int = 500) -> PropertyResult:
-    rng = random.Random(seed)
-    for i in range(cases):
+    def check(rng, i):
         d = rng.choice((2, 3, 4, 6))
         alg = random_algebra(rng, d)
         m = rng.randint(1, 3)
@@ -273,8 +290,9 @@ def crit4_central_character(seed: int = 0, cases: int = 500) -> PropertyResult:
         c = m * alg.r * (alg.s * (alg.s - 1) // 2)
         rhs = alg.zeta**c * y.flatten().central_character()
         if lhs != rhs:
-            return PropertyResult("central-character identity", i + 1, False, f"case {i}")
-    return PropertyResult("central-character identity", cases, True)
+            return "central character"
+
+    return _seeded("central-character identity", seed, cases, check)
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +327,28 @@ def _brute_bc_fiber(z: SphericalRepE):
 
 
 def crit5_fibers(seed: int = 0, cases: int = 200) -> PropertyResult:
-    rng = random.Random(seed)
+    """Cases below ``max(1, cases // 2)`` check ai fibers, the rest bc fibers."""
     per = max(1, cases // 2)
-    for i in range(per):
+
+    def check(rng, i):
         d = rng.choice((2, 3, 4))
         alg = random_algebra(rng, d)
-        m = max(1, min(rng.randint(1, 2), 4 // d))
-        y = random_spherical(rng, alg, m, max_order=8)
-        pi = delta_map(y)
-        fib = ai_fiber(pi, alg)
-        if y not in fib or fib != _brute_ai_fiber(pi, alg):
-            return PropertyResult("fiber enumeration", i + 1, False, f"ai case {i}")
-    for i in range(per):
-        d = rng.choice((2, 3, 4))
-        alg = random_algebra(rng, d)
-        n = rng.randint(1, 3)
-        y = SatakeParam(tuple(random_coordinate(rng, 8) for _ in range(n)))
-        z = bc_map(y, alg)
-        fib = bc_fiber(z)
-        if y not in fib or fib != _brute_bc_fiber(z):
-            return PropertyResult("fiber enumeration", per + i + 1, False, f"bc case {i}")
-    return PropertyResult("fiber enumeration", 2 * per, True)
+        if i < per:
+            m = max(1, min(rng.randint(1, 2), 4 // d))
+            y = random_spherical(rng, alg, m, max_order=8)
+            pi = delta_map(y)
+            fib = ai_fiber(pi, alg)
+            if y not in fib or fib != _brute_ai_fiber(pi, alg):
+                return "ai fiber"
+        else:
+            n = rng.randint(1, 3)
+            y = SatakeParam(tuple(random_coordinate(rng, 8) for _ in range(n)))
+            z = bc_map(y, alg)
+            fib = bc_fiber(z)
+            if y not in fib or fib != _brute_bc_fiber(z):
+                return "bc fiber"
+
+    return _seeded("fiber enumeration", seed, 2 * per, check)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +368,13 @@ def crit6_trivial_chain() -> PropertyResult:
 
 
 def crit7_consistency_square(seed: int = 0, cases: int = 200) -> PropertyResult:
-    rng = random.Random(seed)
-    for i in range(cases):
+    def check(rng, i):
         d = rng.choice((2, 3, 4))
         tau = random_unitary_product(rng, d)
         if specialize(lift_unitary(tau)) != delta_map(specialize(tau)):
-            return PropertyResult("specialization square", i + 1, False, f"case {i}")
-    return PropertyResult("specialization square", cases, True)
+            return "square"
+
+    return _seeded("specialization square", seed, cases, check)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +412,7 @@ def crit8_elliptic(kmax: int = 5) -> PropertyResult:
 
 
 def crit9_lemma46(seed: int = 0, cases: int = 1000) -> PropertyResult:
-    rng = random.Random(seed)
-    for i in range(cases):
+    def check(rng, i):
         d = rng.randint(1, 4)
         l = rng.randint(1, 4)
         l_p = rng.randint(1, 4)
@@ -406,13 +424,13 @@ def crit9_lemma46(seed: int = 0, cases: int = 1000) -> PropertyResult:
         delta = SatakeParam(tuple(core * (l_p // g)))
         delta_p = SatakeParam(tuple(core * (l // g)))
         if not lemma46_local_identity(delta, l, delta_p, l_p, d):
-            return PropertyResult("Euler-factor identity", i + 1, False, f"case {i}")
-    return PropertyResult("Euler-factor identity", cases, True)
+            return "identity"
+
+    return _seeded("Euler-factor identity", seed, cases, check)
 
 
 def crit9_separate(seed: int = 0, cases: int = 200) -> PropertyResult:
-    rng = random.Random(seed)
-    for i in range(cases):
+    def check(rng, i):
         d = rng.choice((2, 3, 4))
         divisors = [r for r in range(1, d + 1) if d % r == 0]
         r = rng.choice(divisors)
@@ -424,9 +442,9 @@ def crit9_separate(seed: int = 0, cases: int = 200) -> PropertyResult:
         twisted = InducedGlobal((delta.translated(j),) * l)
         v = separate(Pi, twisted)
         if v.distinct or v.l != l:
-            return PropertyResult("separation verdicts", i + 1, False, f"twist case {i}")
+            return "twist"
         if delta.translated(v.gamma) != delta.translated(j):
-            return PropertyResult("separation verdicts", i + 1, False, f"gamma case {i}")
+            return "gamma"
         # a fresh draw can be a Galois translate of delta (common at one place
         # with rank-1 blocks): check the verdict against a rotation of the blocks
         other = random_global_discrete(rng, d, r, places, m0=delta.cusp_rank, q=delta.q)
@@ -436,8 +454,9 @@ def crit9_separate(seed: int = 0, cases: int = 200) -> PropertyResult:
             all(a[t % len(a) :] + a[: t % len(a)] == b for a, b in pairs) for t in range(d)
         )
         if v2.distinct == translate:
-            return PropertyResult("separation verdicts", i + 1, False, f"distinct case {i}")
-    return PropertyResult("separation verdicts", cases, True)
+            return "distinct"
+
+    return _seeded("separation verdicts", seed, cases, check)
 
 
 # ---------------------------------------------------------------------------
@@ -445,24 +464,24 @@ def crit9_separate(seed: int = 0, cases: int = 200) -> PropertyResult:
 
 
 def crit10_compat(seed: int = 0, cases: int = 200) -> PropertyResult:
-    rng = random.Random(seed)
-    for i in range(cases):
+    def check(rng, i):
         d = rng.choice((2, 3, 4))
         r = rng.choice((1, d))
         places = random_places(rng, d)
         Pi = random_global_discrete(rng, d, r, places)
         try:
             if not check_global_compat(Pi):
-                return PropertyResult("global compatibility", i + 1, False, f"case {i}")
+                return "compat"
         except Exception as exc:
-            return PropertyResult("global compatibility", i + 1, False, repr(exc))
+            return repr(exc)
         lift = global_ai_lift(Pi)
         for v in places:
             if lift.local(v) != delta_map(Pi.local(v)):
-                return PropertyResult("global compatibility", i + 1, False, f"lift at {v.label}")
+                return f"lift at {v.label}"
         if not rigidity_check(lift, lift):
-            return PropertyResult("global compatibility", i + 1, False, f"rigidity case {i}")
-    return PropertyResult("global compatibility", cases, True)
+            return "rigidity"
+
+    return _seeded("global compatibility", seed, cases, check)
 
 
 # ---------------------------------------------------------------------------
@@ -470,63 +489,42 @@ def crit10_compat(seed: int = 0, cases: int = 200) -> PropertyResult:
 
 
 def crit11_genericity(seed: int = 0, cases: int = 200) -> PropertyResult:
-    rng = random.Random(seed)
-    for i in range(cases):
+    def check(rng, i):
         d = rng.choice((2, 3, 4, 6))
         tau = random_symbolic_product(rng, d)
         if is_generic(tau) != is_generic(lift_unitary(tau)):
-            return PropertyResult("genericity equivalence", i + 1, False, f"case {i}")
+            return "genericity"
         pi = lift_unitary(tau)
         for fib in fiber_unitary(pi, tau):
             if lift_unitary(fib) != pi:
-                return PropertyResult("genericity equivalence", i + 1, False, f"fiber case {i}")
-    return PropertyResult("genericity equivalence", cases, True)
+                return "fiber"
+
+    return _seeded("genericity equivalence", seed, cases, check)
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suites: (criterion, default case count); None marks a criterion with fixed
+# inputs, called with no arguments.
 
 
-def _suite(fns):
-    """Suite runner over ``(criterion, default case count)`` pairs.
-
-    A default of None marks a criterion with fixed inputs, called with no
-    arguments; every other criterion gets the seed and the case count.
-    """
-
-    def run(seed: int = 0, cases: int = None) -> List[PropertyResult]:
-        return [
-            fn() if default is None
-            else fn(seed=seed, cases=default if cases is None else cases)
-            for fn, default in fns
-        ]
-
-    return run
-
-
-SUITES: Dict[str, Callable] = {
-    "satake": _suite(
-        [(crit1_delta_well_defined, 100), (crit4_central_character, 100), (crit5_fibers, 60)]
+SUITES = {
+    "satake": ((crit1_delta_well_defined, 100), (crit4_central_character, 100), (crit5_fibers, 60)),
+    "hecke": ((crit2_hecke_oracle, 50), (crit3_bc_oracle, 50)),
+    "reps": (
+        (crit6_trivial_chain, None),
+        (crit7_consistency_square, 60),
+        (crit8_elliptic, None),
+        (crit11_genericity, 60),
     ),
-    "hecke": _suite([(crit2_hecke_oracle, 50), (crit3_bc_oracle, 50)]),
-    "reps": _suite(
-        [
-            (crit6_trivial_chain, None),
-            (crit7_consistency_square, 60),
-            (crit8_elliptic, None),
-            (crit11_genericity, 60),
-        ]
-    ),
-    "global": _suite([(crit9_lemma46, 200), (crit9_separate, 60), (crit10_compat, 60)]),
+    "global": ((crit9_lemma46, 200), (crit9_separate, 60), (crit10_compat, 60)),
 }
 
 
 def run_suite(name: str, seed: int = 0, cases: int = None) -> List[PropertyResult]:
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](seed=seed, cases=cases))
-        return out
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](seed=seed, cases=cases)
+    """Run the suite ``name``, or every suite for ``"all"``; ``cases``
+    overrides each seeded criterion's default count."""
+    return [
+        fn() if default is None else fn(seed=seed, cases=default if cases is None else cases)
+        for key in (SUITES if name == "all" else (name,))
+        for fn, default in SUITES[key]
+    ]

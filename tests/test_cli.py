@@ -206,6 +206,21 @@ class TestHeckeVerbs:
         assert [t["exps"] for t in got] == [[1]]
         assert got[0]["coef"]["terms"][0]["coeffs"] == [[4, 1]]
 
+    def test_repeated_qexp_terms_of_a_coefficient_are_summed(self, capsys):
+        # 1 + 5 at one qexp is the coefficient 6: 6 m_(2,0) maps to 12 m_(1)
+        def coef(*coeffs):
+            return {"terms": [{"qexp": [0, 1], "conductor": 1, "coeffs": [c]} for c in coeffs]}
+
+        outs = []
+        for c in (coef([1, 1], [5, 1]), coef([6, 1])):
+            doc = {"algebra": {"d": 2, "r": 1, "s": 2},
+                   "f": {"nvars": 2, "shift": 0, "terms": [{"exps": [2, 0], "coef": c}]}}
+            code, out = run_cli(["hecke-ai"], doc, capsys)
+            assert code == 0
+            outs.append(out)
+        assert json.loads(outs[0])["terms"][0]["coef"]["terms"][0]["coeffs"] == [[12, 1]]
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("f", [
         {"nvars": 2, "shift": 0, "terms": [{"exps": [2.0, 0], "coef": ONE}]},
         {"nvars": 2, "shift": 0, "terms": [{"exps": [2.5, 0.5], "coef": ONE}]},
@@ -480,6 +495,19 @@ class TestGlobalVerbs:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"distinct": False, "l": 2, "gamma": 0}
 
+    def test_global_lift_does_not_grow_with_q(self):
+        # two rank-1 blocks at a split place: the coherence check compares
+        # cuspidal data, where it used to build staircases of length q
+        blocks = [[coord(1, 3, 1, 1)], [coord(1, 3, 1, 1)]]
+        doc = {
+            "d": 2, "places": [{"label": "v", "f": 1}],
+            "rep": {"label": "L", "r": 2, "q": 1000000, "locals": {"v": {"blocks": blocks}}},
+        }
+        proc = run_cli_process(["global-lift"], doc)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert [(f["q"], f["translate"]) for f in got["factors"]] == [(1000000, 0), (1000000, 1)]
+
     def test_global_lift_is_linear_in_r(self):
         # r = d = f = 4000 twist translates of one coordinate: the split tries
         # each candidate once and the lift is built as one tuple per place
@@ -505,8 +533,21 @@ class TestVerify:
         assert "PASS" in out and "FAIL" not in out
 
     def test_unknown_suite(self, capsys):
-        with pytest.raises(KeyError):
-            run_cli(["verify", "--suite", "nope"], None, capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown suite 'nope'" in err
+        assert all(name in err for name in ("all", "satake", "hecke", "reps", "global"))
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("verify_all_seed0", ["--seed", "0"]),
+        ("verify_global_seed19", ["--suite", "global", "--seed", "19"]),
+    ])
+    def test_output_is_byte_identical(self, golden, argv, capsys):
+        code, out = run_cli(["verify", *argv], None, capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"{golden}.out").read_text()
 
 
 NO_SYMPY = """

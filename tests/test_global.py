@@ -92,6 +92,26 @@ class TestGlobalLift:
             for v in places:
                 assert lift.local(v) == delta_map(Pi.local(v))
 
+    def test_coherence_on_cusp_data_decides_as_the_staircases(self):
+        # global_ai_lift compares cuspidal data; the expanded Speh locals must
+        # give the same verdict, on the lift and on a product that repeats
+        # one translate in place of another
+        rng = random.Random(13)
+        verdicts = set()
+        for _ in range(200):
+            d = rng.choice((2, 3, 4, 6))
+            r = rng.choice([x for x in range(1, d + 1) if d % x == 0])
+            places = random_places(rng, d)
+            Pi = random_global_discrete(rng, d, r, places, q=rng.randint(1, 4))
+            lift = global_ai_lift(Pi)
+            for prod in (lift, InducedGlobal(lift.factors[:-1] + lift.factors[:1])):
+                for v in places:
+                    cusp = SatakeParam(tuple(c for f in prod.factors for c in f.cusp_local(v).coords))
+                    verdict = cusp == delta_map(Pi.cusp_local(v))
+                    assert verdict == (prod.local(v) == delta_map(Pi.local(v)))
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
     def test_q_preserved(self):
         Pi = make_discrete(3, 2, 2, [2], q=3)
         assert all(f.q == 3 for f in global_ai_lift(Pi).factors)
