@@ -189,6 +189,19 @@ HANDLERS = {
 }
 
 
+def _int_at_least(floor: int):
+    """An argparse type: an int of at least ``floor``, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() refuses the text
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="autoind",
@@ -200,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb)
         p.add_argument("--input", "-i", default=None, help="JSON file (default stdin)")
         if verb == "fibers":
-            p.add_argument("--max-rank", type=int, default=MAX_FIBER_RANK)
+            p.add_argument("--max-rank", type=_int_at_least(1), default=MAX_FIBER_RANK)
         if verb in ("hecke-ai", "hecke-bc"):
-            p.add_argument("--degree-budget", type=int, default=DEGREE_BUDGET)
+            p.add_argument("--degree-budget", type=_int_at_least(0), default=DEGREE_BUDGET)
     pv = sub.add_parser("verify")
     pv.add_argument("--suite", default="all")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--cases", type=int, default=None)
+    pv.add_argument("--cases", type=_int_at_least(1), default=None)
     return ap
 
 

@@ -29,8 +29,8 @@ class BlocksDiffer(DomainError):
 
 
 class BudgetExceeded(DomainError):
-    """Fiber enumeration past the hard rank cap, or a cyclotomic conductor
-    past ``arith.MAX_CONDUCTOR``."""
+    """Fiber enumeration past the hard rank cap, a cyclotomic conductor past
+    ``arith.MAX_CONDUCTOR``, or an orbit past ``hecke.MAX_ORBIT``."""
 
 
 class DegreeBudget(DomainError):

@@ -12,10 +12,11 @@ evaluation identities:
 Base change is the Adams operation f(z) -> f(z^s), a ring map that is
 monomial in the monomial basis: ``m_lam -> m_{s lam}``.  Only induction goes
 through the power-sum basis, where its rule ``p_k -> s p_{k/s}`` (or 0) is
-monomial.  Only evaluation expands the n! exponent vectors of an orbit:
-m_a * m_b is counted in l(a) + l(b) slots, and p_lam is the integer row R_lam
-of the p -> m transition matrix (Macdonald, Symmetric Functions, I.6) built
-from it.
+monomial.  Only evaluation walks the exponent vectors of an orbit, at most
+``MAX_ORBIT`` of them, and it counts each as an int pair (root index,
+q-numerator): one Cyclo per q-exponent, no Coordinate per vector.  m_a * m_b
+is counted in l(a) + l(b) slots, and p_lam is the integer row R_lam of the
+p -> m transition matrix (Macdonald, Symmetric Functions, I.6) built from it.
 """
 
 from __future__ import annotations
@@ -23,15 +24,18 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Dict, Tuple
 
-from .arith import ONE, Coordinate, QCyclo
-from .errors import DegreeBudget, RankMismatch
+from .arith import Cyclo, QCyclo, _bounded
+from .errors import BudgetExceeded, DegreeBudget, RankMismatch
 from .satake import CyclicAlgebra, SatakeParam, SphericalRepE, _multiset_splits
 
 DEGREE_BUDGET = 12
+# Largest orbit (exponent vectors of one m_lam) that evaluation expands: just
+# above 6! = 720, the most in the 6 variables the seeded suites and bench use.
+MAX_ORBIT = 1_000
 
 ExpVec = Tuple[int, ...]
 
@@ -237,26 +241,43 @@ class SymLaurent:
 # Evaluation
 
 
-def _orbit_sum(coords, exps: ExpVec, base: Coordinate) -> QCyclo:
-    """``base`` times the monomial symmetric function m_exps at ``coords``:
-    the sum of ``base * prod_i coords[i]**p[i]`` over distinct permutations p.
+def _orbit_sum(coords, exps: ExpVec) -> QCyclo:
+    """The monomial symmetric function m_exps at ``coords``: the sum of
+    ``prod_i coords[i]**p[i]`` over the distinct permutations p of exps.
+
+    The coordinates share one zeta denominator N and one q denominator R, so
+    each p counts as the int pair (sum p_i a_i mod N, sum p_i p_i'); the counts
+    at one q-numerator make one Cyclo at the lcm of their reduced orders.
+    Orbits past ``MAX_ORBIT`` raise :class:`BudgetExceeded` before expanding.
     """
-    orbit = []
+    size = _orbit_size(exps)
+    if size > MAX_ORBIT:
+        raise BudgetExceeded(f"orbit of {size} exponent vectors exceeds {MAX_ORBIT}")
+    N, R = lcm(*(c.n for c in coords)), lcm(*(c.r for c in coords))
+    za, qp = [c.a * (N // c.n) for c in coords], [c.p * (R // c.r) for c in coords]
+    by_qexp: Dict[int, Dict[int, int]] = {}
     for p in _perms(exps):
-        v = base
-        for c, e in zip(coords, p):
-            v = v * c**e
-        orbit.append(QCyclo.from_coordinate(v))
-    return QCyclo.sum(orbit)
+        row = by_qexp.setdefault(sum(map(mul, p, qp)), {})
+        a = sum(map(mul, p, za)) % N
+        row[a] = row.get(a, 0) + 1
+    terms = {}
+    for e, row in by_qexp.items():
+        m = _bounded(lcm(*(N // gcd(a, N) for a in row)))
+        v = [0] * m
+        for a, k in row.items():
+            v[a * m // N] = k
+        terms[Fraction(e, R)] = Cyclo(m, v)
+    return QCyclo(terms)
 
 
 def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
-    """Substitute the coordinates of y into f: the trace of the Hecke operator."""
+    """Substitute the coordinates of y into f: the trace of the Hecke operator.
+    The factor ``(z_1 ... z_n)^(-shift)`` lowers every exponent by the shift."""
     if f.nvars != y.rank:
         raise RankMismatch(f"f has {f.nvars} variables, parameter has rank {y.rank}")
-    base = y.central_character() ** (-f.shift)
     return QCyclo.sum(
-        coef * _orbit_sum(y.coords, k, base) for k, coef in f.terms.items()
+        coef * _orbit_sum(y.coords, tuple(e - f.shift for e in k))
+        for k, coef in f.terms.items()
     )
 
 
@@ -405,7 +426,7 @@ class TensorSym:
         for key, coef in self.terms.items():
             acc = base * coef
             for block, chunk in zip(z.blocks, key):
-                acc = acc * _orbit_sum(block.coords, chunk, ONE)
+                acc = acc * _orbit_sum(block.coords, chunk)
             pieces.append(acc)
         return QCyclo.sum(pieces)
 

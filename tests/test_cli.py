@@ -117,6 +117,21 @@ class TestErrors:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize("argv, refused", [
+        (["verify", "--suite", "satake", "--cases", "-3"], "--cases: must be at least 1, got -3"),
+        (["verify", "--cases", "0"], "--cases: must be at least 1, got 0"),
+        (["fibers", "--max-rank", "0"], "--max-rank: must be at least 1, got 0"),
+        (["fibers", "--max-rank", "-1"], "--max-rank: must be at least 1, got -1"),
+        (["hecke-ai", "--degree-budget", "-5"], "--degree-budget: must be at least 0, got -5"),
+        (["hecke-bc", "--degree-budget", "x"], "--degree-budget: invalid int value: 'x'"),
+    ], ids=["cases-negative", "cases-zero", "max-rank-zero", "max-rank-negative",
+            "degree-budget-negative", "degree-budget-not-int"])
+    def test_out_of_range_int_option_is_a_usage_error(self, argv, refused):
+        proc = run_cli_process(argv, {})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: autoind") and refused in proc.stderr
+
 
 class TestHeckeVerbs:
     def test_ai_transfer_example(self, capsys):
@@ -304,9 +319,9 @@ class TestFibers:
     def test_max_rank_applies_to_one_call(self, capsys):
         doc = {
             "direction": "bc",
-            "rep": {"d": 2, "r": 1, "s": 2, "y": [coord(0, 1, 2, 1)]},
+            "rep": {"d": 2, "r": 1, "s": 2, "y": [coord(0, 1, 2, 1), coord(1, 2, 0, 1)]},
         }
-        code, out = run_cli(["fibers", "--max-rank", "0"], doc, capsys)
+        code, out = run_cli(["fibers", "--max-rank", "1"], doc, capsys)
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "BudgetExceeded"
         code, _ = run_cli(["fibers", "--max-rank", "20"], doc, capsys)

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autoind.arith import Coordinate, QCyclo
-from autoind.errors import DegreeBudget, RankMismatch
+from autoind.arith import ONE, Coordinate, QCyclo
+from autoind.errors import BudgetExceeded, DegreeBudget, RankMismatch
 from autoind.hecke import (
     DEGREE_BUDGET,
+    MAX_ORBIT,
     SymLaurent,
     TensorSym,
     ai_transfer,
@@ -77,6 +80,31 @@ def constant_term_reference(f, r):
         if all(tuple(sorted(ch, reverse=True)) == ch for ch in chunks):
             terms[chunks] = terms[chunks] + c if chunks in terms else c
     return TensorSym(r, m, f.shift, terms)
+
+
+def orbit_sum_reference(coords, exps, base):
+    """``base`` times m_exps at ``coords``, element by element: one Coordinate
+    product and one single-term QCyclo per permutation, summed at the end."""
+    orbit = []
+    for p in _perms(exps):
+        v = base
+        for c, e in zip(coords, p):
+            v = v * c**e
+        orbit.append(QCyclo.from_coordinate(v))
+    return QCyclo.sum(orbit)
+
+
+def satake_eval_reference(f, y):
+    base = y.central_character() ** (-f.shift)
+    return QCyclo.sum(coef * orbit_sum_reference(y.coords, k, base) for k, coef in f.terms.items())
+
+
+def tensor_eval_reference(t, z):
+    base = QCyclo.from_coordinate(z.flatten().central_character() ** (-t.shift))
+    return QCyclo.sum(
+        reduce(mul, (orbit_sum_reference(b.coords, ch, ONE) for b, ch in zip(z.blocks, key)), base * coef)
+        for key, coef in t.terms.items()
+    )
 
 
 def random_laurent(rng, n):
@@ -196,6 +224,76 @@ class TestEvaluation:
         y = SatakeParam((coord(0, 1), coord(F(1, 2), 1)))
         # (z1 z2)^(-2) at {q, -q} is (-q^2)^(-2) = q^(-4)
         assert satake_eval(f, y) == qc(coord(0, -4))
+
+
+class TestOrbitKernel:
+    ORDERS = (1, 2, 3, 4, 5, 6, 7, 12, 14, 15, 20, 21, 28, 35, 60, 84, 105, 140, 210, 420)
+    QEXPS = (F(0), F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(-3, 2), F(2, 3), F(-5, 4))
+
+    def random_coords(self, rng, n):
+        """n coordinates with orders dividing 420, often repeated, or n-th roots."""
+        if rng.random() < 0.15:
+            q = rng.choice(self.QEXPS)
+            return tuple(Coordinate.of(F(j, n), q) for j in range(n))
+        pool = [
+            Coordinate.of(F(rng.randrange(k), k), rng.choice(self.QEXPS))
+            for k in rng.choices(self.ORDERS, k=rng.randint(1, n))
+        ]
+        return tuple(rng.choice(pool) for _ in range(n))
+
+    @staticmethod
+    def fields(x):
+        return sorted((e, c.conductor, c.num, c.den) for e, c in x.terms.items())
+
+    def test_kernel_matches_the_element_wise_sum_field_for_field(self):
+        rng = random.Random(53)
+        seen = {"shift": 0, "zero": 0, "repeat": 0, "half": 0, "big": 0}
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            y = SatakeParam(self.random_coords(rng, n))
+            f = random_laurent(rng, n)
+            got, ref = satake_eval(f, y), satake_eval_reference(f, y)
+            assert self.fields(got) == self.fields(ref)
+            for k in f.terms:
+                part = satake_eval(SymLaurent(n, f.shift, {k: f.terms[k]}), y)
+                seen["zero"] += part.is_zero()
+            seen["shift"] += f.shift != 0
+            seen["repeat"] += len(set(y.coords)) < n
+            seen["half"] += any(c.r == 2 and c.p < 0 for c in y.coords)
+            seen["big"] += any(c.conductor >= 105 for c in ref.terms.values())
+        assert all(v > 10 for v in seen.values()), seen
+
+    def test_block_evaluation_matches_the_element_wise_sum(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            r, m = rng.choice(((1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)))
+            z = SphericalRepE(
+                CyclicAlgebra.split(r),
+                tuple(SatakeParam(self.random_coords(rng, m)) for _ in range(r)),
+            )
+            t = constant_term(random_laurent(rng, r * m), r)
+            assert self.fields(t.eval(z)) == self.fields(tensor_eval_reference(t, z))
+
+    def test_orbit_past_the_bound_is_refused_before_it_expands(self):
+        # m_(1^8) in 24 variables has 24! / (8! 16!) = 735471 exponent vectors
+        f = SymLaurent.elementary(24, 8)
+        y = SatakeParam(tuple(coord(F(1, 5)) for _ in range(24)))
+        with pytest.raises(BudgetExceeded, match=f"exceeds {MAX_ORBIT}"):
+            satake_eval(f, y)
+
+    def test_no_coordinate_arithmetic_per_orbit_element(self, monkeypatch):
+        calls = []
+        for name in ("__mul__", "__pow__"):
+            op = getattr(Coordinate, name)
+            monkeypatch.setattr(
+                Coordinate, name, lambda a, b, op=op: calls.append(1) or op(a, b)
+            )
+        y = SatakeParam(tuple(coord(F(1, k), F(k, 2)) for k in range(1, 7)))
+        f = SymLaurent.monomial(6, (5, 4, 3, 2, 1))  # 6! = 720 exponent vectors
+        assert satake_eval(f, y) == satake_eval_reference(f, y)
+        calls.clear()
+        satake_eval(f, y)
+        assert len(calls) <= y.rank
 
 
 class TestPowerSums:
