@@ -17,11 +17,11 @@ separation searches the Galois translates, which act at v modulo e_v.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import lcm
 from typing import Dict, Optional, Tuple
 
-from .arith import Coordinate, primitive_root
+from .arith import Coordinate, json_int, primitive_root
 from .errors import (
     BadOrbit,
     HypothesisViolated,
@@ -34,6 +34,7 @@ from .satake import (
     SatakeParam,
     SphericalRepE,
     check_ia_bc_compat,
+    check_parts,
     delta_map,
     param_of_unramified_character,
     twist_split,
@@ -67,6 +68,12 @@ class Place:
 
     def to_json(self):
         return {"label": self.label, "f": self.f}
+
+    @classmethod
+    def all_from_json(cls, doc) -> Tuple[int, Tuple["Place", ...]]:
+        """d and the places of a global document ``{"d": d, "places": [..]}``."""
+        d = json_int(doc["d"], "d")
+        return d, tuple(cls(p["label"], d, json_int(p["f"], "f")) for p in doc["places"])
 
 
 def _staircase(y: SatakeParam, q: int, qscale: int) -> SatakeParam:
@@ -182,6 +189,37 @@ class GlobalDiscrete:
     def __hash__(self):
         raise TypeError("GlobalDiscrete is not hashable")
 
+    def to_json(self):
+        key = "blocks" if self.side == "E" else "coords"
+        return {
+            "label": self.label,
+            "side": self.side,
+            "q": self.q,
+            "translate": self.translate,
+            "r" if self.side == "E" else "x": self.orbit,
+            "locals": {v.label: {key: self.cusp_locals[v.label].to_json()[key]} for v in self.places},
+        }
+
+    @classmethod
+    def from_json(cls, doc, d: int, places: Tuple[Place, ...]) -> "GlobalDiscrete":
+        """The datum over the places of its global document; ``locals`` holds
+        the cuspidal ``blocks`` (side E) or ``coords`` (side F) at each place."""
+        side = doc.get("side", "E")
+        orbit = json_int(doc["r"], "r") if "r" in doc else json_int(doc["x"], "x")
+        locals_ = {}
+        for v in places:
+            raw = doc["locals"][v.label]
+            if side == "E":
+                blocks = tuple(
+                    SatakeParam(tuple(Coordinate.from_json(c) for c in b)) for b in raw["blocks"]
+                )
+                locals_[v.label] = SphericalRepE(v.algebra, blocks)
+            else:
+                locals_[v.label] = SatakeParam.from_json(raw)
+        q = json_int(doc.get("q", 1), "q")
+        translate = json_int(doc.get("translate", 0), "translate")
+        return cls(doc["label"], side, d, orbit, q, places, locals_, translate)
+
 
 @dataclass(frozen=True)
 class InducedGlobal:
@@ -219,6 +257,21 @@ class InducedGlobal:
         )
         return SphericalRepE(v.algebra, blocks)
 
+    def to_json(self):
+        return {
+            "d": self.factors[0].d,
+            "places": [v.to_json() for v in self.places],
+            "factors": [f.to_json() for f in self.factors],
+        }
+
+    @classmethod
+    def isotypic_from_json(cls, doc, d: int, places: Tuple[Place, ...]) -> "InducedGlobal":
+        """Delta^l from ``{"rep": Delta, "l": l}``; l is 1 when absent."""
+        rep = GlobalDiscrete.from_json(doc["rep"], d, places)
+        l = json_int(doc.get("l", 1), "l")
+        check_parts(l, "factors")
+        return cls((rep,) * l)
+
 
 # ---------------------------------------------------------------------------
 # Global lifting
@@ -236,6 +289,7 @@ def global_ai_lift(Pi: GlobalDiscrete) -> InducedGlobal:
     if Pi.side != "E":
         raise ShapeError("global lift is defined on E-side data")
     r = Pi.orbit
+    check_parts(r, "factors")
     cusp_locals: Dict[str, SatakeParam] = {}
     for v in Pi.places:
         lifted = delta_map(Pi.cusp_local(v))
@@ -325,6 +379,9 @@ class Verdict:
     distinct: bool
     l: Optional[int] = None
     gamma: Optional[int] = None
+
+    def to_json(self):
+        return asdict(self)
 
 
 def separate(Pi: InducedGlobal, Pi_p: InducedGlobal) -> Verdict:

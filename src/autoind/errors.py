@@ -30,7 +30,8 @@ class BlocksDiffer(DomainError):
 
 class BudgetExceeded(DomainError):
     """Fiber enumeration past the hard rank cap, a cyclotomic conductor past
-    ``arith.MAX_CONDUCTOR``, or an orbit past ``hecke.MAX_ORBIT``."""
+    ``arith.MAX_CONDUCTOR``, an orbit past ``hecke.MAX_ORBIT``, or more
+    coordinates, blocks or factors than ``satake.MAX_PARTS``."""
 
 
 class DegreeBudget(DomainError):

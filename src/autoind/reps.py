@@ -22,12 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Optional, Tuple
 
 from .arith import Coordinate, json_fraction, json_int, primitive_root
 from .errors import BadOrbit, NoProvenance, NotUnramified, ShapeError
-from .satake import CyclicAlgebra, SatakeParam, SphericalRepE, param_of_unramified_character
+from .satake import (
+    MAX_PARTS,
+    CyclicAlgebra,
+    SatakeParam,
+    SphericalRepE,
+    check_parts,
+    param_of_unramified_character,
+)
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,7 @@ class Speh:
     def translated(self, j: int) -> "Speh":
         return replace(self, base=replace(self.base, translate=self.base.translate + j))
 
-    def lift(self) -> tuple:
+    def lift(self):
         """The r twist-translates of the same Speh datum over the paired atom."""
         b = self.base
         return _translates(b.atom, lambda a, i: replace(self, base=replace(b, atom=a, translate=i)))
@@ -198,8 +205,8 @@ class TwistedPair:
     def translated(self, j: int) -> "TwistedPair":
         return replace(self, base=self.base.translated(j))
 
-    def lift(self) -> tuple:
-        return tuple(f for half in self._halves() for f in half.lift())
+    def lift(self):
+        return (f for half in self._halves() for f in half.lift())
 
     def is_generic(self) -> bool:
         return self.base.is_generic()
@@ -251,7 +258,7 @@ class Elliptic:
     def translated(self, j: int) -> "Elliptic":
         return replace(self, translate=self.translate + j)
 
-    def lift(self) -> tuple:
+    def lift(self):
         """Same composition over the paired atom.
 
         The Levi block sizes multiply by g through the atom size, so the
@@ -329,8 +336,8 @@ def pair_atom(atom: CuspidalAtom) -> CuspidalAtom:
 # Lifting maps
 
 
-def _translates(atom: CuspidalAtom, make) -> tuple:
-    """The r factors ``make(atomF, i)``, i < r, over the paired atom atomF.
+def _translates(atom: CuspidalAtom, make):
+    """The r factors ``make(atomF, i)``, i < r, over the paired atom atomF, lazily.
 
     The translate index of the source is dropped: Galois translates share a
     lift, which is what makes the fibers Galois orbits.
@@ -338,13 +345,16 @@ def _translates(atom: CuspidalAtom, make) -> tuple:
     if atom.side != "E":
         raise ShapeError("lifting is defined on E-side data")
     atomF = pair_atom(atom)
-    return tuple(make(atomF, i) for i in range(atom.orbit))
+    return (make(atomF, i) for i in range(atom.orbit))
 
 
 def lift_unitary(tau) -> Product:
     """Factorwise lift of a unitary product (or a single factor); preserves
-    genericity."""
-    return Product(tuple(f for factor in _factors(tau) for f in factor.lift()))
+    genericity.  The factors come lazily, so a lift of more than ``MAX_PARTS``
+    factors is refused after building one more than that."""
+    lifted = tuple(islice((f for x in _factors(tau) for f in x.lift()), MAX_PARTS + 1))
+    check_parts(len(lifted), "factors")
+    return Product(lifted)
 
 
 # ---------------------------------------------------------------------------

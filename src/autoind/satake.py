@@ -10,7 +10,8 @@ All maps here are the parameter-level (weak-lift) versions; fibers are
 computed constructively and are exponential in the rank, so a rank cap
 (``max_rank``, 12 by default) and a cap on the number of members
 (``MAX_FIBER_SIZE``, checked before any member is built) protect against
-runaway enumeration.
+runaway enumeration.  The maps that build one coordinate, block or factor
+per unit of a number in their input (d, r or l) check ``MAX_PARTS`` first.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ MAX_FIBER_RANK = 12
 # Most members a fiber may have, checked before enumeration.  It lies above
 # 64, the largest fiber the seeded suites and the lift-global benchmark reach.
 MAX_FIBER_SIZE = 100
+# Most coordinates, blocks or factors one call may build, checked before it
+# builds them.  It lies above 4000, the largest count the seeded suites, the
+# benchmark streams and the tests reach.
+MAX_PARTS = 5_000
+
+
+def check_parts(count: int, what: str) -> None:
+    """Refuse a call that would build more than ``MAX_PARTS`` parts."""
+    if count > MAX_PARTS:
+        raise BudgetExceeded(f"more than {MAX_PARTS} {what}")
 
 
 @dataclass(frozen=True)
@@ -149,12 +160,20 @@ class SphericalRepE:
 
     @classmethod
     def from_json(cls, doc) -> "SphericalRepE":
-        alg = CyclicAlgebra.from_json(doc["algebra"])
-        blocks = tuple(
-            SatakeParam(tuple(Coordinate.from_json(c) for c in b))
-            for b in doc["blocks"]
-        )
-        return cls(alg, blocks)
+        """The full schema, or the flat ``{d, r, s, zeta?, y}``: y cut into r blocks."""
+        if "blocks" in doc:
+            alg = CyclicAlgebra.from_json(doc["algebra"])
+            blocks = tuple(
+                SatakeParam(tuple(Coordinate.from_json(c) for c in b)) for b in doc["blocks"]
+            )
+            return cls(alg, blocks)
+        alg = CyclicAlgebra.from_json(doc)
+        y = tuple(Coordinate.from_json(c) for c in doc["y"])
+        if len(y) % alg.r:
+            raise ValueError("coordinate count must be divisible by r")
+        check_parts(alg.r, "blocks")
+        m = len(y) // alg.r
+        return cls(alg, tuple(SatakeParam(y[i * m : (i + 1) * m]) for i in range(alg.r)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +212,7 @@ def delta_map(y: SphericalRepE) -> SatakeParam:
     ``{zeta^j t_i : 0 <= j < s}``.  Independent of root choice and block order.
     """
     alg = y.algebra
+    check_parts(alg.d * max(y.block_rank, 1), "coordinates")
     t = [c.root(alg.s) for c in y.flatten().coords]
     out = []
     for j in range(alg.s):
@@ -257,8 +277,8 @@ def _multiset_splits(items: tuple, r: int, size: int):
     extends to a split, so each split comes once and the work grows with the
     number of splits taken.
     """
-    if r == 1:
-        yield (items,)
+    if r == 1 or not items:  # an empty pool would recurse once per block
+        yield (items,) * r
         return
     pool = Counter(items)
     for head in _sub_multisets(tuple(pool.values()), size):
@@ -290,6 +310,7 @@ def ai_fiber(
         raise RankMismatch(f"rank {pi.rank} not divisible by d={alg.d}")
     if pi.rank > max_rank:
         raise BudgetExceeded(f"rank {pi.rank} exceeds fiber cap {max_rank}")
+    check_parts(alg.r, "blocks")
     reps = twist_split(pi, alg.zeta, alg.s)
     if reps is None:
         raise NotStable("parameter is not stable under the zeta twist")
@@ -305,6 +326,7 @@ def ai_fiber(
 
 def bc_map(y: SatakeParam, algebra: CyclicAlgebra) -> SphericalRepE:
     """sigma-lift of pi_y: every block is the coordinatewise s-th power of y."""
+    check_parts(algebra.r * max(y.rank, 1), "coordinates")
     block = y.power(algebra.s)
     return SphericalRepE(algebra, (block,) * algebra.r)
 
@@ -326,9 +348,9 @@ def bc_fiber(z: SphericalRepE, max_rank: int = MAX_FIBER_RANK) -> set[SatakePara
         raise BudgetExceeded(f"rank {block.rank} exceeds fiber cap {max_rank}")
     counts = Counter(block.coords)
     _check_fiber_size(prod(comb(k + alg.s - 1, k) for k in counts.values()))
-    mu = [primitive_root(alg.s) ** j for j in range(alg.s)]
+    zeta = primitive_root(alg.s)
     picks = [
-        combinations_with_replacement([z_j * c.root(alg.s) for z_j in mu], k)
+        combinations_with_replacement([zeta**j * c.root(alg.s) for j in range(alg.s)], k)
         for c, k in counts.items()
     ]
     return {SatakeParam(sum(choice, ())) for choice in product(*picks)}

@@ -10,9 +10,9 @@ import pytest
 
 import autoind
 from autoind.arith import Coordinate
-from autoind.cli import HANDLERS, build_parser, main
+from autoind.cli import VERBS, build_parser, main
 from autoind.errors import BudgetExceeded
-from autoind.satake import CyclicAlgebra, SatakeParam, ai_fiber
+from autoind.satake import MAX_PARTS, CyclicAlgebra, SatakeParam, ai_fiber
 
 
 def run_cli(argv, stdin_doc=None, capsys=None):
@@ -29,10 +29,12 @@ def run_cli(argv, stdin_doc=None, capsys=None):
 
 
 def run_cli_process(argv, doc, timeout=10):
-    """Run the CLI in a fresh interpreter that is killed after ``timeout`` s."""
+    """Run the CLI in a fresh interpreter that is killed after ``timeout`` s;
+    a str ``doc`` is sent as it is."""
     env = dict(os.environ, PYTHONPATH=str(Path(autoind.__file__).resolve().parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "autoind.cli", *argv], input=json.dumps(doc),
+        [sys.executable, "-m", "autoind.cli", *argv],
+        input=doc if isinstance(doc, str) else json.dumps(doc),
         capture_output=True, text=True, env=env, timeout=timeout,
     )
 
@@ -98,7 +100,7 @@ class TestErrors:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "BadInput"
 
-    @pytest.mark.parametrize("verb", sorted(HANDLERS))
+    @pytest.mark.parametrize("verb", sorted(VERBS))
     def test_non_object_exit_1(self, verb, capsys):
         code, out = run_cli([verb], [], capsys)
         assert code == 1
@@ -108,6 +110,17 @@ class TestErrors:
         code, out = run_cli(["lift-unitary"], {"tau": []}, capsys)
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "BadInput"
+
+    @pytest.mark.parametrize("text", [
+        "[" * 1000 + "]" * 1000,
+        '{"d": 2, "r": 1, "s": 2, "y": ' + "[" * 1000 + "]" * 1000 + "}",
+    ], ids=["bare", "in-object"])
+    def test_deeply_nested_json_is_bad_input(self, text):
+        # json.load raises RecursionError at about 1000 levels; it used to
+        # end in a traceback with no JSON body
+        proc = run_cli_process(["lift-spherical"], text)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["error"]["kind"] == "BadInput"
 
     @pytest.mark.parametrize(
         "argv",
@@ -596,3 +609,67 @@ assert "autoind.verify" not in sys.modules, "autoind.verify was imported"
 def test_compute_verbs_do_not_import_verify():
     env = dict(os.environ, PYTHONPATH=str(Path(autoind.__file__).resolve().parents[1]))
     subprocess.run([sys.executable, "-c", NO_VERIFY], env=env, check=True, timeout=120)
+
+
+LAYERS = {"autoind", "autoind.cli", "autoind.errors", "autoind.arith", "autoind.satake"}
+EXTRA_LAYERS = {
+    "lift-spherical": set(), "bc-spherical": set(), "fibers": set(),
+    "hecke-ai": {"autoind.hecke"}, "hecke-bc": {"autoind.hecke"},
+    "lift-unitary": {"autoind.reps"}, "lift-elliptic": {"autoind.reps"},
+    "global-lift": {"autoind.adelic"}, "separate": {"autoind.adelic"},
+}
+IMPORTS = """
+import sys
+from autoind.cli import main
+main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "autoind")), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("verb", EXTRA_LAYERS)
+def test_each_verb_imports_only_its_layers(verb):
+    doc = min(GOLDEN.glob(f"{verb}_*.json"))
+    env = dict(os.environ, PYTHONPATH=str(Path(autoind.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", IMPORTS, verb, "--input", str(doc)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout == doc.with_suffix(".out").read_text()
+    assert set(proc.stderr.split()) == LAYERS | EXTRA_LAYERS[verb]
+
+
+ATOM_1E6 = {"id": "a", "side": "E", "size": 1, "d": 10**6, "r": 10**6}
+
+
+@pytest.mark.parametrize("verb, doc", [
+    ("lift-spherical", {"d": 10**6, "r": 1, "s": 10**6, "y": [coord(1, 3, 1, 1)]}),
+    ("lift-spherical", {"d": 10**6, "r": 1, "s": 10**6, "y": []}),
+    ("bc-spherical", {"algebra": {"d": 10**6, "r": 10**6, "s": 1}, "y": [coord(1, 3, 1, 1)]}),
+    ("fibers", {"direction": "ai", "algebra": {"d": 10**6, "r": 10**6, "s": 1},
+                "param": {"coords": []}}),
+    ("lift-unitary", {"tau": {"kind": "speh", "atom": ATOM_1E6, "k": 1, "q": 1}}),
+    ("lift-elliptic", {"elliptic": {"kind": "elliptic", "atom": ATOM_1E6, "k": 1, "levi": [1]}}),
+    ("global-lift", {"d": 10**6, "places": [{"label": "v", "f": 10**6}],
+                     "rep": {"label": "L", "r": 10**6, "q": 1,
+                             "locals": {"v": {"blocks": [[coord(1, 3, 1, 1)]]}}}}),
+    ("separate", {"d": 2, "places": GLOBAL["places"], "pi": {"rep": GLOBAL["rep"], "l": 10**6},
+                  "pi_prime": {"rep": GLOBAL["rep"], "l": 10**6}}),
+], ids=["lift-spherical", "lift-spherical-rank0", "bc-spherical", "fibers-rank0",
+        "lift-unitary", "lift-elliptic", "global-lift", "separate"])
+def test_parts_are_bounded_before_they_are_built(verb, doc):
+    # a document of under 200 bytes asked for 10^6 coordinates, blocks or
+    # factors: the work ran past 10 s, and fibers ended in a RecursionError
+    proc = run_cli_process([verb], doc)
+    assert proc.returncode == 2, proc.stderr
+    got = json.loads(proc.stdout)["error"]
+    assert got["kind"] == "BudgetExceeded" and f"more than {MAX_PARTS}" in got["detail"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"direction": "ai", "algebra": {"d": 2000, "r": 2000, "s": 1}, "param": {"coords": []}},
+    {"direction": "bc", "rep": {"d": 10**7, "r": 1, "s": 10**7, "y": []}},
+], ids=["ai-split2000", "bc-field1e7"])
+def test_rank_zero_fiber_is_one_member(doc):
+    # the ai split used to recurse once per block, the bc fiber to build all
+    # s roots of unity before it looked at the (empty) block
+    proc = run_cli_process(["fibers"], doc)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 1

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -20,6 +21,13 @@ from autoind.satake import (
     param_of_unramified_character,
     twist_split,
     x_of,
+)
+from autoind.verify import (
+    _brute_ai_fiber,
+    _brute_bc_fiber,
+    random_algebra,
+    random_coordinate,
+    random_spherical,
 )
 
 
@@ -262,6 +270,46 @@ class TestGaloisAction:
         alg = CyclicAlgebra(4, 2, 2)
         y = rep(alg, [coord(F(1, 3), 1)], [coord(0, -1)])
         assert SphericalRepE.from_json(y.to_json()) == y
+
+
+def _off_image(rng, coords):
+    """coords with one entry redrawn, or all of them."""
+    out = list(coords)
+    if rng.random() < 0.5:
+        out[rng.randrange(len(out))] = random_coordinate(rng, 8)
+    else:
+        out = [random_coordinate(rng, 8) for _ in out]
+    return tuple(out)
+
+
+def test_fibers_refuse_exactly_the_parameters_off_the_image():
+    # parameters of the images of delta_map and bc_map, moved off them: the
+    # fiber raises NotStable / BlocksDiffer exactly when the brute-force
+    # fiber is empty, and is that fiber otherwise
+    rng = random.Random(2024)
+    seen = Counter()
+    for i in range(400):
+        alg = random_algebra(rng, rng.choice((2, 3, 4)))
+        if i % 2 == 0:
+            m = max(1, min(rng.randint(1, 2), 4 // alg.d))
+            pi = SatakeParam(_off_image(rng, delta_map(random_spherical(rng, alg, m, 8)).coords))
+            brute, refused, fiber = _brute_ai_fiber(pi, alg), NotStable, ai_fiber
+            args = (pi, alg)
+        else:
+            y = SatakeParam(tuple(random_coordinate(rng, 8) for _ in range(rng.randint(1, 3))))
+            blocks = list(bc_map(y, alg).blocks)
+            j = rng.randrange(alg.r)
+            blocks[j] = SatakeParam(_off_image(rng, blocks[j].coords))
+            z = SphericalRepE(alg, tuple(blocks))
+            brute, refused, fiber = _brute_bc_fiber(z), BlocksDiffer, bc_fiber
+            args = (z,)
+        seen[fiber.__name__, bool(brute)] += 1
+        if brute:
+            assert fiber(*args) == brute
+        else:
+            with pytest.raises(refused):
+                fiber(*args)
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
 
 
 coords_st = st.builds(
