@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from math import lcm
+from itertools import islice
+from math import gcd
 from typing import Dict, Optional, Tuple
 
 from .arith import Coordinate, json_int, primitive_root
@@ -391,8 +392,11 @@ def separate(Pi: InducedGlobal, Pi_p: InducedGlobal) -> Verdict:
     is the translate search alone: not distinct exactly when l = l', q = q'
     and some sigma^gamma Delta (gamma least) has the cuspidal data of Delta'
     at every place.  Equal lifts follow, as the lifting map flattens rotated
-    blocks.  sigma^gamma acts at v through gamma mod e_v, so gamma < lcm(e_v).
-    The Euler-factor identity is checked apart, by ``verify.crit9_lemma46``.
+    blocks.  sigma^gamma acts at v through gamma mod e_v, and the gammas that
+    match at v form a coset j_v + P_v Z, P_v the period of the blocks there,
+    found in at most e_v rotations; the least gamma solves the congruences
+    gamma = j_v mod P_v.  The Euler-factor identity is checked apart, by
+    ``verify.crit9_lemma46``.
     """
     for p in (Pi, Pi_p):
         if p.side != "E":
@@ -405,11 +409,27 @@ def separate(Pi: InducedGlobal, Pi_p: InducedGlobal) -> Verdict:
     l = len(Pi.factors)
     if l != len(Pi_p.factors) or delta.q != delta_p.q:
         return Verdict(distinct=True)
-    for j in range(lcm(*(v.e for v in Pi.places))):
-        cand = delta.translated(j)
-        if all(cand.cusp_local(v) == delta_p.cusp_local(v) for v in Pi.places):
-            return Verdict(distinct=False, l=l, gamma=j)
-    return Verdict(distinct=True)
+    gamma, modulus = 0, 1
+    for v in Pi.places:
+        z, target = delta.cusp_local(v), delta_p.cusp_local(v)
+        hits = list(islice((j for j in range(v.e) if z.rotate(j) == target), 2))
+        if not hits:
+            return Verdict(distinct=True)
+        period = hits[1] - hits[0] if len(hits) == 2 else v.e
+        gamma, modulus = _crt(gamma, modulus, hits[0], period)
+        if gamma is None:
+            return Verdict(distinct=True)
+    return Verdict(distinct=False, l=l, gamma=gamma)
+
+
+def _crt(a: int, m: int, b: int, n: int):
+    """The least x >= 0 with x = a mod m and x = b mod n, and lcm(m, n); x is
+    None when the two congruences have no common solution."""
+    g = gcd(m, n)
+    if (b - a) % g:
+        return None, None
+    t = (b - a) // g * pow(m // g, -1, n // g) % (n // g)
+    return a + m * t, m * (n // g)
 
 
 # ---------------------------------------------------------------------------

@@ -209,8 +209,9 @@ class Cyclo:
     and ``den`` a positive int with gcd(num, den) = 1: one representation per
     element and conductor.  The constructor takes ints or rationals of any
     length over ``den`` and reduces them.  No minimal-conductor normal form:
-    mixed-conductor operations lift to the lcm of the conductors, and
-    equality is a zero test of the difference.  A conductor above
+    mixed-conductor operations lift to the lcm of the conductors.  Equality
+    compares ``num`` and ``den`` at one conductor, and is a zero test of the
+    difference across two.  A conductor above
     ``MAX_CONDUCTOR`` raises :class:`BudgetExceeded` before any allocation.
     """
 
@@ -276,6 +277,8 @@ class Cyclo:
     def __eq__(self, other):
         if not isinstance(other, Cyclo):
             return NotImplemented
+        if self.conductor == other.conductor:  # one representation per conductor
+            return self.num == other.num and self.den == other.den
         return (self - other).is_zero()
 
     __hash__ = None  # no canonical conductor
@@ -308,7 +311,7 @@ class QCyclo:
     """Finite map from rational q-exponents to cyclotomic coefficients.
 
     The exact evaluation ring for Satake transforms, closed under the ring
-    operations; the zero test reduces every coefficient mod its Phi_N.
+    operations; zero coefficients are dropped, so zero is the empty map.
     """
 
     __slots__ = ("terms",)
@@ -353,7 +356,9 @@ class QCyclo:
     def __eq__(self, other):
         if not isinstance(other, QCyclo):
             return NotImplemented
-        return (self - other).is_zero()
+        # no zero terms are kept and q is transcendental: the same exponents,
+        # then equal coefficients at each
+        return self.terms == other.terms
 
     __hash__ = None
 

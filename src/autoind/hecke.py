@@ -14,9 +14,11 @@ monomial in the monomial basis: ``m_lam -> m_{s lam}``.  Only induction goes
 through the power-sum basis, where its rule ``p_k -> s p_{k/s}`` (or 0) is
 monomial.  Only evaluation walks the exponent vectors of an orbit, at most
 ``MAX_ORBIT`` of them, and it counts each as an int pair (root index,
-q-numerator): one Cyclo per q-exponent, no Coordinate per vector.  m_a * m_b
-is counted in l(a) + l(b) slots, and p_lam is the integer row R_lam of the
-p -> m transition matrix (Macdonald, Symmetric Functions, I.6) built from it.
+q-numerator), with no Coordinate per vector; ``satake_eval`` adds the
+coefficient-times-row products into one int vector per q-exponent and
+reduces each once.  m_a * m_b is counted in l(a) + l(b) slots, and p_lam
+is the integer row R_lam of the p -> m transition matrix (Macdonald,
+Symmetric Functions, I.6) built from it.
 """
 
 from __future__ import annotations
@@ -241,44 +243,83 @@ class SymLaurent:
 # Evaluation
 
 
-def _orbit_sum(coords, exps: ExpVec) -> QCyclo:
-    """The monomial symmetric function m_exps at ``coords``: the sum of
-    ``prod_i coords[i]**p[i]`` over the distinct permutations p of exps.
-
-    The coordinates share one zeta denominator N and one q denominator R, so
-    each p counts as the int pair (sum p_i a_i mod N, sum p_i p_i'); the counts
-    at one q-numerator make one Cyclo at the lcm of their reduced orders.
-    Orbits past ``MAX_ORBIT`` raise :class:`BudgetExceeded` before expanding.
+def _orbit_rows(coords, exps: ExpVec, N: int, R: int) -> Dict[int, Dict[int, int]]:
+    """m_exps at ``coords`` as int counts ``{q-numerator over R: {root index
+    mod N: count}}``, one count per distinct permutation of exps; N and R are
+    common multiples of the coordinates' zeta and q denominators.  Orbits
+    past ``MAX_ORBIT`` raise :class:`BudgetExceeded` before expanding.
     """
     size = _orbit_size(exps)
     if size > MAX_ORBIT:
         raise BudgetExceeded(f"orbit of {size} exponent vectors exceeds {MAX_ORBIT}")
-    N, R = lcm(*(c.n for c in coords)), lcm(*(c.r for c in coords))
     za, qp = [c.a * (N // c.n) for c in coords], [c.p * (R // c.r) for c in coords]
-    by_qexp: Dict[int, Dict[int, int]] = {}
+    rows: Dict[int, Dict[int, int]] = {}
     for p in _perms(exps):
-        row = by_qexp.setdefault(sum(map(mul, p, qp)), {})
+        row = rows.setdefault(sum(map(mul, p, qp)), {})
         a = sum(map(mul, p, za)) % N
         row[a] = row.get(a, 0) + 1
-    terms = {}
-    for e, row in by_qexp.items():
-        m = _bounded(lcm(*(N // gcd(a, N) for a in row)))
-        v = [0] * m
-        for a, k in row.items():
-            v[a * m // N] = k
-        terms[Fraction(e, R)] = Cyclo(m, v)
-    return QCyclo(terms)
+    return rows
+
+
+def _row_order(row: Dict[int, int], N: int) -> int:
+    """The lcm of the reduced orders N / gcd(a, N) of a row's root indices."""
+    return lcm(*(N // gcd(a, N) for a in row))
+
+
+def _row_cyclo(row: Dict[int, int], N: int, m: int) -> Cyclo:
+    """The row as one Cyclo at its order m."""
+    v = [0] * _bounded(m)
+    for a, k in row.items():
+        v[a * m // N] = k
+    return Cyclo(m, v)
+
+
+def _orbit_sum(coords, exps: ExpVec) -> QCyclo:
+    """m_exps at ``coords``: one Cyclo per q-exponent, at its row's order."""
+    N, R = lcm(*(c.n for c in coords)), lcm(*(c.r for c in coords))
+    rows = _orbit_rows(coords, exps, N, R).items()
+    return QCyclo({Fraction(e, R): _row_cyclo(row, N, _row_order(row, N)) for e, row in rows})
 
 
 def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
     """Substitute the coordinates of y into f: the trace of the Hecke operator.
-    The factor ``(z_1 ... z_n)^(-shift)`` lowers every exponent by the shift."""
+    The factor ``(z_1 ... z_n)^(-shift)`` lowers every exponent by the shift.
+
+    Each product of a coefficient term and an orbit row is added, as ints over
+    one denominator, into one vector per output q-exponent, reduced once by one
+    Cyclo at C_e: the lcm of the conductors and row orders that meet q^e over
+    the nonzero rows, as when each product was reduced apart.  Only a row of
+    several roots can vanish; it is reduced once, as a zero test.
+    """
     if f.nvars != y.rank:
         raise RankMismatch(f"f has {f.nvars} variables, parameter has rank {y.rank}")
-    return QCyclo.sum(
-        coef * _orbit_sum(y.coords, tuple(e - f.shift for e in k))
-        for k, coef in f.terms.items()
-    )
+    coords = y.coords
+    N = lcm(*(c.n for c in coords))
+    R = lcm(*(c.r for c in coords), *(e.denominator for c in f.terms.values() for e in c.terms))
+    spread: Dict[int, list] = {}
+    for k, coef in f.terms.items():
+        cterms = [(e.numerator * (R // e.denominator), c) for e, c in coef.terms.items()]
+        for t, row in _orbit_rows(coords, tuple(e - f.shift for e in k), N, R).items():
+            m = _row_order(row, N)
+            if len(row) > 1 and _row_cyclo(row, N, m).is_zero():
+                continue
+            for e, c in cterms:
+                spread.setdefault(e + t, []).append((c, row, m))
+    terms = {}
+    for e, parts in spread.items():
+        M = _bounded(lcm(*(lcm(c.conductor, m) for c, _, m in parts)))
+        den = lcm(*(c.den for c, _, _ in parts))
+        acc = [0] * M
+        for c, row, _ in parts:
+            step, k = M // c.conductor, den // c.den
+            roots = [(a * M // N, h * k) for a, h in row.items()]
+            for i, x in enumerate(c.num):
+                if x:
+                    i *= step
+                    for b, h in roots:
+                        acc[(i + b) % M] += x * h
+        terms[Fraction(e, R)] = Cyclo(M, acc, den)
+    return QCyclo(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,49 @@ def test_negation_scaling_and_lift(a, r, k):
     assert lifted.coeffs == schoolbook_mod(spread, m)
 
 
+qcyclos = st.dictionaries(st.sampled_from((F(0), F(1, 2), F(-1))), cyclos, max_size=3).map(QCyclo)
+
+
+@given(cyclos, cyclos, st.sampled_from((1, 2, 3)))
+def test_equality_agrees_with_the_zero_test(a, b, k):
+    twin = Cyclo.sum((a, Cyclo(a.conductor * k, ())))  # a, at k times its conductor
+    other = Cyclo(a.conductor, b.coeffs)  # b's coefficients at a's conductor
+    half = a.scale(F(1, 2))  # often a's numerators over another denominator
+    for x, y in ((a, b), (a, twin), (a, other), (b, twin), (a, half)):
+        assert (x == y) == (x - y).is_zero() == (y == x)
+    assert a == twin
+
+
+@given(qcyclos, qcyclos, cyclos)
+def test_qcyclo_equality_agrees_with_the_zero_test(x, y, c):
+    z = x + QCyclo({F(1, 2): c})
+    for u, w in ((x, y), (x, z), (z, x + QCyclo({F(1, 2): Cyclo.sum((c, Cyclo(6, ())))}))):
+        assert (u == w) == (u - w).is_zero() == (w == u)
+
+
+def test_equal_conductors_compare_without_subtracting(monkeypatch):
+    calls = []
+    for cls in (Cyclo, QCyclo):
+        for name in ("__sub__", "__neg__"):
+            op = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *a, op=op: calls.append(1) or op(*a))
+    a, b = Cyclo(12, [1, 2, 3]), Cyclo(12, [F(1, 2), 5])
+    assert a == Cyclo(12, [1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]) and a != b
+    assert a != Cyclo(12, [F(1, 2), 1, F(3, 2)])  # the same numerators over 2
+    x = QCyclo({F(1, 2): a, F(0): b})
+    assert x == QCyclo({F(0): b, F(1, 2): Cyclo(12, [1, 2, 3])})
+    assert x != QCyclo({F(0): a, F(1, 2): b})
+    assert not calls
+
+
+def test_different_exponents_compare_unequal():
+    one, z = Cyclo.rational(1), Cyclo.root_of_unity(1, 3)
+    x = QCyclo({F(0): one, F(1, 2): z})
+    fewer, moved, more = ({F(0): one}, {F(0): one, F(1): z}, {F(0): one, F(1, 2): z, F(1): z})
+    for y in map(QCyclo, (fewer, moved, more)):
+        assert x != y and y != x
+
+
 def test_fold_and_bad_conductor():
     assert Cyclo(5, [0] * 5 + [1]) == Cyclo.rational(1)
     assert Cyclo(4, [F(1, 2)] * 12).is_zero()

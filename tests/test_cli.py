@@ -523,6 +523,33 @@ class TestGlobalVerbs:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"distinct": False, "l": 2, "gamma": 0}
 
+    @pytest.mark.parametrize("case", ["no-match", "translate"])
+    def test_separate_is_bounded_by_the_block_counts_not_their_lcm(self, case):
+        # eight places with e = 2, 3, 5, ..., 19: lcm(e_v) = d = 9699690
+        # translates, of which the last place rules out every one, or a
+        # translate by gamma = 1234567 that only the congruences find at once
+        es = (2, 3, 5, 7, 11, 13, 17, 19)
+        d, gamma = 9699690, 1234567
+        places = [{"label": f"p{e}", "f": d // e} for e in es]
+
+        def rep(moved):
+            blocks = {f"p{e}": [[coord(k, e, 0, 1)] for k in range(e)] for e in es}
+            if moved:
+                blocks = {v: b[gamma % len(b):] + b[:gamma % len(b)] for v, b in blocks.items()}
+            if case == "no-match" and moved:
+                b = blocks["p19"]
+                b[0], b[1] = b[1], b[0]
+            locals_ = {v: {"blocks": b} for v, b in blocks.items()}
+            return {"label": "A", "r": 1, "q": 1, "locals": locals_}
+
+        doc = {"d": d, "places": places, "pi": {"rep": rep(False)}, "pi_prime": {"rep": rep(True)}}
+        proc = run_cli_process(["separate"], doc)
+        assert proc.returncode == 0, proc.stderr
+        expect = {"distinct": True, "l": None, "gamma": None}
+        if case == "translate":
+            expect = {"distinct": False, "l": 1, "gamma": gamma}
+        assert json.loads(proc.stdout) == expect
+
     def test_global_lift_does_not_grow_with_q(self):
         # two rank-1 blocks at a split place: the coherence check compares
         # cuspidal data, where it used to build staircases of length q

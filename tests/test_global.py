@@ -304,6 +304,48 @@ class TestSeparateReference:
         assert got == Verdict(distinct=False, l=1, gamma=0)
 
 
+    def test_congruences_decide_as_the_search_on_periodic_place_sets(self):
+        # blocks repeat with a period dividing e_v; Delta' is a translate, the
+        # blocks rotated apart place by place (so the congruences may clash
+        # when the e_v share a factor), or a fresh draw
+        rng = random.Random(87)
+        pool = [coord(F(k, 3)) for k in range(3)]
+        seen, periodic = set(), 0
+        for i in range(200):
+            d = rng.choice((2, 4, 6, 8, 12))
+            divisors = [e for e in range(1, d + 1) if d % e == 0]
+            es = [rng.choice(divisors) for _ in range(rng.randint(1, 3))]
+            places = tuple(Place(f"v{j}", d, d // e) for j, e in enumerate(es))
+
+            def draw():
+                out = {}
+                for v in places:
+                    period = rng.choice([p for p in range(1, v.e + 1) if v.e % p == 0])
+                    blocks = [SatakeParam((rng.choice(pool),)) for _ in range(period)]
+                    out[v.label] = SphericalRepE(v.algebra, tuple(blocks * (v.e // period)))
+                return out
+
+            locals_ = draw()
+            delta = GlobalDiscrete("A", "E", d, 1, 1, places, locals_)
+            kind = ("translate", "rotated apart", "fresh")[i % 3]
+            if kind == "translate":
+                other = delta.translated(rng.randrange(2 * d))
+            else:
+                moved = {v.label: locals_[v.label].rotate(rng.randrange(v.e)) for v in places}
+                moved = moved if kind == "rotated apart" else draw()
+                other = GlobalDiscrete("A", "E", d, 1, 1, places, moved)
+            a, b = InducedGlobal((delta,)), InducedGlobal((other,))
+            got = separate(a, b)
+            assert got == separate_reference(a, b), (i, kind)
+            seen.add((kind, got.distinct))
+            zs = locals_.values()
+            periodic += any(z.rotate(j) == z for z in zs for j in range(1, z.algebra.r))
+        assert seen >= {
+            ("translate", False), ("rotated apart", False), ("rotated apart", True), ("fresh", True)
+        }, seen
+        assert periodic > 40
+
+
 def test_crit9_separate_seed_19():
     # the second draw of case 51 is a Galois translate of the first, so
     # "not distinct" is the right verdict there

@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autoind.arith import ONE, Coordinate, QCyclo
+from autoind.arith import ONE, Coordinate, Cyclo, QCyclo
 from autoind.errors import BudgetExceeded, DegreeBudget, RankMismatch
 from autoind.hecke import (
     DEGREE_BUDGET,
@@ -294,6 +294,52 @@ class TestOrbitKernel:
         calls.clear()
         satake_eval(f, y)
         assert len(calls) <= y.rank
+
+    def test_one_reduction_per_q_exponent_and_per_row_of_several_roots(self, monkeypatch):
+        y = SatakeParam(tuple(coord(F(1, k), F(k, 2)) for k in range(1, 7)))
+        f = SymLaurent.monomial(6, (5, 4, 3, 2, 1))  # 6! = 720 exponent vectors
+        rows = {}
+        for p in _perms((5, 4, 3, 2, 1, 0)):
+            v = reduce(mul, (c**e for c, e in zip(y.coords, p)))
+            rows.setdefault(v.qexp, set()).add(v.zeta)
+        bound = len(rows) + sum(len(roots) > 1 for roots in rows.values())
+        built = []
+        init = Cyclo.__init__
+        monkeypatch.setattr(Cyclo, "__init__", lambda c, *a: built.append(1) or init(c, *a))
+        satake_eval(f, y)
+        assert 0 < len(built) <= bound
+
+    def random_coefficient(self, rng):
+        """A sum of two to four scaled coordinates: often several q-terms."""
+        return QCyclo.sum(
+            qc(Coordinate.of(F(rng.randrange(k), k), rng.choice(self.QEXPS))).scale(c)
+            for k, c in zip(rng.choices(self.ORDERS[:12], k=rng.randint(2, 4)), (-2, 1, 3, -1))
+        )
+
+    def test_coefficients_with_several_q_terms(self):
+        rng = random.Random(61)
+        several = 0
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            y = SatakeParam(self.random_coords(rng, n))
+            g = random_laurent(rng, n)
+            f = SymLaurent(n, g.shift, {k: self.random_coefficient(rng) for k in g.terms})
+            several += any(len(c.terms) > 1 for c in f.terms.values())
+            got, ref = satake_eval(f, y), satake_eval_reference(f, y)
+            assert got == ref
+            assert all(c.conductor % ref.terms[e].conductor == 0 for e, c in got.terms.items())
+        assert several > 150
+
+    def test_a_cancelling_partial_keeps_its_conductor(self):
+        # (1 - q) m_(1,0) + q at (zeta_5, zeta_5 q): the first term cancels at
+        # q^1, so the term-by-term products drop its conductor 5 there
+        z5 = coord(F(1, 5))
+        one_minus_q = QCyclo.rational(1) - qc(coord(0, 1))
+        f = SymLaurent(2, 0, {(1, 0): one_minus_q, (0, 0): qc(coord(0, 1))})
+        y = SatakeParam((z5, coord(F(1, 5), 1)))
+        got, ref = satake_eval(f, y), satake_eval_reference(f, y)
+        assert got == ref == qc(z5) + qc(coord(0, 1)) - qc(coord(F(1, 5), 2))
+        assert (got.terms[F(1)].conductor, ref.terms[F(1)].conductor) == (5, 1)
 
 
 class TestPowerSums:
