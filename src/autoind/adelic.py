@@ -17,12 +17,10 @@ separation searches the Galois translates, which act at v modulo e_v.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
-from itertools import islice
 from math import gcd
 from typing import Dict, Optional, Tuple
 
-from .arith import Coordinate, json_int, primitive_root
+from .arith import Coordinate, Record, json_int, primitive_root, set_field
 from .errors import (
     BadOrbit,
     HypothesisViolated,
@@ -42,17 +40,17 @@ from .satake import (
 )
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Record):
     """A place of the base field: residue degree f of the extension above it."""
 
-    label: str
-    d: int
-    f: int
+    __slots__ = ("label", "d", "f")
 
-    def __post_init__(self):
-        if self.f < 1 or self.d % self.f:
-            raise BadOrbit(f"residue degree {self.f} does not divide d={self.d}")
+    def __init__(self, label: str, d: int, f: int):
+        if f < 1 or d % f:
+            raise BadOrbit(f"residue degree {f} does not divide d={d}")
+        set_field(self, "label", label)
+        set_field(self, "d", d)
+        set_field(self, "f", f)
 
     @property
     def e(self) -> int:
@@ -88,8 +86,7 @@ def _staircase(y: SatakeParam, q: int, qscale: int) -> SatakeParam:
     )
 
 
-@dataclass(frozen=True)
-class GlobalDiscrete:
+class GlobalDiscrete(Record):
     """Discrete datum u(Lambda, q) (side E) or u(rho, q) (side F).
 
     ``orbit`` is the Galois-stabilizer cardinality r(Lambda) on the E side
@@ -99,24 +96,26 @@ class GlobalDiscrete:
     twist translate (F).
     """
 
-    label: str
-    side: str
-    d: int
-    orbit: int
-    q: int
-    places: Tuple[Place, ...]
-    cusp_locals: Dict[str, object]
-    translate: int = 0
+    __slots__ = ("label", "side", "d", "orbit", "q", "places", "cusp_locals", "translate")
 
-    def __post_init__(self):
-        if self.side not in ("E", "F"):
+    def __init__(self, label: str, side: str, d: int, orbit: int, q: int,
+                 places: Tuple[Place, ...], cusp_locals: Dict[str, object], translate: int = 0):
+        if side not in ("E", "F"):
             raise ValueError("side must be 'E' or 'F'")
-        if self.orbit < 1 or self.d % self.orbit:
-            raise BadOrbit(f"orbit {self.orbit} does not divide d={self.d}")
-        if self.q < 1:
+        if orbit < 1 or d % orbit:
+            raise BadOrbit(f"orbit {orbit} does not divide d={d}")
+        if q < 1:
             raise ValueError("q must be >= 1")
-        for v in self.places:
-            if v.label not in self.cusp_locals:
+        set_field(self, "label", label)
+        set_field(self, "side", side)
+        set_field(self, "d", d)
+        set_field(self, "orbit", orbit)
+        set_field(self, "q", q)
+        set_field(self, "places", places)
+        set_field(self, "cusp_locals", cusp_locals)
+        set_field(self, "translate", translate)
+        for v in places:
+            if v.label not in cusp_locals:
                 raise PlaceSetMismatch(f"no local datum at place {v.label!r}")
             self._validate_local(v)
 
@@ -127,16 +126,12 @@ class GlobalDiscrete:
                 raise LocalMismatch(v.label, "local datum has the wrong algebra")
             # the stabilizer of cardinality r is generated by sigma^g
             if z.rotate(self.g) != z:
-                raise LocalMismatch(
-                    v.label, f"local datum not stable under sigma^{self.g}"
-                )
+                raise LocalMismatch(v.label, f"local datum not stable under sigma^{self.g}")
         else:
             if not isinstance(z, SatakeParam):
                 raise LocalMismatch(v.label, "expected a parameter over F")
             if z.twist(v.zeta**self.orbit) != z:
-                raise LocalMismatch(
-                    v.label, f"local datum not stable under the order-x twist"
-                )
+                raise LocalMismatch(v.label, "local datum not stable under the order-x twist")
 
     @property
     def g(self) -> int:
@@ -153,7 +148,8 @@ class GlobalDiscrete:
         return self.cusp_rank * self.q
 
     def translated(self, j: int) -> "GlobalDiscrete":
-        return replace(self, translate=self.translate + j)
+        return GlobalDiscrete(self.label, self.side, self.d, self.orbit, self.q, self.places,
+                              self.cusp_locals, self.translate + j)
 
     def cusp_local(self, v: Place):
         """Cuspidal local parameter, with the translate applied."""
@@ -175,15 +171,8 @@ class GlobalDiscrete:
     def __eq__(self, other):
         if not isinstance(other, GlobalDiscrete):
             return NotImplemented
-        if (self.label, self.side, self.d, self.orbit, self.q) != (
-            other.label,
-            other.side,
-            other.d,
-            other.orbit,
-            other.q,
-        ):
-            return False
-        if self.places != other.places:
+        # label, side, d, orbit, q and places first, then the translated local data
+        if self._values(self)[:6] != self._values(other)[:6]:
             return False
         return all(self.cusp_local(v) == other.cusp_local(v) for v in self.places)
 
@@ -222,23 +211,19 @@ class GlobalDiscrete:
         return cls(doc["label"], side, d, orbit, q, places, locals_, translate)
 
 
-@dataclass(frozen=True)
-class InducedGlobal:
+class InducedGlobal(Record):
     """Parabolically induced product of discrete data, in canonical order."""
 
-    factors: Tuple[GlobalDiscrete, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: Tuple[GlobalDiscrete, ...]):
+        if not factors:
             raise ShapeError("empty induced product")
-        sides = {f.side for f in self.factors}
-        if len(sides) > 1:
+        if len({f.side for f in factors}) > 1:
             raise ShapeError("factors must live on one side")
-        if len({f.places for f in self.factors}) > 1:
+        if len({f.places for f in factors}) > 1:
             raise PlaceSetMismatch("factors must share the place set")
-        object.__setattr__(
-            self, "factors", tuple(sorted(self.factors, key=lambda f: f.sort_key()))
-        )
+        set_field(self, "factors", tuple(sorted(factors, key=lambda f: f.sort_key())))
 
     @property
     def side(self) -> str:
@@ -329,14 +314,13 @@ def rigidity_check(a: InducedGlobal, b: InducedGlobal) -> bool:
 # Rankin-Selberg local factors
 
 
-@dataclass(frozen=True)
-class LocalRSFactor:
+class LocalRSFactor(Record):
     """Data of det(1 - A q^(-s))^(-1): the multiset of inverse roots of A."""
 
-    inverse_roots: Tuple[Coordinate, ...]
+    __slots__ = ("inverse_roots",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "inverse_roots", tuple(sorted(self.inverse_roots)))
+    def __init__(self, inverse_roots: Tuple[Coordinate, ...]):
+        set_field(self, "inverse_roots", tuple(sorted(inverse_roots)))
 
     def pole_order_at_1(self) -> int:
         """Multiplicity of the inverse root q (the only source of a pole at s=1)."""
@@ -375,14 +359,16 @@ def _scaled(coords, k: int) -> Counter:
 # Separation
 
 
-@dataclass(frozen=True)
-class Verdict:
-    distinct: bool
-    l: Optional[int] = None
-    gamma: Optional[int] = None
+class Verdict(Record):
+    __slots__ = ("distinct", "l", "gamma")
+
+    def __init__(self, distinct: bool, l: Optional[int] = None, gamma: Optional[int] = None):
+        set_field(self, "distinct", distinct)
+        set_field(self, "l", l)
+        set_field(self, "gamma", gamma)
 
     def to_json(self):
-        return asdict(self)
+        return {"distinct": self.distinct, "l": self.l, "gamma": self.gamma}
 
 
 def separate(Pi: InducedGlobal, Pi_p: InducedGlobal) -> Verdict:
@@ -394,8 +380,9 @@ def separate(Pi: InducedGlobal, Pi_p: InducedGlobal) -> Verdict:
     at every place.  Equal lifts follow, as the lifting map flattens rotated
     blocks.  sigma^gamma acts at v through gamma mod e_v, and the gammas that
     match at v form a coset j_v + P_v Z, P_v the period of the blocks there,
-    found in at most e_v rotations; the least gamma solves the congruences
-    gamma = j_v mod P_v.  The Euler-factor identity is checked apart, by
+    found by one linear search of the doubled blocks (a string search, one
+    character per block); the least gamma solves the congruences gamma = j_v
+    mod P_v.  The Euler-factor identity is checked apart, by
     ``verify.crit9_lemma46``.
     """
     for p in (Pi, Pi_p):
@@ -411,12 +398,15 @@ def separate(Pi: InducedGlobal, Pi_p: InducedGlobal) -> Verdict:
         return Verdict(distinct=True)
     gamma, modulus = 0, 1
     for v in Pi.places:
-        z, target = delta.cusp_local(v), delta_p.cusp_local(v)
-        hits = list(islice((j for j in range(v.e) if z.rotate(j) == target), 2))
-        if not hits:
+        ids = {}  # one character per distinct block: a rotation by j matches at j
+        z, target = ("".join(chr(ids.setdefault(b, len(ids))) for b in f.cusp_local(v).blocks)
+                     for f in (delta, delta_p))
+        z += z[:-1]  # the rotations of the blocks, each e_v long
+        first = z.find(target)
+        if first < 0:
             return Verdict(distinct=True)
-        period = hits[1] - hits[0] if len(hits) == 2 else v.e
-        gamma, modulus = _crt(gamma, modulus, hits[0], period)
+        second = z.find(target, first + 1)
+        gamma, modulus = _crt(gamma, modulus, first, second - first if second > 0 else v.e)
         if gamma is None:
             return Verdict(distinct=True)
     return Verdict(distinct=False, l=l, gamma=gamma)

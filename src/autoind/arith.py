@@ -43,7 +43,43 @@ def json_fraction(pair, name: str) -> Fraction:
     return Fraction(json_int(num, name), json_int(den, name))
 
 
-class Coordinate:
+class Record:
+    """Base of the immutable records: the fields are a subclass's ``__slots__``,
+    each set once by its ``__init__`` with :data:`set_field`.  Equality and the
+    hash go by the exact class and the field tuple; copy and pickle call the
+    constructor on the fields again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__name__}({fields})"
+
+
+set_field = object.__setattr__  # the one way a Record's __init__ sets a field
+
+
+class Coordinate(Record):
     """One eigenvalue ``e^{2 pi i a/n} * q^(p/r)``: four immutable ints with n, r >= 1,
     0 <= a < n and gcd(a, n) = gcd(p, r) = 1, so equality and the hash are the
     int tuple's and each operation takes an lcm or a gcd per part.
@@ -57,9 +93,6 @@ class Coordinate:
     def __new__(cls, zeta, qexp):
         n = zeta.denominator
         return _reduced(zeta.numerator % n, n, qexp.numerator, qexp.denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Coordinate is immutable: cannot set {name!r}")
 
     zeta = property(lambda self: Fraction(self.a, self.n))
     qexp = property(lambda self: Fraction(self.p, self.r))
@@ -91,12 +124,6 @@ class Coordinate:
         x, y = self.p * other.r, other.p * self.r
         return x < y or (x == y and (self.n, self.a) < (other.n, other.a))
 
-    def __eq__(self, other):
-        return isinstance(other, Coordinate) and _ints(self) == _ints(other)
-
-    def __hash__(self):
-        return hash(_ints(self))
-
     def to_json(self):
         return {"zeta": [self.a, self.n], "qexp": [self.p, self.r]}
 
@@ -105,13 +132,13 @@ class Coordinate:
         return cls(json_fraction(doc["zeta"], "zeta"), json_fraction(doc["qexp"], "qexp"))
 
     of = classmethod(lambda cls, zeta=0, qexp=0: cls(zeta, qexp))
-    __reduce__ = lambda self: (_reduced, _ints(self))  # copy and pickle by the ints
+    __reduce__ = lambda self: (_reduced, self._values(self))  # copy and pickle by the ints
 
     def __repr__(self):
         return f"Coordinate({self.zeta}, {self.qexp})"
 
 
-_new, _ints = object.__new__, attrgetter(*Coordinate.__slots__)
+_new = object.__new__
 _set_a, _set_n, _set_p, _set_r = (Coordinate.__dict__[k].__set__ for k in Coordinate.__slots__)
 
 

@@ -30,7 +30,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Dict, Tuple
 
-from .arith import Cyclo, QCyclo, _bounded
+from .arith import Cyclo, QCyclo, Record, _bounded, set_field
 from .errors import BudgetExceeded, DegreeBudget, RankMismatch
 from .satake import CyclicAlgebra, SatakeParam, SphericalRepE, _multiset_splits
 
@@ -100,7 +100,7 @@ def _combine(pairs) -> Dict[ExpVec, QCyclo]:
     return out
 
 
-class SymLaurent:
+class SymLaurent(Record):
     """Symmetric Laurent polynomial ``(z_1 ... z_n)^(-shift) * body``.
 
     The body is a genuine symmetric polynomial kept in the monomial symmetric
@@ -127,9 +127,9 @@ class SymLaurent:
         if drop:
             clean = {tuple(e - drop for e in k): c for k, c in clean.items()}
             shift -= drop
-        self.nvars = nvars
-        self.shift = shift
-        self.terms = clean
+        set_field(self, "nvars", nvars)
+        set_field(self, "shift", shift)
+        set_field(self, "terms", clean)
 
     # constructors ----------------------------------------------------------
 
@@ -205,13 +205,6 @@ class SymLaurent:
         return SymLaurent(
             self.nvars, self.shift, {k: x * v for k, v in self.terms.items()}
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, SymLaurent):
-            return NotImplemented
-        return (self.nvars, self.shift, self.terms) == (other.nvars, other.shift, other.terms)
-
-    __hash__ = None
 
     def __repr__(self):
         return f"SymLaurent(n={self.nvars}, shift={self.shift}, {len(self.terms)} terms)"
@@ -444,7 +437,7 @@ def bc_transfer(
 # Block splitting (constant term along the parabolic of type (m, .., m))
 
 
-class TensorSym:
+class TensorSym(Record):
     """Element of the r-fold tensor product of symmetric Laurent algebras.
 
     Terms map r-tuples of dominant exponent vectors (length m each) to QCyclo
@@ -454,10 +447,10 @@ class TensorSym:
     __slots__ = ("r", "m", "shift", "terms")
 
     def __init__(self, r: int, m: int, shift: int, terms):
-        self.r = r
-        self.m = m
-        self.shift = shift
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        set_field(self, "r", r)
+        set_field(self, "m", m)
+        set_field(self, "shift", shift)
+        set_field(self, "terms", {k: c for k, c in terms.items() if not c.is_zero()})
 
     def eval(self, z: SphericalRepE) -> QCyclo:
         if len(z.blocks) != self.r or z.block_rank != self.m:
@@ -470,15 +463,6 @@ class TensorSym:
                 acc = acc * _orbit_sum(block.coords, chunk)
             pieces.append(acc)
         return QCyclo.sum(pieces)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorSym):
-            return NotImplemented
-        return (self.r, self.m, self.shift, self.terms) == (
-            other.r, other.m, other.shift, other.terms
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return f"TensorSym(r={self.r}, m={self.m}, shift={self.shift}, {len(self.terms)} terms)"

@@ -20,12 +20,11 @@ A :class:`Product` is a multiset of factors of three kinds (:class:`Speh`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, product
 from typing import Optional, Tuple
 
-from .arith import Coordinate, json_fraction, json_int, primitive_root
+from .arith import Coordinate, Record, json_fraction, json_int, primitive_root, set_field
 from .errors import BadOrbit, NoProvenance, NotUnramified, ShapeError
 from .satake import (
     MAX_PARTS,
@@ -37,8 +36,7 @@ from .satake import (
 )
 
 
-@dataclass(frozen=True)
-class CuspidalAtom:
+class CuspidalAtom(Record):
     """Opaque cuspidal label with the attributes the lifting maps consume.
 
     ``orbit`` is x (twist-orbit size) on the F side and r (Galois-stabilizer
@@ -48,25 +46,27 @@ class CuspidalAtom:
     stabilizer.
     """
 
-    uid: str
-    side: str
-    size: int
-    d: int
-    orbit: int
-    payload: Optional[Coordinate] = None
+    __slots__ = ("uid", "side", "size", "d", "orbit", "payload")
 
-    def __post_init__(self):
-        if self.side not in ("E", "F"):
+    def __init__(self, uid: str, side: str, size: int, d: int, orbit: int,
+                 payload: Optional[Coordinate] = None):
+        if side not in ("E", "F"):
             raise ValueError("side must be 'E' or 'F'")
-        if self.size < 1 or self.d < 1:
+        if size < 1 or d < 1:
             raise ValueError("size and d must be >= 1")
-        if self.orbit < 1 or self.d % self.orbit:
-            raise BadOrbit(f"orbit cardinality {self.orbit} does not divide d={self.d}")
-        if self.payload is not None:
-            if self.size != 1:
+        if orbit < 1 or d % orbit:
+            raise BadOrbit(f"orbit cardinality {orbit} does not divide d={d}")
+        if payload is not None:
+            if size != 1:
                 raise NotUnramified("unramified payload requires a rank-1 atom")
-            if self.side == "E" and self.orbit != self.d:
+            if side == "E" and orbit != d:
                 raise NotUnramified("unramified atoms over E are Galois-stable (r = d)")
+        set_field(self, "uid", uid)
+        set_field(self, "side", side)
+        set_field(self, "size", size)
+        set_field(self, "d", d)
+        set_field(self, "orbit", orbit)
+        set_field(self, "payload", payload)
 
     @property
     def g(self) -> int:
@@ -93,24 +93,24 @@ class CuspidalAtom:
         return cls(doc["id"], doc["side"], size, d, orbit, payload)
 
 
-@dataclass(frozen=True)
-class EssDiscrete:
+class EssDiscrete(Record):
     """Essentially square-integrable datum: segment of length k, twisted by nu^twist.
 
     ``translate`` indexes a twist-translate (F side, mod x) or Galois
     translate (E side, mod g) of the atom.
     """
 
-    atom: CuspidalAtom
-    k: int
-    twist: Fraction = Fraction(0)
-    translate: int = 0
+    __slots__ = ("atom", "k", "twist", "translate")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, atom: CuspidalAtom, k: int, twist: Fraction = Fraction(0),
+                 translate: int = 0):
+        if k < 1:
             raise ValueError("segment length must be >= 1")
-        object.__setattr__(self, "translate", self.translate % self.atom.translates)
-        object.__setattr__(self, "twist", Fraction(self.twist))
+        translate %= atom.translates
+        set_field(self, "atom", atom)
+        set_field(self, "k", k)
+        set_field(self, "twist", Fraction(twist))
+        set_field(self, "translate", translate)
 
     @property
     def rank(self) -> int:
@@ -120,16 +120,16 @@ class EssDiscrete:
         return (self.atom.side, self.atom.uid, self.k, self.twist, self.translate)
 
 
-@dataclass(frozen=True)
-class Speh:
+class Speh(Record):
     """u(base, q): Langlands quotient of the length-q staircase of the base."""
 
-    base: EssDiscrete
-    q: int
+    __slots__ = ("base", "q")
 
-    def __post_init__(self):
-        if self.q < 1:
+    def __init__(self, base: EssDiscrete, q: int):
+        if q < 1:
             raise ValueError("Speh parameter q must be >= 1")
+        set_field(self, "base", base)
+        set_field(self, "q", q)
 
     @property
     def atom(self) -> CuspidalAtom:
@@ -140,15 +140,17 @@ class Speh:
         return self.base.rank * self.q
 
     def twisted(self, c) -> "Speh":
-        return replace(self, base=replace(self.base, twist=self.base.twist + Fraction(c)))
+        b = self.base
+        return Speh(EssDiscrete(b.atom, b.k, b.twist + Fraction(c), b.translate), self.q)
 
     def translated(self, j: int) -> "Speh":
-        return replace(self, base=replace(self.base, translate=self.base.translate + j))
+        b = self.base
+        return Speh(EssDiscrete(b.atom, b.k, b.twist, b.translate + j), self.q)
 
     def lift(self):
         """The r twist-translates of the same Speh datum over the paired atom."""
         b = self.base
-        return _translates(b.atom, lambda a, i: replace(self, base=replace(b, atom=a, translate=i)))
+        return _translates(b.atom, lambda a, i: Speh(EssDiscrete(a, b.k, b.twist, i), self.q))
 
     def is_generic(self) -> bool:
         return self.q == 1
@@ -177,18 +179,17 @@ class Speh:
         return (0,) + self.base.sort_key() + (self.q,)
 
 
-@dataclass(frozen=True)
-class TwistedPair:
+class TwistedPair(Record):
     """u(delta, q; alpha): complementary-series pair nu^alpha u x nu^-alpha u."""
 
-    base: Speh
-    alpha: Fraction
+    __slots__ = ("base", "alpha")
 
-    def __post_init__(self):
-        a = Fraction(self.alpha)
-        if not 0 < a < Fraction(1, 2):
+    def __init__(self, base: Speh, alpha: Fraction):
+        alpha = Fraction(alpha)
+        if not 0 < alpha < Fraction(1, 2):
             raise ValueError("alpha must lie in (0, 1/2)")
-        object.__setattr__(self, "alpha", a)
+        set_field(self, "base", base)
+        set_field(self, "alpha", alpha)
 
     @property
     def atom(self) -> CuspidalAtom:
@@ -203,7 +204,7 @@ class TwistedPair:
         return (self.base.twisted(self.alpha), self.base.twisted(-self.alpha))
 
     def translated(self, j: int) -> "TwistedPair":
-        return replace(self, base=self.base.translated(j))
+        return TwistedPair(self.base.translated(j), self.alpha)
 
     def lift(self):
         return (f for half in self._halves() for f in half.lift())
@@ -222,8 +223,7 @@ class TwistedPair:
         return (1,) + self.base.sort_key() + (self.alpha,)
 
 
-@dataclass(frozen=True)
-class Elliptic:
+class Elliptic(Record):
     """Elliptic datum u~(atom, k; levi).
 
     ``levi`` is a composition of k; actual block sizes are levi entries times
@@ -231,17 +231,16 @@ class Elliptic:
     compositions; levi == (k,) is the essentially square-integrable corner.
     """
 
-    atom: CuspidalAtom
-    k: int
-    levi: Tuple[int, ...]
-    translate: int = 0
+    __slots__ = ("atom", "k", "levi", "translate")
 
-    def __post_init__(self):
-        levi = tuple(self.levi)
-        if sum(levi) != self.k or any(p < 1 for p in levi):
-            raise ValueError(f"{levi} is not a composition of {self.k}")
-        object.__setattr__(self, "levi", levi)
-        object.__setattr__(self, "translate", self.translate % self.atom.translates)
+    def __init__(self, atom: CuspidalAtom, k: int, levi: Tuple[int, ...], translate: int = 0):
+        levi = tuple(levi)
+        if sum(levi) != k or any(p < 1 for p in levi):
+            raise ValueError(f"{levi} is not a composition of {k}")
+        set_field(self, "atom", atom)
+        set_field(self, "k", k)
+        set_field(self, "levi", levi)
+        set_field(self, "translate", translate % atom.translates)
 
     @property
     def rank(self) -> int:
@@ -256,7 +255,7 @@ class Elliptic:
     is_generic = is_square_integrable
 
     def translated(self, j: int) -> "Elliptic":
-        return replace(self, translate=self.translate + j)
+        return Elliptic(self.atom, self.k, self.levi, self.translate + j)
 
     def lift(self):
         """Same composition over the paired atom.
@@ -265,7 +264,7 @@ class Elliptic:
         normalized composition of k is unchanged; the square-integrable corner
         (levi = (k,)) maps to the square-integrable corner.
         """
-        return _translates(self.atom, lambda atomF, i: replace(self, atom=atomF, translate=i))
+        return _translates(self.atom, lambda atomF, i: Elliptic(atomF, self.k, self.levi, i))
 
     def coords(self, qscale: int, d: int) -> tuple:
         if self.k != 1:
@@ -280,14 +279,13 @@ class Elliptic:
         return (2, self.atom.side, self.atom.uid, self.k, self.levi, self.translate)
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
     """Canonically sorted multiset of factors (Speh, TwistedPair or Elliptic)."""
 
-    factors: Tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(sorted(self.factors, key=lambda f: f.sort_key())))
+    def __init__(self, factors: Tuple):
+        set_field(self, "factors", tuple(sorted(factors, key=lambda f: f.sort_key())))
 
     @property
     def rank(self) -> int:

@@ -17,13 +17,12 @@ per unit of a number in their input (d, r or l) check ``MAX_PARTS`` first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 from math import comb, prod
 from typing import Optional, Tuple
 
-from .arith import ONE, Coordinate, json_fraction, json_int, primitive_root
+from .arith import ONE, Coordinate, Record, json_fraction, json_int, primitive_root, set_field
 from .errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
 
 MAX_FIBER_RANK = 12
@@ -42,26 +41,26 @@ def check_parts(count: int, what: str) -> None:
         raise BudgetExceeded(f"more than {MAX_PARTS} {what}")
 
 
-@dataclass(frozen=True)
-class CyclicAlgebra:
+class CyclicAlgebra(Record):
     """Extension datum: degree d = r*s, r field factors of degree s each.
 
     ``zeta`` is the twist root kappa(pi_F), of exact multiplicative order s.
     r = 1 is the field case; s = 1 the split algebra (zeta = 1).
     """
 
-    d: int
-    r: int
-    s: int
-    zeta: Coordinate = None  # type: ignore[assignment]
+    __slots__ = ("d", "r", "s", "zeta")
 
-    def __post_init__(self):
-        if self.d != self.r * self.s or self.r < 1 or self.s < 1:
-            raise ValueError(f"need d = r*s, got d={self.d}, r={self.r}, s={self.s}")
-        if self.zeta is None:
-            object.__setattr__(self, "zeta", primitive_root(self.s))
-        if self.zeta.torsion_order() != self.s:
-            raise ValueError(f"zeta must have exact order s={self.s}")
+    def __init__(self, d: int, r: int, s: int, zeta: Coordinate = None):
+        if d != r * s or r < 1 or s < 1:
+            raise ValueError(f"need d = r*s, got d={d}, r={r}, s={s}")
+        if zeta is None:
+            zeta = primitive_root(s)
+        if zeta.torsion_order() != s:
+            raise ValueError(f"zeta must have exact order s={s}")
+        set_field(self, "d", d)
+        set_field(self, "r", r)
+        set_field(self, "s", s)
+        set_field(self, "zeta", zeta)
 
     @classmethod
     def field(cls, d: int, zeta: Coordinate = None) -> "CyclicAlgebra":
@@ -80,18 +79,17 @@ class CyclicAlgebra:
         return cls(*(json_int(doc[k], k) for k in "drs"), zeta)
 
 
-@dataclass(frozen=True)
-class SatakeParam:
+class SatakeParam(Record):
     """Canonical multiset of Satake eigenvalues: the class of pi_y.
 
     Equality is multiset equality; the stored tuple is always sorted, so the
     canonical form is unique.
     """
 
-    coords: Tuple[Coordinate, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(sorted(self.coords)))
+    def __init__(self, coords: Tuple[Coordinate, ...]):
+        set_field(self, "coords", tuple(sorted(coords)))
 
     @property
     def rank(self) -> int:
@@ -117,21 +115,18 @@ class SatakeParam:
         return cls(tuple(Coordinate.from_json(c) for c in doc["coords"]))
 
 
-@dataclass(frozen=True)
-class SphericalRepE:
+class SphericalRepE(Record):
     """Spherical class over the algebra E: one rank-m parameter per field factor."""
 
-    algebra: CyclicAlgebra
-    blocks: Tuple[SatakeParam, ...]
+    __slots__ = ("algebra", "blocks")
 
-    def __post_init__(self):
-        if len(self.blocks) != self.algebra.r:
-            raise ValueError(
-                f"expected {self.algebra.r} blocks, got {len(self.blocks)}"
-            )
-        ranks = {b.rank for b in self.blocks}
-        if len(ranks) > 1:
+    def __init__(self, algebra: CyclicAlgebra, blocks: Tuple[SatakeParam, ...]):
+        if len(blocks) != algebra.r:
+            raise ValueError(f"expected {algebra.r} blocks, got {len(blocks)}")
+        if len({b.rank for b in blocks}) > 1:
             raise ValueError("all blocks must have the same rank")
+        set_field(self, "algebra", algebra)
+        set_field(self, "blocks", blocks)
 
     @property
     def block_rank(self) -> int:

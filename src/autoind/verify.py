@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import List
 
-from .arith import ONE, Coordinate, QCyclo, primitive_root
+from .arith import ONE, Coordinate, QCyclo, Record, primitive_root, set_field
 from .satake import (
     CyclicAlgebra,
     SatakeParam,
@@ -55,12 +54,14 @@ from .adelic import (
 )
 
 
-@dataclass
-class PropertyResult:
-    name: str
-    cases: int
-    passed: bool
-    detail: str = ""
+class PropertyResult(Record):
+    __slots__ = ("name", "cases", "passed", "detail")
+
+    def __init__(self, name: str, cases: int, passed: bool, detail: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "cases", cases)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

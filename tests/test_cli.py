@@ -550,6 +550,28 @@ class TestGlobalVerbs:
             expect = {"distinct": False, "l": 1, "gamma": gamma}
         assert json.loads(proc.stdout) == expect
 
+    @pytest.mark.parametrize("case", ["no-match", "translate"])
+    def test_separate_is_linear_in_the_block_count(self, case):
+        # one place with e = 3000 rank-1 blocks, equal but for one (a 216 kB
+        # document): each of the e rotations was built and compared block by
+        # block up to the odd one, 4.8 s (no match) and 2.8 s through the CLI
+        e, gamma, odd = 3000, 7, [coord(1, 2, 0, 1)]
+        blocks = [[coord(0, 1, 0, 1)]] * e
+        if case == "translate":
+            blocks = [odd] + blocks[1:]
+        moved = blocks[gamma:] + blocks[:gamma]
+        if case == "no-match":
+            moved = moved[:-1] + [odd]
+        doc = {"d": e, "places": [{"label": "v", "f": 1}]}
+        for key, b in (("pi", blocks), ("pi_prime", moved)):
+            doc[key] = {"rep": {"label": "A", "r": 1, "q": 1, "locals": {"v": {"blocks": b}}}}
+        proc = run_cli_process(["separate"], doc, timeout=2)
+        assert proc.returncode == 0, proc.stderr
+        expect = {"distinct": True, "l": None, "gamma": None}
+        if case == "translate":
+            expect = {"distinct": False, "l": 1, "gamma": gamma}
+        assert json.loads(proc.stdout) == expect
+
     def test_global_lift_does_not_grow_with_q(self):
         # two rank-1 blocks at a split place: the coherence check compares
         # cuspidal data, where it used to build staircases of length q
@@ -645,11 +667,15 @@ EXTRA_LAYERS = {
     "lift-unitary": {"autoind.reps"}, "lift-elliptic": {"autoind.reps"},
     "global-lift": {"autoind.adelic"}, "separate": {"autoind.adelic"},
 }
+# besides the autoind modules, the probe reports dataclasses and inspect,
+# which cost a verb 8-15 ms of start-up when only the records needed them
 IMPORTS = """
 import sys
 from autoind.cli import main
 main(sys.argv[1:])
-print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "autoind")), file=sys.stderr)
+stdlib = ("dataclasses", "inspect")
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "autoind" or m in stdlib)),
+      file=sys.stderr)
 """
 
 
@@ -660,7 +686,9 @@ def test_each_verb_imports_only_its_layers(verb):
     proc = subprocess.run([sys.executable, "-c", IMPORTS, verb, "--input", str(doc)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.stdout == doc.with_suffix(".out").read_text()
-    assert set(proc.stderr.split()) == LAYERS | EXTRA_LAYERS[verb]
+    loaded = set(proc.stderr.split())
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert loaded == LAYERS | EXTRA_LAYERS[verb]
 
 
 ATOM_1E6 = {"id": "a", "side": "E", "size": 1, "d": 10**6, "r": 10**6}
