@@ -277,9 +277,10 @@ def global_ai_lift(Pi: GlobalDiscrete) -> InducedGlobal:
     r = Pi.orbit
     check_parts(r, "factors")
     cusp_locals: Dict[str, SatakeParam] = {}
+    lifted = []  # each place's lifted cuspidal datum, for the coherence check
     for v in Pi.places:
-        lifted = delta_map(Pi.cusp_local(v))
-        a = twist_split(lifted, v.zeta, r)
+        lifted.append(delta_map(Pi.cusp_local(v)))
+        a = twist_split(lifted[-1], v.zeta, r)
         if a is None:
             raise LocalMismatch(
                 v.label, "lifted local datum does not split into twist translates"
@@ -295,10 +296,10 @@ def global_ai_lift(Pi: GlobalDiscrete) -> InducedGlobal:
         cusp_locals=cusp_locals,
     )
     out = InducedGlobal(tuple(delta.translated(i) for i in range(r)))
-    for v in Pi.places:
+    for v, image in zip(Pi.places, lifted):
         # delta_map commutes with the staircase, injective on multisets: same as the Speh check
         cusp = SatakeParam(tuple(c for f in out.factors for c in f.cusp_local(v).coords))
-        if cusp != delta_map(Pi.cusp_local(v)):
+        if cusp != image:
             raise LocalMismatch(v.label, "placewise lift coherence failed")
     return out
 

@@ -4,7 +4,8 @@ A :class:`Coordinate` is one Satake eigenvalue ``e^{2 pi i a/n} q^(p/r)``, kept
 as four normalised ints; ``q`` is formal (transcendental, ``q > 1``) and the
 unramified twist ``nu`` multiplies by ``q^{-1}``.  :class:`Cyclo` is an element
 of Q(zeta_N): int numerators over one positive int denominator, reduced modulo
-Phi_N by folding exponents with x^N = 1 and then by integer long division.
+Phi_N by folding exponents with x^N = 1, then by integer long division by sparse
+multiples of Phi_N, one prime of N at a time, ending at Phi_N itself.
 :class:`QCyclo` is the ring where sums of coordinates live: Q-linear sums of
 q-powers with ``Cyclo`` coefficients.  Zero tests are exact, so Hecke trace
 identities hold with tolerance zero.  No floats: JSON reads via :func:`json_int`.
@@ -165,6 +166,11 @@ def primitive_root(s: int) -> Coordinate:
 # Cyclotomic polynomials (coefficient index = degree)
 
 
+def _least_prime(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
+    return next(k for k in range(2, n + 1) if n % k == 0)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
     """Integer coefficients of Phi_n, cached (write-once memo table).
@@ -175,14 +181,13 @@ def cyclotomic_polynomial(n: int):
     """
     if n == 1:
         return (-1, 1)
-    p = next(k for k in range(2, n + 1) if n % k == 0)
+    p = _least_prime(n)
     phi = cyclotomic_polynomial(n // p)
     rem = [0] * (p * (len(phi) - 1) + 1)
     rem[::p] = phi
     return tuple(rem if (n // p) % p == 0 else _divide(rem, n // p))
 
 
-@lru_cache(maxsize=None)
 def _divisor(n: int):
     """``(phi(n), ((j, c), ...))``: the degree of Phi_n and its nonzero lower terms."""
     phi = cyclotomic_polynomial(n)
@@ -202,15 +207,39 @@ def _divide(v: list, n: int) -> list:
     return quot
 
 
+@lru_cache(maxsize=None)
+def _chain(n: int):
+    """``(degree, nonzero lower terms)`` of each P_i(x) = Phi_{m_i}(x^(n/m_i)), where
+    m_i = p_1 ... p_i for the primes p_1 < p_2 < ... of n: each is a multiple of the
+    next (Phi_{ab}(x) divides Phi_a(x^b) for a prime b not dividing a), the last Phi_n."""
+    chain, m, rest = [], 1, n
+    while rest > 1:
+        p = _least_prime(rest)
+        while rest % p == 0:
+            rest //= p
+        m *= p
+        deg, terms = _divisor(m)
+        step = n // m
+        chain.append((deg * step, tuple((j * step, c) for j, c in terms)))
+    return tuple(chain)
+
+
 def _reduce(v: list, n: int) -> list:
     """Trimmed remainder of the integer vector v modulo Phi_n (v is consumed).
-    Exponents fold first by x^n = 1, exact because Phi_n divides x^n - 1."""
+    Exponents fold first by x^n = 1, exact because Phi_n divides x^n - 1; then v
+    is divided by each P_i of :func:`_chain` in turn, each a multiple of Phi_n and
+    the last Phi_n itself, so v ends as its remainder modulo Phi_n."""
     for start in range(n, len(v), n):
         chunk = v[start : start + n]
         v[: len(chunk)] = map(add, v, chunk)
     del v[n:]
-    _divide(v, n)
-    del v[_divisor(n)[0] :]
+    for deg, terms in _chain(n):
+        for k in range(len(v) - deg - 1, -1, -1):
+            c = v[k + deg]
+            if c:
+                for j, p in terms:
+                    v[k + j] -= c * p
+        del v[deg:]
     while v and not v[-1]:
         v.pop()
     return v

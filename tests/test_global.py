@@ -116,6 +116,19 @@ class TestGlobalLift:
         Pi = make_discrete(3, 2, 2, [2], q=3)
         assert all(f.q == 3 for f in global_ai_lift(Pi).factors)
 
+    def test_delta_map_runs_once_per_place(self, monkeypatch):
+        from autoind import adelic
+
+        calls = []
+        monkeypatch.setattr(adelic, "delta_map", lambda x: calls.append(x) or delta_map(x))
+        for d, r, fs in ((2, 2, [2, 1]), (4, 2, [4, 2, 1]), (3, 3, [3])):
+            Pi = make_discrete(d * 10 + r, d, r, fs)
+            calls.clear()
+            lift = global_ai_lift(Pi)
+            assert len(calls) == len(fs)
+            for v in Pi.places:
+                assert lift.local(v) == delta_map(Pi.local(v))
+
 
 class TestRigidity:
     def test_reflexive_and_factor_order_blind(self):
