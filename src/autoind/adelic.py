@@ -148,8 +148,8 @@ class GlobalDiscrete(Record):
         return self.cusp_rank * self.q
 
     def translated(self, j: int) -> "GlobalDiscrete":
-        return GlobalDiscrete(self.label, self.side, self.d, self.orbit, self.q, self.places,
-                              self.cusp_locals, self.translate + j)
+        """The translate by j more: validation does not read the translate."""
+        return self._derive(translate=self.translate + j)
 
     def cusp_local(self, v: Place):
         """Cuspidal local parameter, with the translate applied."""
@@ -169,6 +169,8 @@ class GlobalDiscrete(Record):
         return (self.label, self.translate, self.q, self.orbit)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, GlobalDiscrete):
             return NotImplemented
         # label, side, d, orbit, q and places first, then the translated local data
@@ -331,9 +333,17 @@ class LocalRSFactor(Record):
 
 def rs_local_factor(p1: SatakeParam, p2: SatakeParam) -> LocalRSFactor:
     """Inverse roots of the pair (p1, contragredient of p2): all quotients a/b."""
-    return LocalRSFactor(
-        tuple(a * b.inverse() for a in p1.coords for b in p2.coords)
-    )
+    return LocalRSFactor(tuple(_quotients(Counter(p1.coords), Counter(p2.coords)).elements()))
+
+
+def _quotients(a: Counter, b: Counter) -> Counter:
+    """Every quotient x/y of x in a and y in b: m*n for each distinct pair."""
+    out = Counter()
+    for y, n in b.items():
+        y = y.inverse()  # once per distinct y
+        for x, m in a.items():
+            out[x * y] += m * n
+    return out
 
 
 def lemma46_local_identity(
@@ -343,17 +353,18 @@ def lemma46_local_identity(
 
     Requires l copies of delta and l_p copies of delta_p to agree as one
     multiset; then d*l_p copies of the (delta_p, delta) inverse roots must
-    equal d*l copies of the (delta, delta) inverse roots.
+    equal d*l copies of the (delta, delta) inverse roots.  Both sides are
+    counted over the distinct values, one product per distinct pair.
     """
-    if _scaled(delta.coords, l) != _scaled(delta_p.coords, l_p):
+    a, b = Counter(delta.coords), Counter(delta_p.coords)
+    if _scaled(a, l) != _scaled(b, l_p):
         raise HypothesisViolated("l copies of delta and l' of delta' differ")
-    lhs = _scaled(rs_local_factor(delta_p, delta).inverse_roots, d * l_p)
-    return lhs == _scaled(rs_local_factor(delta, delta).inverse_roots, d * l)
+    return _scaled(_quotients(b, a), d * l_p) == _scaled(_quotients(a, a), d * l)
 
 
-def _scaled(coords, k: int) -> Counter:
-    """The multiset of coords with every multiplicity multiplied by k."""
-    return Counter({c: n * k for c, n in Counter(coords).items()})
+def _scaled(counts: Counter, k: int) -> Counter:
+    """The multiset with every multiplicity multiplied by k."""
+    return Counter({c: n * k for c, n in counts.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,13 @@ class Record:
     def __reduce__(self):
         return type(self), self._values(self)
 
+    def _derive(self, **changes):
+        """A copy with the named fields changed, past the constructor's checks."""
+        out = object.__new__(type(self))
+        for k, v in zip(self.__slots__, self._values(self)):
+            set_field(out, k, changes.get(k, v))
+        return out
+
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values(self)))
         return f"{type(self).__name__}({fields})"
@@ -97,6 +104,13 @@ class Coordinate(Record):
 
     zeta = property(lambda self: Fraction(self.a, self.n))
     qexp = property(lambda self: Fraction(self.p, self.r))
+
+    def __eq__(self, other):  # Record's, without building the two field tuples
+        if other.__class__ is not Coordinate:
+            return NotImplemented
+        return self.p == other.p and self.a == other.a and self.r == other.r and self.n == other.n
+
+    __hash__ = lambda self: hash((self.a, self.n, self.p, self.r))
 
     def __mul__(self, other: "Coordinate") -> "Coordinate":
         n, r = lcm(self.n, other.n), lcm(self.r, other.r)

@@ -17,12 +17,12 @@ per unit of a number in their input (d, r or l) check ``MAX_PARTS`` first.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 from math import comb, prod
 from typing import Optional, Tuple
 
 from .arith import ONE, Coordinate, Record, json_fraction, json_int, primitive_root, set_field
+from .arith import _reduced
 from .errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
 
 MAX_FIBER_RANK = 12
@@ -140,9 +140,8 @@ class SphericalRepE(Record):
 
     def rotate(self, j: int) -> "SphericalRepE":
         """The Galois translate sigma^j: cyclic rotation of the field factors."""
-        r = self.algebra.r
-        j %= r
-        return SphericalRepE(self.algebra, self.blocks[j:] + self.blocks[:j])
+        j %= self.algebra.r
+        return self._derive(blocks=self.blocks[j:] + self.blocks[:j]) if j else self
 
     def galois_orbit(self) -> set["SphericalRepE"]:
         return {self.rotate(j) for j in range(self.algebra.r)}
@@ -183,8 +182,9 @@ def param_of_unramified_character(xi: Coordinate, n: int, qscale: int = 1) -> Sa
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
+    step = xi.r * qscale  # xi * q^(qscale (2j + 1 - n)/2), over the denominator 2 xi.r
     return SatakeParam(
-        tuple(xi * Coordinate(0, Fraction(qscale * (2 * j + 1 - n), 2)) for j in range(n))
+        tuple(_reduced(xi.a, xi.n, 2 * xi.p + step * (2 * j + 1 - n), 2 * xi.r) for j in range(n))
     )
 
 
@@ -228,8 +228,11 @@ def twist_split(pi: SatakeParam, zeta: Coordinate, r: int) -> Optional[Tuple[Coo
     if pi.rank % r:
         return None
     size = pi.rank // r
+    if not size:  # before the r powers of zeta: r is unbounded on an empty pi
+        return ()
     coords = pi.coords  # sorted, so the largest remaining one is the last
     counter = Counter(coords)
+    powers = [zeta**i for i in range(r)]
     inverse = zeta.inverse()
     tries = min(r, zeta.torsion_order())
 
@@ -240,7 +243,7 @@ def twist_split(pi: SatakeParam, zeta: Coordinate, r: int) -> Optional[Tuple[Coo
             top -= 1
         a = coords[top]
         for _ in range(tries):
-            need = Counter(zeta**i * a for i in range(r))
+            need = Counter(z * a for z in powers)
             if all(counter[m] >= k for m, k in need.items()):
                 counter.subtract(need)
                 acc.append(a)

@@ -721,10 +721,12 @@ def test_parts_are_bounded_before_they_are_built(verb, doc):
 @pytest.mark.parametrize("doc", [
     {"direction": "ai", "algebra": {"d": 2000, "r": 2000, "s": 1}, "param": {"coords": []}},
     {"direction": "bc", "rep": {"d": 10**7, "r": 1, "s": 10**7, "y": []}},
-], ids=["ai-split2000", "bc-field1e7"])
+    {"direction": "ai", "algebra": {"d": 10**7, "r": 1, "s": 10**7}, "param": {"coords": []}},
+], ids=["ai-split2000", "bc-field1e7", "ai-field1e7"])
 def test_rank_zero_fiber_is_one_member(doc):
     # the ai split used to recurse once per block, the bc fiber to build all
-    # s roots of unity before it looked at the (empty) block
+    # s roots of unity before it looked at the (empty) block; the ai split
+    # over a field must not build the s powers of zeta for an empty parameter
     proc = run_cli_process(["fibers"], doc)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["count"] == 1

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -73,6 +74,40 @@ class TestGlobalDiscrete:
         cusp = Pi.cusp_local(v).blocks[0].coords[0]
         stair = Pi.local(v).blocks[0].coords
         assert sorted(c.qexp - cusp.qexp for c in stair) == [-1, 1]
+
+    def test_a_translate_is_not_validated_again(self, monkeypatch):
+        calls = []
+        check = GlobalDiscrete._validate_local
+        monkeypatch.setattr(GlobalDiscrete, "_validate_local",
+                            lambda self, v: calls.append(v) or check(self, v))
+        Pi = make_discrete(2, 4, 2, [1, 2, 4])
+        assert len(calls) == 3
+        moved = Pi.translated(3).translated(-1)
+        assert len(calls) == 3 and moved.translate == 2
+        GlobalDiscrete(Pi.label, Pi.side, Pi.d, Pi.orbit, Pi.q, Pi.places, Pi.cusp_locals, 2)
+        assert len(calls) == 6
+
+    def test_a_translate_has_the_fields_of_the_validated_datum(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            d = rng.choice((2, 3, 4, 6))
+            r = rng.choice([k for k in range(1, d + 1) if d % k == 0])
+            Pi = make_discrete(rng.randrange(10**6), d, r,
+                               [rng.choice([f for f in range(1, d + 1) if d % f == 0])
+                                for _ in range(rng.randint(1, 3))], q=rng.randint(1, 3))
+            for D in (Pi, global_ai_lift(Pi).factors[0]):
+                j = rng.randint(-2 * d, 2 * d)
+                got = D.translated(j)
+                want = GlobalDiscrete(D.label, D.side, D.d, D.orbit, D.q, D.places,
+                                      D.cusp_locals, D.translate + j)
+                assert type(got) is GlobalDiscrete
+                assert all(getattr(got, k) == getattr(want, k) for k in GlobalDiscrete.__slots__)
+                assert got == want and all(got.local(v) == want.local(v) for v in D.places)
+
+    def test_equality_with_itself_reads_no_local_datum(self, monkeypatch):
+        Pi = make_discrete(3, 2, 1, [1, 2])
+        monkeypatch.setattr(GlobalDiscrete, "cusp_local", None)
+        assert Pi == Pi and not Pi != Pi
 
 
 class TestGlobalLift:
@@ -169,6 +204,24 @@ class TestRSFactor:
         assert rs_local_factor(p, p).pole_order_at_1() == 0
 
 
+def _all_quotients(p1, p2):
+    """The n^2 list of every quotient a/b, a in p1 and b in p2."""
+    return [a * b.inverse() for a in p1.coords for b in p2.coords]
+
+
+def _scaled(coords, k):
+    return Counter({c: n * k for c, n in Counter(coords).items()})
+
+
+def lemma46_reference(delta, l, delta_p, l_p, d):
+    """The identity over the full lists of inverse roots, every pair multiplied
+    (the list ``rs_local_factor`` sorts, as the test below pins)."""
+    if _scaled(delta.coords, l) != _scaled(delta_p.coords, l_p):
+        raise HypothesisViolated("l copies of delta and l' of delta' differ")
+    lhs = _scaled(_all_quotients(delta_p, delta), d * l_p)
+    return lhs == _scaled(_all_quotients(delta, delta), d * l)
+
+
 class TestLemma46:
     def test_doubled_instance(self):
         delta = SatakeParam((coord(0), coord(F(1, 2))))
@@ -197,6 +250,44 @@ class TestLemma46:
             delta = SatakeParam(tuple(core * (l_p // g)))
             delta_p = SatakeParam(tuple(core * (l // g)))
             assert lemma46_local_identity(delta, l, delta_p, l_p, rng.randint(1, 4))
+
+    def test_matches_the_reference_with_one_product_per_distinct_pair(self, monkeypatch):
+        products = []
+        mul = Coordinate.__mul__
+        monkeypatch.setattr(Coordinate, "__mul__",
+                            lambda a, b: products.append(1) or mul(a, b))
+        rng = random.Random(46)
+        verdicts = Counter()
+        for _ in range(300):
+            l, l_p, d = (rng.randint(1, 4) for _ in range(3))
+            g = gcd(l, l_p)
+            core = [Coordinate.of(F(rng.randrange(4), 4), rng.randint(-1, 1))
+                    for _ in range(rng.randint(1, 4))]  # repeats are likely
+            delta = SatakeParam(tuple(core * (l_p // g)))
+            delta_p = SatakeParam(tuple(core * (l // g)))
+            if rng.random() < 0.3:  # break the hypothesis, or keep it by luck
+                delta_p = SatakeParam(delta_p.coords[1:] + (rng.choice(core),))
+            try:
+                want = lemma46_reference(delta, l, delta_p, l_p, d)
+            except HypothesisViolated:
+                want = HypothesisViolated
+            del products[:]
+            try:
+                got = lemma46_local_identity(delta, l, delta_p, l_p, d)
+            except HypothesisViolated:
+                got = HypothesisViolated
+            assert got == want
+            da, db = len(set(delta.coords)), len(set(delta_p.coords))
+            assert len(products) <= da * (da + db)
+            verdicts[want] += 1
+        assert verdicts[True] > 100 and verdicts[HypothesisViolated] > 30
+
+    def test_rs_factor_is_the_list_of_all_quotients(self):
+        rng = random.Random(9)
+        for _ in range(50):
+            p1, p2 = (SatakeParam(tuple(Coordinate.of(F(rng.randrange(3), 3), rng.randint(-1, 1))
+                                        for _ in range(rng.randint(1, 5)))) for _ in "ab")
+            assert rs_local_factor(p1, p2).inverse_roots == tuple(sorted(_all_quotients(p1, p2)))
 
 
 class TestSeparate:

@@ -24,6 +24,7 @@ LOCALS = {"v": SphericalRepE(PLACE.algebra, (PARAM, PARAM))}
 DELTA = GlobalDiscrete("L", "E", 2, 2, 1, (PLACE,), LOCALS)
 
 RECORDS = {
+    "Coordinate": X,
     "CyclicAlgebra": CyclicAlgebra(4, 2, 2),
     "SatakeParam": PARAM,
     "SphericalRepE": SphericalRepE(CyclicAlgebra.field(2), (PARAM,)),
@@ -44,7 +45,9 @@ RECORDS = {
 }
 # these hold a dict: a GlobalDiscrete its local data, the Hecke elements their terms
 UNHASHABLE = {"GlobalDiscrete", "InducedGlobal", "SymLaurent", "TensorSym"}
-HAND_REPR = {"SymLaurent", "TensorSym"}  # name the class and count the terms
+# the Hecke elements name the class and count the terms; a Coordinate shows
+# its two Fractions, Coordinate(1/3, 1)
+HAND_REPR = {"Coordinate", "SymLaurent", "TensorSym"}
 
 
 def fields(x) -> tuple:
@@ -116,7 +119,8 @@ def test_keyword_calls_and_defaults():
 
 
 def test_derived_records_are_validated_and_normalised():
-    # a twist, a translate or a lift builds its record through the constructor
+    # a twist, a translate or a lift builds its record through the constructor,
+    # except GlobalDiscrete.translated, which copies the validated fields
     assert SPEH.translated(3).base.translate == 0 and SPEH.twisted(1).base.twist == F(3, 2)
     assert Elliptic(ATOM, 2, (2,)).translated(5).translate == 1
     # GlobalDiscrete keeps its own equality, on the local data as translated:

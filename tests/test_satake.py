@@ -72,6 +72,20 @@ class TestParam:
         assert [c.qexp for c in y.coords] == [-2, 0, 2]
         assert all(c.zeta == F(1, 3) for c in y.coords)
 
+    def test_staircase_matches_the_fraction_reference(self):
+        # xi q^(qscale (2j + 1 - n)/2), each coordinate built from its two Fractions
+        rng = random.Random(5)
+        xis = [coord(F(rng.randrange(12), 12), F(rng.randint(-9, 9), rng.randint(1, 6)))
+               for _ in range(40)]
+        xis += [coord(F(1, 3), F(-5, 4)), coord(0, F(7, 6)), coord(F(1, 2), -3)]
+        assert any(x.r > 1 for x in xis) and any(x.p < 0 for x in xis)
+        for xi, n, qscale in product(xis, range(1, 7), range(1, 7)):
+            want = tuple(
+                Coordinate(xi.zeta, xi.qexp + F(qscale * (2 * j + 1 - n), 2)) for j in range(n)
+            )
+            got = param_of_unramified_character(xi, n, qscale)
+            assert got == SatakeParam(want) and got.coords == want
+
     def test_twist_orbit_cardinality(self):
         z4 = primitive_root(4)
         stable = SatakeParam(tuple(z4**j for j in range(4)))
@@ -265,6 +279,13 @@ class TestGaloisAction:
         y = rep(alg, [coord(0)], [coord(F(1, 2))], [coord(F(1, 3))])
         assert len(y.galois_orbit()) == 3
         assert y.rotate(3) == y
+
+    def test_rotation_is_the_rotated_blocks_and_zero_is_the_same_record(self):
+        y = rep(CyclicAlgebra(6, 3, 2), [coord(0, 1)], [coord(F(1, 2))], [coord(0, -1)])
+        for j in range(-4, 7):
+            k = j % 3
+            assert y.rotate(j) == SphericalRepE(y.algebra, y.blocks[k:] + y.blocks[:k])
+        assert y.rotate(0) is y and y.rotate(3) is y
 
     def test_json_roundtrip(self):
         alg = CyclicAlgebra(4, 2, 2)
