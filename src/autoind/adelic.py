@@ -5,8 +5,8 @@ the residue degree f_v of the degree-d cyclic extension above it; the local
 picture at v is the cyclic algebra with e_v = d/f_v factors.  A discrete
 datum u(Lambda, q) stores its cuspidal local parameters at every place and
 derives the Speh local components by the staircase construction.  The global
-lifting map, rigidity, the Rankin-Selberg local factors and the separation
-argument are then all placewise-checkable statements.
+lifting map, rigidity, the Euler-factor identity and the separation argument
+are then all placewise-checkable statements.
 
 The Galois generator acts at a place by rotating the e_v local blocks; the
 twist character acts by the place's root of unity zeta_v of order f_v.  The
@@ -76,7 +76,9 @@ class Place(Record):
 
 
 def _staircase(y: SatakeParam, q: int, qscale: int) -> SatakeParam:
-    """Replace every coordinate c of y by the staircase of c of length q."""
+    """Replace every coordinate c of y by the staircase of c of length q; more
+    than ``MAX_PARTS`` coordinates are refused before any is built."""
+    check_parts(q * y.rank, "coordinates")
     return SatakeParam(
         tuple(
             x
@@ -314,26 +316,7 @@ def rigidity_check(a: InducedGlobal, b: InducedGlobal) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rankin-Selberg local factors
-
-
-class LocalRSFactor(Record):
-    """Data of det(1 - A q^(-s))^(-1): the multiset of inverse roots of A."""
-
-    __slots__ = ("inverse_roots",)
-
-    def __init__(self, inverse_roots: Tuple[Coordinate, ...]):
-        set_field(self, "inverse_roots", tuple(sorted(inverse_roots)))
-
-    def pole_order_at_1(self) -> int:
-        """Multiplicity of the inverse root q (the only source of a pole at s=1)."""
-        target = Coordinate.of(0, 1)
-        return sum(1 for c in self.inverse_roots if c == target)
-
-
-def rs_local_factor(p1: SatakeParam, p2: SatakeParam) -> LocalRSFactor:
-    """Inverse roots of the pair (p1, contragredient of p2): all quotients a/b."""
-    return LocalRSFactor(tuple(_quotients(Counter(p1.coords), Counter(p2.coords)).elements()))
+# The Euler-factor identity of the separation lemma
 
 
 def _quotients(a: Counter, b: Counter) -> Counter:
@@ -439,13 +422,14 @@ def _crt(a: int, m: int, b: int, n: int):
 
 
 def check_global_compat(Pi: GlobalDiscrete) -> bool:
-    """Base change of the lift matches the Galois-spread product, placewise."""
+    """Base change of the lift matches the Galois-spread product, placewise, on
+    the cuspidal data: both maps commute with the staircase, so q adds no work."""
     if Pi.side != "E":
         raise ShapeError("compatibility check is defined on E-side data")
     if Pi.orbit * Pi.g != Pi.d:
         raise BadOrbit("orbit bookkeeping inconsistent")
     for v in Pi.places:
-        ok, report = check_ia_bc_compat(Pi.local(v))
+        ok, report = check_ia_bc_compat(Pi.cusp_local(v))
         if not ok:
             raise LocalMismatch(v.label, f"composite identity failed: {report}")
     return True

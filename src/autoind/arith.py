@@ -7,7 +7,9 @@ of Q(zeta_N): int numerators over one positive int denominator, reduced modulo
 Phi_N by folding exponents with x^N = 1, then by integer long division by sparse
 multiples of Phi_N, one prime of N at a time, ending at Phi_N itself.
 :class:`QCyclo` is the ring where sums of coordinates live: Q-linear sums of
-q-powers with ``Cyclo`` coefficients.  Zero tests are exact, so Hecke trace
+q-powers with ``Cyclo`` coefficients, the q-exponents kept as int numerators
+over one least common denominator, so equality compares ints.  A product
+reduces one ``Cyclo`` per q-exponent.  Zero tests are exact, so Hecke trace
 identities hold with tolerance zero.  No floats: JSON reads via :func:`json_int`.
 """
 
@@ -326,16 +328,7 @@ class Cyclo:
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
         """Sparse integer convolution at the lcm conductor, reduced once."""
-        m = _bounded(lcm(self.conductor, other.conductor))
-        sa, sb = m // self.conductor, m // other.conductor
-        bs = [(j * sb, c) for j, c in enumerate(other.num) if c]
-        out = [0] * ((len(self.num) - 1) * sa + (len(other.num) - 1) * sb + 1)
-        for i, ca in enumerate(self.num):
-            if ca:
-                i *= sa
-                for j, cb in bs:
-                    out[i + j] += ca * cb
-        return Cyclo(m, out, self.den * other.den)
+        return _product_sum(((self, other),))
 
     def scale(self, c) -> "Cyclo":
         c = Fraction(c)
@@ -373,52 +366,83 @@ class Cyclo:
         return f"Cyclo({self.conductor}, {list(self.coeffs)})"
 
 
+def _product_sum(pairs) -> Cyclo:
+    """The sum of the products a * b of the pairs, their convolutions added as
+    ints over one denominator at the lcm of the pairs' lcm conductors, and reduced once."""
+    m = _bounded(lcm(*(lcm(a.conductor, b.conductor) for a, b in pairs)))
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    acc = [0] * max((len(a.num) - 1) * (m // a.conductor) + (len(b.num) - 1) * (m // b.conductor) + 1
+                    for a, b in pairs)
+    for a, b in pairs:
+        sa, sb, k = m // a.conductor, m // b.conductor, den // (a.den * b.den)
+        bs = [(j * sb, c * k) for j, c in enumerate(b.num) if c]
+        for i, x in enumerate(a.num):
+            if x:
+                i *= sa
+                for j, y in bs:
+                    acc[i + j] += x * y
+    return Cyclo(m, acc, den)
+
+
 # ---------------------------------------------------------------------------
 # The group ring Q(mu_infty)[q^Q]
 
 
 class QCyclo:
-    """Finite map from rational q-exponents to cyclotomic coefficients.
+    """Finite map from q-exponents e/den to cyclotomic coefficients: ``terms``
+    maps each int numerator e to its Cyclo, over one positive int ``den``.
 
-    The exact evaluation ring for Satake transforms, closed under the ring
-    operations; zero coefficients are dropped, so zero is the empty map.
+    The exact evaluation ring for Satake transforms.  Zero coefficients are
+    dropped, then ``den`` and the keys are divided by their gcd, so ``den`` is
+    the least common q-denominator of the nonzero terms (1 for zero, the empty map).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: Mapping[Fraction, Cyclo]):
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+    def __init__(self, terms: Mapping[int, Cyclo], den: int = 1):
+        terms = {e: c for e, c in terms.items() if c.num}
+        g = gcd(den, *terms)
+        self.terms = {e // g: c for e, c in terms.items()} if g > 1 else terms
+        self.den = den // g
 
     @classmethod
     def rational(cls, c) -> "QCyclo":
-        return cls({Fraction(0): Cyclo.rational(c)})
+        return cls({0: Cyclo.rational(c)})
 
     @classmethod
     def from_coordinate(cls, x: Coordinate) -> "QCyclo":
-        return cls({x.qexp: Cyclo.root_of_unity(x.a, x.n)})
+        return cls({x.p: Cyclo.root_of_unity(x.a, x.n)}, x.r)
+
+    def _over(self, den: int) -> dict:
+        """The terms keyed by numerators over ``den``, a multiple of ``self.den``."""
+        k = den // self.den
+        return {e * k: c for e, c in self.terms.items()} if k > 1 else self.terms
 
     def __add__(self, other: "QCyclo") -> "QCyclo":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        den = lcm(self.den, other.den)
+        out = dict(self._over(den))
+        for e, c in other._over(den).items():
             out[e] = out[e] + c if e in out else c
-        return QCyclo(out)
+        return QCyclo(out, den)
 
     def __neg__(self) -> "QCyclo":
-        return QCyclo({e: -c for e, c in self.terms.items()})
+        return QCyclo({e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: "QCyclo") -> "QCyclo":
         return self + (-other)
 
     def __mul__(self, other: "QCyclo") -> "QCyclo":
-        out: dict[Fraction, Cyclo] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e, p = e1 + e2, c1 * c2
-                out[e] = out[e] + p if e in out else p
-        return QCyclo(out)
+        """Each pair of terms filed under its output exponent: one Cyclo per exponent."""
+        den = lcm(self.den, other.den)
+        pairs: dict[int, list] = {}
+        theirs = other._over(den).items()
+        for e1, c1 in self._over(den).items():
+            for e2, c2 in theirs:
+                pairs.setdefault(e1 + e2, []).append((c1, c2))
+        return QCyclo({e: _product_sum(ps) for e, ps in pairs.items()}, den)
 
     def scale(self, c) -> "QCyclo":
-        return QCyclo({e: x.scale(c) for e, x in self.terms.items()})
+        return QCyclo({e: x.scale(c) for e, x in self.terms.items()}, self.den)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -426,24 +450,25 @@ class QCyclo:
     def __eq__(self, other):
         if not isinstance(other, QCyclo):
             return NotImplemented
-        # no zero terms are kept and q is transcendental: the same exponents,
-        # then equal coefficients at each
-        return self.terms == other.terms
+        # one den, no zero terms and q transcendental: the same exponents and coefficients
+        return self.den == other.den and self.terms == other.terms
 
     __hash__ = None
 
     @classmethod
     def sum(cls, items: Iterable["QCyclo"]) -> "QCyclo":
-        buckets: dict[Fraction, list[Cyclo]] = {}
+        items = list(items)
+        den = lcm(*(it.den for it in items))
+        buckets: dict[int, list[Cyclo]] = {}
         for it in items:
-            for e, c in it.terms.items():
+            for e, c in it._over(den).items():
                 buckets.setdefault(e, []).append(c)
-        return QCyclo({e: Cyclo.sum(cs) for e, cs in buckets.items()})
+        return QCyclo({e: Cyclo.sum(cs) for e, cs in buckets.items()}, den)
 
     def to_json(self):
         return {"terms": [
             {
-                "qexp": [e.numerator, e.denominator],
+                "qexp": [e // gcd(e, self.den), self.den // gcd(e, self.den)],
                 "conductor": c.conductor,
                 "coeffs": [[x.numerator, x.denominator] for x in c.coeffs],
             }
@@ -452,13 +477,15 @@ class QCyclo:
 
     @classmethod
     def from_json(cls, doc) -> "QCyclo":
-        terms = {}
-        for t in doc["terms"]:
+        """The terms over the lcm of their q-denominators; a repeated ``qexp`` is summed."""
+        parsed = [(json_fraction(t["qexp"], "qexp"), t) for t in doc["terms"]]
+        den, terms = lcm(*(e.denominator for e, _ in parsed)), {}
+        for e, t in parsed:
             coeffs = [json_fraction(c, "coeffs") for c in t["coeffs"]]
-            n = json_int(t["conductor"], "conductor")
-            e, c = json_fraction(t["qexp"], "qexp"), Cyclo(n, coeffs)
+            c = Cyclo(json_int(t["conductor"], "conductor"), coeffs)
+            e = e.numerator * (den // e.denominator)
             terms[e] = terms[e] + c if e in terms else c
-        return cls(terms)
+        return cls(terms, den)
 
     def __repr__(self):
-        return f"QCyclo({self.terms!r})"
+        return f"QCyclo({self.terms!r}, {self.den})"

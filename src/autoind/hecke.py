@@ -15,10 +15,10 @@ through the power-sum basis, where its rule ``p_k -> s p_{k/s}`` (or 0) is
 monomial.  Only evaluation walks the exponent vectors of an orbit, at most
 ``MAX_ORBIT`` of them, and it counts each as an int pair (root index,
 q-numerator), with no Coordinate per vector; ``satake_eval`` adds the
-coefficient-times-row products into one int vector per q-exponent and
-reduces each once.  m_a * m_b is counted in l(a) + l(b) slots, and p_lam
-is the integer row R_lam of the p -> m transition matrix (Macdonald,
-Symmetric Functions, I.6) built from it.
+coefficient-times-row products into one int vector per int q-numerator,
+reduces each once and keys the QCyclo by those numerators.  m_a * m_b is
+counted in l(a) + l(b) slots, and p_lam is the integer row R_lam of the
+p -> m transition matrix (Macdonald, Symmetric Functions, I.6) built from it.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def _orbit_sum(coords, exps: ExpVec) -> QCyclo:
     """m_exps at ``coords``: one Cyclo per q-exponent, at its row's order."""
     N, R = lcm(*(c.n for c in coords)), lcm(*(c.r for c in coords))
     rows = _orbit_rows(coords, exps, N, R).items()
-    return QCyclo({Fraction(e, R): _row_cyclo(row, N, _row_order(row, N)) for e, row in rows})
+    return QCyclo({e: _row_cyclo(row, N, _row_order(row, N)) for e, row in rows}, R)
 
 
 def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
@@ -279,7 +279,8 @@ def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
     The factor ``(z_1 ... z_n)^(-shift)`` lowers every exponent by the shift.
 
     Each product of a coefficient term and an orbit row is added, as ints over
-    one denominator, into one vector per output q-exponent, reduced once by one
+    one denominator, into one vector per output q-numerator over R (the lcm of
+    every q-denominator of y and f, and the result's keys), reduced once by one
     Cyclo at C_e: the lcm of the conductors and row orders that meet q^e over
     the nonzero rows, as when each product was reduced apart.  Only a row of
     several roots can vanish; it is reduced once, as a zero test.
@@ -288,10 +289,10 @@ def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
         raise RankMismatch(f"f has {f.nvars} variables, parameter has rank {y.rank}")
     coords = y.coords
     N = lcm(*(c.n for c in coords))
-    R = lcm(*(c.r for c in coords), *(e.denominator for c in f.terms.values() for e in c.terms))
+    R = lcm(*(c.r for c in coords), *(coef.den for coef in f.terms.values()))
     spread: Dict[int, list] = {}
     for k, coef in f.terms.items():
-        cterms = [(e.numerator * (R // e.denominator), c) for e, c in coef.terms.items()]
+        cterms = coef._over(R).items()
         for t, row in _orbit_rows(coords, tuple(e - f.shift for e in k), N, R).items():
             m = _row_order(row, N)
             if len(row) > 1 and _row_cyclo(row, N, m).is_zero():
@@ -311,8 +312,8 @@ def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
                     i *= step
                     for b, h in roots:
                         acc[(i + b) % M] += x * h
-        terms[Fraction(e, R)] = Cyclo(M, acc, den)
-    return QCyclo(terms)
+        terms[e] = Cyclo(M, acc, den)
+    return QCyclo(terms, R)
 
 
 # ---------------------------------------------------------------------------

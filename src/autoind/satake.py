@@ -143,9 +143,6 @@ class SphericalRepE(Record):
         j %= self.algebra.r
         return self._derive(blocks=self.blocks[j:] + self.blocks[:j]) if j else self
 
-    def galois_orbit(self) -> set["SphericalRepE"]:
-        return {self.rotate(j) for j in range(self.algebra.r)}
-
     def to_json(self):
         return {
             "algebra": self.algebra.to_json(),
@@ -186,16 +183,6 @@ def param_of_unramified_character(xi: Coordinate, n: int, qscale: int = 1) -> Sa
     return SatakeParam(
         tuple(_reduced(xi.a, xi.n, 2 * xi.p + step * (2 * j + 1 - n), 2 * xi.r) for j in range(n))
     )
-
-
-def x_of(y: SatakeParam, d: int, zeta_d: Coordinate) -> int:
-    """Cardinality of the twist orbit: the least k >= 1 with zeta_d^k y = y."""
-    if zeta_d.torsion_order() != d:
-        raise ValueError(f"zeta must have exact order d={d}")
-    for k in range(1, d + 1):
-        if y.twist(zeta_d**k) == y:
-            return k
-    return d  # unreachable: zeta_d^d = 1
 
 
 # ---------------------------------------------------------------------------

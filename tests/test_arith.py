@@ -13,6 +13,8 @@ from autoind.arith import (
     MAX_CONDUCTOR, ONE, Coordinate, Cyclo, QCyclo, _chain, _divide, _reduce, cyclotomic_polynomial,
 )
 from autoind.errors import BudgetExceeded
+from autoind.hecke import SymLaurent, satake_eval
+from autoind.satake import SatakeParam
 
 
 def coord(z, q=0):
@@ -119,7 +121,7 @@ class TestQCyclo:
     def test_from_coordinate(self):
         a = coord(F(1, 2), 3)
         x = QCyclo.from_coordinate(a)
-        assert x == QCyclo({F(3): Cyclo.rational(-1)})
+        assert x == QCyclo({3: Cyclo.rational(-1)})
 
     def test_ring_axioms_sample(self):
         a = QCyclo.from_coordinate(coord(F(1, 3), F(1, 2)))
@@ -293,7 +295,7 @@ def test_negation_scaling_and_lift(a, r, k):
     assert lifted.coeffs == schoolbook_mod(spread, m)
 
 
-qcyclos = st.dictionaries(st.sampled_from((F(0), F(1, 2), F(-1))), cyclos, max_size=3).map(QCyclo)
+qcyclos = st.dictionaries(st.sampled_from((0, 1, -2)), cyclos, max_size=3).map(lambda t: QCyclo(t, 2))
 
 
 @given(cyclos, cyclos, st.sampled_from((1, 2, 3)))
@@ -308,8 +310,8 @@ def test_equality_agrees_with_the_zero_test(a, b, k):
 
 @given(qcyclos, qcyclos, cyclos)
 def test_qcyclo_equality_agrees_with_the_zero_test(x, y, c):
-    z = x + QCyclo({F(1, 2): c})
-    for u, w in ((x, y), (x, z), (z, x + QCyclo({F(1, 2): Cyclo.sum((c, Cyclo(6, ())))}))):
+    z = x + QCyclo({1: c}, 2)
+    for u, w in ((x, y), (x, z), (z, x + QCyclo({1: Cyclo.sum((c, Cyclo(6, ())))}, 2))):
         assert (u == w) == (u - w).is_zero() == (w == u)
 
 
@@ -322,18 +324,68 @@ def test_equal_conductors_compare_without_subtracting(monkeypatch):
     a, b = Cyclo(12, [1, 2, 3]), Cyclo(12, [F(1, 2), 5])
     assert a == Cyclo(12, [1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]) and a != b
     assert a != Cyclo(12, [F(1, 2), 1, F(3, 2)])  # the same numerators over 2
-    x = QCyclo({F(1, 2): a, F(0): b})
-    assert x == QCyclo({F(0): b, F(1, 2): Cyclo(12, [1, 2, 3])})
-    assert x != QCyclo({F(0): a, F(1, 2): b})
+    x = QCyclo({1: a, 0: b}, 2)
+    assert x == QCyclo({0: b, 1: Cyclo(12, [1, 2, 3])}, 2)
+    assert x != QCyclo({0: a, 1: b}, 2)
     assert not calls
 
 
 def test_different_exponents_compare_unequal():
     one, z = Cyclo.rational(1), Cyclo.root_of_unity(1, 3)
-    x = QCyclo({F(0): one, F(1, 2): z})
-    fewer, moved, more = ({F(0): one}, {F(0): one, F(1): z}, {F(0): one, F(1, 2): z, F(1): z})
-    for y in map(QCyclo, (fewer, moved, more)):
+    x = QCyclo({0: one, 1: z}, 2)
+    fewer, moved, more = ({0: one}, {0: one, 2: z}, {0: one, 1: z, 2: z})  # over 2
+    for y in (QCyclo(t, 2) for t in (fewer, moved, more)):
         assert x != y and y != x
+
+
+def qfields(x):
+    return x.den, sorted((e, c.conductor, c.num, c.den) for e, c in x.terms.items())
+
+
+coordinates = st.builds(
+    Coordinate.of,
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@given(st.lists(coordinates, min_size=1, max_size=4), st.integers(2, 5), st.integers(-6, 6))
+def test_one_value_over_r_and_over_k_r_is_one_qcyclo(coords, k, j):
+    """q^(p/r) built over r and over k*r: the same den, equal, and the same JSON."""
+    x = QCyclo.sum(QCyclo.from_coordinate(c) for c in coords)
+    assert x.den >= 1 and gcd(x.den, *x.terms) == 1
+    inflated = QCyclo.sum(QCyclo({c.p * k: Cyclo.root_of_unity(c.a, c.n)}, c.r * k) for c in coords)
+
+    def split(c):
+        """e_2 at (w, c / w), w = q^(j / (k r)): satake_eval works over a multiple of k*r."""
+        w = Coordinate.of(0, F(j, k * c.r))
+        return satake_eval(SymLaurent.elementary(2, 2), SatakeParam((w, c * w.inverse())))
+
+    for y in (inflated, QCyclo.sum(map(split, coords))):
+        assert y == x and x == y and y.den == x.den
+        assert QCyclo.from_json(y.to_json()) == x and y.to_json() == x.to_json()
+
+
+@given(qcyclos, qcyclos)
+def test_product_has_the_fields_of_the_pairwise_products(x, y):
+    """Each output exponent's Cyclo sits at the conductor that reducing each
+    pair's product apart and adding the products gives."""
+    den, pairwise = x.den * y.den, QCyclo({})
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            pairwise = pairwise + QCyclo({e1 * y.den + e2 * x.den: c1 * c2}, den)
+    assert qfields(x * y) == qfields(pairwise)
+
+
+def test_a_product_builds_one_cyclo_per_q_exponent(monkeypatch):
+    qc = QCyclo.from_coordinate
+    x = qc(coord(F(1, 3))) + qc(coord(F(1, 4), F(1, 2))) + qc(coord(0, F(3, 2))).scale(F(1, 2))
+    y = qc(coord(F(1, 5))) + qc(coord(F(1, 6), 1)).scale(3)
+    built = []
+    init = Cyclo.__init__
+    monkeypatch.setattr(Cyclo, "__init__", lambda c, *a: built.append(1) or init(c, *a))
+    z = x * y  # six pairs at q^0, 1/2, 1, 3/2, 3/2 and 5/2
+    assert len(built) == len(z.terms) == 5
 
 
 def test_fold_and_bad_conductor():

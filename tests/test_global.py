@@ -5,8 +5,9 @@ from math import gcd
 
 import pytest
 
-from autoind.arith import Coordinate
+from autoind.arith import Coordinate, Record, set_field
 from autoind.errors import (
+    BudgetExceeded,
     HypothesisViolated,
     LocalMismatch,
     PlaceSetMismatch,
@@ -19,9 +20,9 @@ from autoind.adelic import (
     Verdict,
     check_global_compat,
     global_ai_lift,
+    _quotients,
     lemma46_local_identity,
     rigidity_check,
-    rs_local_factor,
     separate,
 )
 from autoind.satake import SatakeParam, SphericalRepE, delta_map
@@ -186,6 +187,25 @@ class TestRigidity:
         b = global_ai_lift(make_discrete(8, 2, 1, [2, 1]))
         with pytest.raises(PlaceSetMismatch):
             rigidity_check(a, b)
+
+
+class LocalRSFactor(Record):
+    """Data of det(1 - A q^(-s))^(-1): the multiset of inverse roots of A."""
+
+    __slots__ = ("inverse_roots",)
+
+    def __init__(self, inverse_roots):
+        set_field(self, "inverse_roots", tuple(sorted(inverse_roots)))
+
+    def pole_order_at_1(self) -> int:
+        """Multiplicity of the inverse root q (the only source of a pole at s=1)."""
+        target = Coordinate.of(0, 1)
+        return sum(1 for c in self.inverse_roots if c == target)
+
+
+def rs_local_factor(p1, p2) -> LocalRSFactor:
+    """Inverse roots of the pair (p1, contragredient of p2): all quotients a/b."""
+    return LocalRSFactor(tuple(_quotients(Counter(p1.coords), Counter(p2.coords)).elements()))
 
 
 class TestRSFactor:
@@ -470,3 +490,24 @@ class TestCompat:
     def test_d1_trivial(self):
         Pi = make_discrete(61, 1, 1, [1])
         assert check_global_compat(Pi)
+
+    def test_work_does_not_grow_with_q(self, monkeypatch):
+        # at q = 200 the staircases of this datum (cusp rank 2, three places)
+        # pass the parts bound in bc_map; the cuspidal data decide the same
+        # identity at every q
+        from autoind import adelic
+
+        ranks = []
+        check = adelic.check_ia_bc_compat
+        monkeypatch.setattr(adelic, "check_ia_bc_compat",
+                            lambda y: ranks.append(y.flatten().rank) or check(y))
+        for q in (1, 200, 10**6):
+            assert check_global_compat(make_discrete(3, 4, 2, [1, 2, 4], m0=2, q=q))
+        assert ranks[:3] == ranks[3:6] == ranks[6:]
+
+    def test_staircases_past_the_parts_bound_are_refused_before_they_are_built(self):
+        Pi = make_discrete(3, 4, 2, [1, 2, 4], m0=2, q=10**9)
+        lift = global_ai_lift(Pi)
+        for build in (lambda: Pi.local(Pi.places[0]), lambda: rigidity_check(lift, lift)):
+            with pytest.raises(BudgetExceeded, match="more than 5000 coordinates"):
+                build()

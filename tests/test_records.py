@@ -8,12 +8,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from autoind.adelic import GlobalDiscrete, InducedGlobal, LocalRSFactor, Place, Verdict
+from autoind.adelic import GlobalDiscrete, InducedGlobal, Place, Verdict
 from autoind.arith import Coordinate, primitive_root
 from autoind.hecke import SymLaurent, constant_term
 from autoind.reps import CuspidalAtom, Elliptic, EssDiscrete, Product, Speh, TwistedPair
 from autoind.satake import CyclicAlgebra, SatakeParam, SphericalRepE
 from autoind.verify import PropertyResult
+from test_global import LocalRSFactor  # a record that only the tests define
 
 X, Y = Coordinate.of(F(1, 3), 1), Coordinate.of(0, F(1, 2))
 PARAM = SatakeParam((X, Y))

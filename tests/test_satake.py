@@ -20,7 +20,6 @@ from autoind.satake import (
     delta_map,
     param_of_unramified_character,
     twist_split,
-    x_of,
 )
 from autoind.verify import (
     _brute_ai_fiber,
@@ -37,6 +36,21 @@ def coord(z, q=0):
 
 def rep(alg, *blocks):
     return SphericalRepE(alg, tuple(SatakeParam(tuple(b)) for b in blocks))
+
+
+def x_of(y: SatakeParam, d: int, zeta_d: Coordinate) -> int:
+    """Cardinality of the twist orbit: the least k >= 1 with zeta_d^k y = y."""
+    if zeta_d.torsion_order() != d:
+        raise ValueError(f"zeta must have exact order d={d}")
+    for k in range(1, d + 1):
+        if y.twist(zeta_d**k) == y:
+            return k
+    return d  # unreachable: zeta_d^d = 1
+
+
+def galois_orbit(y: SphericalRepE) -> set:
+    """The Galois translates of y: its rotations."""
+    return {y.rotate(j) for j in range(y.algebra.r)}
 
 
 class TestAlgebra:
@@ -277,7 +291,7 @@ class TestGaloisAction:
     def test_rotation_orbit(self):
         alg = CyclicAlgebra.split(3)
         y = rep(alg, [coord(0)], [coord(F(1, 2))], [coord(F(1, 3))])
-        assert len(y.galois_orbit()) == 3
+        assert len(galois_orbit(y)) == 3
         assert y.rotate(3) == y
 
     def test_rotation_is_the_rotated_blocks_and_zero_is_the_same_record(self):
