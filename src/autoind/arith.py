@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, attrgetter
 from typing import Iterable, Mapping
@@ -244,25 +244,34 @@ def _reduce(v: list, n: int) -> list:
     """Trimmed remainder of the integer vector v modulo Phi_n (v is consumed).
     Exponents fold first by x^n = 1, exact because Phi_n divides x^n - 1; then v
     is divided by each P_i of :func:`_chain` in turn, each a multiple of Phi_n and
-    the last Phi_n itself, so v ends as its remainder modulo Phi_n."""
+    the last Phi_n itself, so v ends as its remainder modulo Phi_n.  A stage skips
+    zero leading entries at C speed: ``compress`` reads ``reversed(v)`` live, and
+    each update lands below the cursor, so it is seen."""
     for start in range(n, len(v), n):
         chunk = v[start : start + n]
         v[: len(chunk)] = map(add, v, chunk)
     del v[n:]
     for deg, terms in _chain(n):
-        for k in range(len(v) - deg - 1, -1, -1):
-            c = v[k + deg]
-            if c:
+        if len(v) > deg:
+            for k in compress(range(len(v) - deg - 1, -1, -1), reversed(v)):
+                c = v[k + deg]
                 for j, p in terms:
                     v[k + j] -= c * p
-        del v[deg:]
-    while v and not v[-1]:
-        v.pop()
+            del v[deg:]
+    if v and not v[-1]:
+        del v[next(compress(range(len(v), 0, -1), reversed(v)), 0) :]
     return v
 
 
 # ---------------------------------------------------------------------------
 # Cyclotomic elements
+
+
+def _signed_gcd(den: int, *ints: int) -> int:
+    """gcd(den, ints) with the sign of den, so dividing leaves den positive; den 0 is refused."""
+    if not den:
+        raise ValueError("denominator must be nonzero")
+    return gcd(den, *ints) if den > 0 else -gcd(den, *ints)
 
 
 def _bounded(conductor: int) -> int:
@@ -280,11 +289,11 @@ class Cyclo:
     ``num`` is the trimmed int remainder modulo Phi_N (at most phi(N) entries)
     and ``den`` a positive int with gcd(num, den) = 1: one representation per
     element and conductor.  The constructor takes ints or rationals of any
-    length over ``den`` and reduces them.  No minimal-conductor normal form:
-    mixed-conductor operations lift to the lcm of the conductors.  Equality
-    compares ``num`` and ``den`` at one conductor, and is a zero test of the
-    difference across two.  A conductor above
-    ``MAX_CONDUCTOR`` raises :class:`BudgetExceeded` before any allocation.
+    length over a nonzero int ``den`` (a negative one changes the signs) and
+    reduces them.  No minimal-conductor normal form: mixed-conductor operations
+    lift to the lcm of the conductors.  Equality compares ``num`` and ``den`` at
+    one conductor, and is a zero test of the difference across two.  A conductor
+    above ``MAX_CONDUCTOR`` raises :class:`BudgetExceeded` before any allocation.
     """
 
     __slots__ = ("conductor", "num", "den")
@@ -297,11 +306,15 @@ class Cyclo:
             common = lcm(*(f.denominator for f in fs))
             v = [f.numerator * (common // f.denominator) for f in fs]
             den *= common
-        v = _reduce(v, conductor)
-        g = gcd(*v, den)
+        self._set(conductor, _reduce(v, conductor), den)
+
+    def _set(self, conductor: int, v: list, den: int) -> "Cyclo":
+        """Set the fields from a trimmed remainder v over den, dividing out their signed gcd."""
+        g = _signed_gcd(den, *v)
         self.conductor = conductor
-        self.num = tuple(c // g for c in v) if g > 1 else tuple(v)
+        self.num = tuple(c // g for c in v) if g != 1 else tuple(v)
         self.den = den // g
+        return self
 
     @classmethod
     def rational(cls, c) -> "Cyclo":
@@ -320,8 +333,7 @@ class Cyclo:
     def __add__(self, other: "Cyclo") -> "Cyclo":
         return Cyclo.sum((self, other))
 
-    def __neg__(self) -> "Cyclo":
-        return Cyclo(self.conductor, [-c for c in self.num], self.den)
+    __neg__ = lambda self: self.scale(-1)  # a remainder still: only the gcd is taken
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
         return self + (-other)
@@ -331,8 +343,10 @@ class Cyclo:
         return _product_sum(((self, other),))
 
     def scale(self, c) -> "Cyclo":
-        c = Fraction(c)
-        return Cyclo(self.conductor, [c.numerator * x for x in self.num], self.den * c.denominator)
+        """c times this, c an int or a Fraction: still a remainder, so only the gcd is taken."""
+        k = c.numerator
+        v = [k * x for x in self.num] if k else []
+        return _new(Cyclo)._set(self.conductor, v, self.den * c.denominator)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -393,7 +407,8 @@ class QCyclo:
     maps each int numerator e to its Cyclo, over one positive int ``den``.
 
     The exact evaluation ring for Satake transforms.  Zero coefficients are
-    dropped, then ``den`` and the keys are divided by their gcd, so ``den`` is
+    dropped, a negative ``den`` changes the keys' signs (zero is refused), then
+    ``den`` and the keys are divided by their gcd, so ``den`` is
     the least common q-denominator of the nonzero terms (1 for zero, the empty map).
     """
 
@@ -401,8 +416,8 @@ class QCyclo:
 
     def __init__(self, terms: Mapping[int, Cyclo], den: int = 1):
         terms = {e: c for e, c in terms.items() if c.num}
-        g = gcd(den, *terms)
-        self.terms = {e // g: c for e, c in terms.items()} if g > 1 else terms
+        g = _signed_gcd(den, *terms)
+        self.terms = {e // g: c for e, c in terms.items()} if g != 1 else terms
         self.den = den // g
 
     @classmethod

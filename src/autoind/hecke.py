@@ -9,16 +9,13 @@ evaluation identities:
 * ``satake_eval(f, delta_map(y)) == satake_eval(ai_transfer(f), y.flatten())``
 * ``eval of (f_1, .., f_r) at bc_map(y) == satake_eval(bc_transfer(..), y)``
 
-Base change is the Adams operation f(z) -> f(z^s), a ring map that is
-monomial in the monomial basis: ``m_lam -> m_{s lam}``.  Only induction goes
-through the power-sum basis, where its rule ``p_k -> s p_{k/s}`` (or 0) is
-monomial.  Only evaluation walks the exponent vectors of an orbit, at most
-``MAX_ORBIT`` of them, and it counts each as an int pair (root index,
-q-numerator), with no Coordinate per vector; ``satake_eval`` adds the
-coefficient-times-row products into one int vector per int q-numerator,
-reduces each once and keys the QCyclo by those numerators.  m_a * m_b is
-counted in l(a) + l(b) slots, and p_lam is the integer row R_lam of the
-p -> m transition matrix (Macdonald, Symmetric Functions, I.6) built from it.
+Base change is the Adams operation f(z) -> f(z^s): ``m_lam -> m_{s lam}``.
+Induction is ``p_k -> s p_{k/s}`` (or 0) in the power-sum basis, so each m_key
+maps by one rational m-basis row.  The tables that depend only on the shape are
+memoised, keyed by int tuples: orbits, m-basis products, the rows R_lam of p_lam
+(Macdonald, Symmetric Functions, I.6), their inverse and the induction rows.
+Evaluation walks at most ``MAX_ORBIT`` exponent vectors per key, one dot product
+of packed ints each, and reduces one int vector per output q-exponent.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Dict, Tuple
 
-from .arith import Cyclo, QCyclo, Record, _bounded, set_field
+from .arith import Cyclo, QCyclo, Record, _bounded, _reduce, set_field
 from .errors import BudgetExceeded, DegreeBudget, RankMismatch
 from .satake import CyclicAlgebra, SatakeParam, SphericalRepE, _multiset_splits
 
@@ -72,6 +69,7 @@ def _orbit_size(v) -> int:
     return factorial(len(v)) // prod(map(factorial, Counter(v).values()))
 
 
+@lru_cache(maxsize=None)
 def _m_product(ka: ExpVec, kb: ExpVec, n: int) -> Dict[ExpVec, int]:
     """m_ka * m_kb in n variables, as integer m-basis coefficients.
 
@@ -104,10 +102,10 @@ class SymLaurent(Record):
     """Symmetric Laurent polynomial ``(z_1 ... z_n)^(-shift) * body``.
 
     The body is a genuine symmetric polynomial kept in the monomial symmetric
-    basis: a map from dominant exponent vectors (length nvars, entries >= 0,
-    weakly decreasing) to QCyclo coefficients.  The normal form takes the
-    shift minimal and never negative, so equal Laurent polynomials compare
-    equal.
+    basis: a map from dominant exponent vectors (length nvars, int entries >= 0,
+    weakly decreasing; the memo tables are keyed by them) to QCyclo
+    coefficients.  The normal form takes the shift minimal and never negative,
+    so equal Laurent polynomials compare equal.
     """
 
     __slots__ = ("nvars", "shift", "terms")
@@ -117,7 +115,7 @@ class SymLaurent(Record):
             raise ValueError(f"nvars must be at least 1, got {nvars}")
         clean = {}
         for k, c in terms.items():
-            if len(k) != nvars or any(e < 0 for e in k) or _dominant(k) != k:
+            if len(k) != nvars or any(type(e) is not int or e < 0 for e in k) or _dominant(k) != k:
                 raise ValueError(f"bad dominant exponent vector {k}")
             if not c.is_zero():
                 clean[k] = c
@@ -236,42 +234,51 @@ class SymLaurent(Record):
 # Evaluation
 
 
-def _orbit_rows(coords, exps: ExpVec, N: int, R: int) -> Dict[int, Dict[int, int]]:
-    """m_exps at ``coords`` as int counts ``{q-numerator over R: {root index
-    mod N: count}}``, one count per distinct permutation of exps; N and R are
-    common multiples of the coordinates' zeta and q denominators.  Orbits
-    past ``MAX_ORBIT`` raise :class:`BudgetExceeded` before expanding.
-    """
-    size = _orbit_size(exps)
+@lru_cache(maxsize=None)
+def _orbit(key: ExpVec) -> Tuple[ExpVec, ...]:
+    """The distinct permutations of a dominant key.  Past ``MAX_ORBIT`` it raises
+    :class:`BudgetExceeded` before any is built, so a refusal is never memoised."""
+    size = _orbit_size(key)
     if size > MAX_ORBIT:
         raise BudgetExceeded(f"orbit of {size} exponent vectors exceeds {MAX_ORBIT}")
-    za, qp = [c.a * (N // c.n) for c in coords], [c.p * (R // c.r) for c in coords]
+    return tuple(_perms(key))
+
+
+def _orbit_rows(coords, key: ExpVec, shift: int, N: int, R: int) -> Dict[int, Dict[int, int]]:
+    """(z_1 ... z_n)^(-shift) m_key at ``coords`` as int counts ``{q-numerator over
+    R: {root index mod N: count}}``, N and R common multiples of the coordinates'
+    zeta and q denominators.  A coordinate packs into one int, q-numerator * K +
+    root index: for shift >= 0 the root part of a dot product with key - shift
+    lies within B = N (sum(key) + n shift) of 0, so K = 2B + 1 splits the parts."""
+    B = N * (sum(key) + len(key) * shift)
+    K = 2 * B + 1
+    w = [c.p * (R // c.r) * K + c.a * (N // c.n) for c in coords]
+    bias = B - shift * sum(w)
     rows: Dict[int, Dict[int, int]] = {}
-    for p in _perms(exps):
-        row = rows.setdefault(sum(map(mul, p, qp)), {})
-        a = sum(map(mul, p, za)) % N
-        row[a] = row.get(a, 0) + 1
+    for x, h in Counter(sum(map(mul, p, w)) for p in _orbit(key)).items():
+        t, a = divmod(x + bias, K)
+        row = rows.setdefault(t, {})
+        a = (a - B) % N
+        row[a] = row.get(a, 0) + h
     return rows
 
 
-def _row_order(row: Dict[int, int], N: int) -> int:
-    """The lcm of the reduced orders N / gcd(a, N) of a row's root indices."""
-    return lcm(*(N // gcd(a, N) for a in row))
-
-
-def _row_cyclo(row: Dict[int, int], N: int, m: int) -> Cyclo:
-    """The row as one Cyclo at its order m."""
-    v = [0] * _bounded(m)
+def _row_vector(row: Dict[int, int], N: int) -> list:
+    """The row's counts as an int vector at m = N / gcd(N, roots), the order of
+    the group its roots generate (the lcm of their orders), so len(v) = m."""
+    m = _bounded(N // gcd(N, *row))
+    v = [0] * m
     for a, k in row.items():
         v[a * m // N] = k
-    return Cyclo(m, v)
+    return v
 
 
 def _orbit_sum(coords, exps: ExpVec) -> QCyclo:
     """m_exps at ``coords``: one Cyclo per q-exponent, at its row's order."""
     N, R = lcm(*(c.n for c in coords)), lcm(*(c.r for c in coords))
-    rows = _orbit_rows(coords, exps, N, R).items()
-    return QCyclo({e: _row_cyclo(row, N, _row_order(row, N)) for e, row in rows}, R)
+    rows = _orbit_rows(coords, _dominant(exps), 0, N, R)
+    vectors = {e: _row_vector(row, N) for e, row in rows.items()}
+    return QCyclo({e: Cyclo(len(v), v) for e, v in vectors.items()}, R)
 
 
 def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
@@ -283,7 +290,7 @@ def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
     every q-denominator of y and f, and the result's keys), reduced once by one
     Cyclo at C_e: the lcm of the conductors and row orders that meet q^e over
     the nonzero rows, as when each product was reduced apart.  Only a row of
-    several roots can vanish; it is reduced once, as a zero test.
+    several roots can vanish; its vector is reduced as a zero test, no Cyclo built.
     """
     if f.nvars != y.rank:
         raise RankMismatch(f"f has {f.nvars} variables, parameter has rank {y.rank}")
@@ -293,9 +300,9 @@ def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
     spread: Dict[int, list] = {}
     for k, coef in f.terms.items():
         cterms = coef._over(R).items()
-        for t, row in _orbit_rows(coords, tuple(e - f.shift for e in k), N, R).items():
-            m = _row_order(row, N)
-            if len(row) > 1 and _row_cyclo(row, N, m).is_zero():
+        for t, row in _orbit_rows(coords, k, f.shift, N, R).items():
+            m = N // gcd(N, *row)
+            if len(row) > 1 and not _reduce(_row_vector(row, N), m):
                 continue
             for e, c in cterms:
                 spread.setdefault(e + t, []).append((c, row, m))
@@ -336,26 +343,29 @@ def _p_monomial(nvars: int, lam: Tuple[int, ...]) -> Dict[ExpVec, int]:
     return row
 
 
-def to_power_sums(f: SymLaurent, budget: int = DEGREE_BUDGET) -> Dict[ExpVec, QCyclo]:
-    """The body of f in the power-sum basis, as a map ``{lam: coefficient}``.
+@lru_cache(maxsize=None)
+def _m_to_p(nvars: int, key: ExpVec) -> Dict[Tuple[int, ...], Fraction]:
+    """m_key in nvars variables in the power-sum basis, as rational coefficients.
+    The solve is triangular: p_lam, lam the nonzero parts of key, is R_{lam key}
+    m_key plus dominance-larger m_k of its degree, so m_key = (p_lam - sum
+    R_{lam k} m_k) / R_{lam key}, and the memo solves each m_k once."""
+    lam = tuple(e for e in key if e)
+    row = _p_monomial(nvars, lam)
+    out = {lam: Fraction(1)}
+    for k, v in row.items():
+        if k != key:
+            for mu, x in _m_to_p(nvars, k).items():
+                out[mu] = out.get(mu, 0) - v * x
+    return {mu: x / row[key] for mu, x in out.items() if x}
 
-    The conversion is a triangular solve: p_lam expands as R_{lam lam} m_lam
-    plus dominance-larger monomials, so peeling the lexicographically smallest
-    surviving key in each degree terminates, and peels each key once.
-    """
+
+def to_power_sums(f: SymLaurent, budget: int = DEGREE_BUDGET) -> Dict[ExpVec, QCyclo]:
+    """The body of f in the power-sum basis, as a map ``{lam: coefficient}``:
+    the sum of each coefficient times its key's row :func:`_m_to_p`."""
     if f.degree() > budget:
         raise DegreeBudget(f"degree {f.degree()} exceeds budget {budget}")
-    rem: Dict[ExpVec, QCyclo] = dict(f.terms)
-    out: Dict[ExpVec, QCyclo] = {}
-    while rem:
-        key = min(rem, key=lambda k: (sum(k), k))
-        lam = tuple(e for e in key if e)
-        row = _p_monomial(f.nvars, lam)
-        c = out[lam] = rem.pop(key).scale(Fraction(1, row[key]))
-        for k2 in row.keys() - {key}:
-            rem[k2] = rem[k2] - c.scale(row[k2]) if k2 in rem else c.scale(-row[k2])
-        rem = {k: v for k, v in rem.items() if not v.is_zero()}
-    return out
+    out = _combine((c, _m_to_p(f.nvars, k)) for k, c in f.terms.items())
+    return {lam: c for lam, c in out.items() if not c.is_zero()}
 
 
 def from_power_sums(expr: Dict[ExpVec, QCyclo], nvars: int, shift: int = 0) -> SymLaurent:
@@ -368,26 +378,36 @@ def from_power_sums(expr: Dict[ExpVec, QCyclo], nvars: int, shift: int = 0) -> S
 # Transfer homomorphisms
 
 
+@lru_cache(maxsize=None)
+def _ai_row(nvars: int, key: ExpVec, s: int) -> Dict[ExpVec, Fraction]:
+    """The induction image of m_key, from nvars variables to nvars / s, as a
+    rational m-basis row: ``p_k -> s p_{k/s}`` (or 0) on its :func:`_m_to_p` row."""
+    out: Dict[ExpVec, Fraction] = {}
+    for lam, x in _m_to_p(nvars, key).items():
+        if all(k % s == 0 for k in lam):
+            for k, v in _p_monomial(nvars // s, tuple(k // s for k in lam)).items():
+                out[k] = out.get(k, 0) + x * s ** len(lam) * v
+    return {k: v for k, v in out.items() if v}
+
+
 def ai_transfer(
     f: SymLaurent, algebra: CyclicAlgebra, budget: int = DEGREE_BUDGET
 ) -> SymLaurent:
     """The transfer b with ``satake_eval(f, delta_map(y)) = satake_eval(bf, y.flatten())``.
 
-    In the power-sum basis: ``p_k -> s p_{k/s}`` when s | k, else 0; the
-    Laurent shift maps through the determinant coordinate, contributing the
-    unit ``zeta^(-shift * mr * s(s-1)/2)``.
+    In the power-sum basis: ``p_k -> s p_{k/s}`` when s | k, else 0; each
+    key's image is one rational row of :func:`_ai_row`.  The Laurent shift
+    maps through the determinant coordinate, contributing the unit
+    ``zeta^(-shift * mr * s(s-1)/2)``.
     """
     d, r, s = algebra.d, algebra.r, algebra.s
     if f.nvars % d:
         raise RankMismatch(f"{f.nvars} variables not divisible by d={d}")
+    if f.degree() > budget:
+        raise DegreeBudget(f"degree {f.degree()} exceeds budget {budget}")
     m = f.nvars // d
-    # distinct lam give distinct lam/s, so no two terms merge
-    mapped = {
-        tuple(k // s for k in lam): c.scale(s ** len(lam))
-        for lam, c in to_power_sums(f, budget).items()
-        if all(k % s == 0 for k in lam)
-    }
-    out = from_power_sums(mapped, m * r, shift=f.shift)
+    body = _combine((c, _ai_row(f.nvars, k, s)) for k, c in f.terms.items())
+    out = SymLaurent(m * r, f.shift, body)
     unit = algebra.zeta ** (-m * r * (s * (s - 1) // 2) * f.shift)
     if unit.a:
         out = out.scale(QCyclo.from_coordinate(unit))

@@ -5,10 +5,12 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 from math import gcd
 from time import perf_counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
 
+from autoind import arith
 from autoind.arith import (
     MAX_CONDUCTOR, ONE, Coordinate, Cyclo, QCyclo, _chain, _divide, _reduce, cyclotomic_polynomial,
 )
@@ -394,6 +396,47 @@ def test_fold_and_bad_conductor():
     for n in (0, -4):
         with pytest.raises(ValueError):
             Cyclo(n, [1])
+
+
+def test_every_power_of_x_below_2n_reduces_as_one_long_division():
+    """x^i for i < 2N: the stages skip the zeros of a vector that is almost all
+    zeros, and the fold runs for i >= N.  The reference for x^i is the long
+    division of x times the reference for x^(i-1), which is congruent to x^i."""
+    for n in (*range(1, 61), 330, 396, 420, 2310):
+        ref = fold_and_divide([1], n)
+        for i in range(2 * n):
+            assert _reduce([0] * i + [1], n) == ref, (n, i)
+            ref = fold_and_divide([0] + ref, n)
+
+
+def fields(x):
+    return x.conductor, x.num, x.den
+
+
+@given(cyclos, st.one_of(st.integers(-30, 30), small_fraction))
+def test_scaling_and_negation_reduce_nothing(a, c):
+    """A remainder times a rational is a remainder: only the gcd is taken, and
+    the fields are the constructor's."""
+    calls = []
+    with patch.object(arith, "_reduce", lambda v, n: calls.append(1) or _reduce(v, n)):
+        got = a.scale(c), -a
+    assert not calls
+    assert fields(got[0]) == fields(Cyclo(a.conductor, [c * x for x in a.coeffs]))
+    assert fields(got[1]) == fields(Cyclo(a.conductor, [-x for x in a.coeffs]))
+    for x in got:
+        assert_normalised(x)
+
+
+def test_a_negative_denominator_is_normalised_and_zero_refused():
+    x = Cyclo.root_of_unity(1, 3)
+    assert Cyclo(3, [1], -1) == Cyclo(3, [-1], 1) == -Cyclo.rational(1)
+    assert fields(Cyclo(3, [2, 4], -6)) == (3, (-1, -2), 3)
+    y = QCyclo({1: x}, -2)
+    assert y == QCyclo({-1: x}, 2) and y.den == 2
+    assert y.to_json()["terms"][0]["qexp"] == [-1, 2]
+    for build in (lambda: Cyclo(3, [1], 0), lambda: QCyclo({1: x}, 0), lambda: QCyclo({}, 0)):
+        with pytest.raises(ValueError, match="denominator must be nonzero"):
+            build()
 
 
 # ---------------------------------------------------------------------------

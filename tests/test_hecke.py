@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction as F
 from functools import reduce
-from math import factorial
+from math import factorial, gcd
 from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autoind.arith import ONE, Coordinate, Cyclo, QCyclo
+from autoind import arith, hecke
+from autoind.arith import ONE, Coordinate, Cyclo, QCyclo, _reduce
 from autoind.errors import BudgetExceeded, DegreeBudget, RankMismatch
 from autoind.hecke import (
     DEGREE_BUDGET,
@@ -18,6 +19,7 @@ from autoind.hecke import (
     bc_transfer,
     constant_term,
     from_power_sums,
+    _p_monomial,
     _perms,
     _product_degree,
     satake_eval,
@@ -27,6 +29,7 @@ from autoind.satake import CyclicAlgebra, SatakeParam, SphericalRepE, bc_map, de
 from autoind.verify import (
     random_algebra,
     random_coordinate,
+    random_qcyclo,
     random_spherical,
     random_symlaurent,
 )
@@ -281,6 +284,51 @@ class TestOrbitKernel:
         with pytest.raises(BudgetExceeded, match=f"exceeds {MAX_ORBIT}"):
             satake_eval(f, y)
 
+    def test_a_refusal_is_not_memoised(self):
+        key = (1,) * 8 + (0,) * 16
+        for _ in range(2):  # the memo keeps no entry for a refused key
+            with pytest.raises(BudgetExceeded, match=f"exceeds {MAX_ORBIT}"):
+                hecke._orbit(key)
+        y = SatakeParam(tuple(coord(F(1, 5)) for _ in range(24)))
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded, match=f"exceeds {MAX_ORBIT}"):
+                satake_eval(SymLaurent.elementary(24, 8), y)
+
+    def test_one_key_at_several_shifts(self):
+        """The orbit memo is keyed by the dominant key alone; each shift still
+        evaluates as the element-wise sum."""
+        rng = random.Random(67)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            y = SatakeParam(self.random_coords(rng, n))
+            key = tuple(sorted((rng.randint(0, 3) for _ in range(n)), reverse=True))
+            coef = self.random_coefficient(rng)
+            for shift in (0, 1, -2, 0):
+                f = SymLaurent(n, shift, {key: coef})
+                assert self.fields(satake_eval(f, y)) == self.fields(satake_eval_reference(f, y))
+
+    def test_memo_tables_are_keyed_by_int_tuples(self, monkeypatch):
+        """1, 1.0, True and Fraction(1) hash alike, so a memo table that met
+        one of the others could hand its entry to an int key.  Each table only
+        sees ints and tuples of ints, since the constructor refuses the rest."""
+        seen = []
+        for name in ("_orbit", "_m_product", "_m_to_p", "_ai_row"):
+            memo = getattr(hecke, name)
+            monkeypatch.setattr(hecke, name, lambda *a, memo=memo: seen.append(a) or memo(*a))
+        rng = random.Random(83)
+        for _ in range(40):
+            alg = random_algebra(rng, rng.choice((2, 3)))
+            y = random_spherical(rng, alg, 1, max_order=8)
+            f = SymLaurent.from_json(random_symlaurent(rng, alg.d, maxdeg=4).to_json())
+            satake_eval(ai_transfer(f * f, alg), y.flatten())
+            blocks = tuple(SatakeParam((c,)) for c in delta_map(y).coords)
+            constant_term(f, alg.d).eval(SphericalRepE(CyclicAlgebra.split(alg.d), blocks))
+        assert {len(a) for a in seen} == {1, 2, 3}
+        assert all(type(x) is int or all(type(e) is int for e in x) for a in seen for x in a)
+        for bad in ((1.0, 0), (True, 0), (F(1), 0)):
+            with pytest.raises(ValueError, match="exponent vector"):
+                SymLaurent(2, 0, {bad: QCyclo.rational(1)})
+
     def test_no_coordinate_arithmetic_per_orbit_element(self, monkeypatch):
         calls = []
         for name in ("__mul__", "__pow__"):
@@ -303,11 +351,15 @@ class TestOrbitKernel:
             v = reduce(mul, (c**e for c, e in zip(y.coords, p)))
             rows.setdefault(v.qexp, set()).add(v.zeta)
         bound = len(rows) + sum(len(roots) > 1 for roots in rows.values())
-        built = []
+        built, reduced = [], []
         init = Cyclo.__init__
         monkeypatch.setattr(Cyclo, "__init__", lambda c, *a: built.append(1) or init(c, *a))
-        satake_eval(f, y)
-        assert 0 < len(built) <= bound
+        for module in (arith, hecke):
+            monkeypatch.setattr(module, "_reduce", lambda v, n: reduced.append(1) or _reduce(v, n))
+        out = satake_eval(f, y)
+        # one Cyclo per output q-exponent; a row of several roots is only reduced
+        assert len(built) == len(out.terms) == len(rows)
+        assert len(reduced) == bound
 
     def random_coefficient(self, rng):
         """A sum of two to four scaled coordinates: often several q-terms."""
@@ -378,6 +430,40 @@ def _partitions(d, max_len, largest=None):
             yield (first,) + rest
 
 
+def to_power_sums_reference(f):
+    """The triangular solve on the whole element: peel the smallest surviving
+    key of each degree, subtracting its p_lam row from the rest."""
+    rem, out = dict(f.terms), {}
+    while rem:
+        key = min(rem, key=lambda k: (sum(k), k))
+        lam = tuple(e for e in key if e)
+        row = _p_monomial(f.nvars, lam)
+        c = out[lam] = rem.pop(key).scale(F(1, row[key]))
+        for k2 in row.keys() - {key}:
+            rem[k2] = rem[k2] - c.scale(row[k2]) if k2 in rem else c.scale(-row[k2])
+        rem = {k: v for k, v in rem.items() if not v.is_zero()}
+    return out
+
+
+def ai_transfer_reference(f, algebra, budget=DEGREE_BUDGET):
+    """The transfer through the power-sum basis on the whole element: peel f
+    into power sums, map p_k -> s p_{k/s} (or 0), rebuild by the rows R_lam."""
+    d, r, s = algebra.d, algebra.r, algebra.s
+    if f.degree() > budget:
+        raise DegreeBudget(f"degree {f.degree()} exceeds budget {budget}")
+    m = f.nvars // d
+    mapped = {
+        tuple(k // s for k in lam): c.scale(s ** len(lam))
+        for lam, c in to_power_sums_reference(f).items()
+        if all(k % s == 0 for k in lam)
+    }
+    out = from_power_sums(mapped, m * r, shift=f.shift)
+    unit = algebra.zeta ** (-m * r * (s * (s - 1) // 2) * f.shift)
+    if unit.a:
+        out = out.scale(QCyclo.from_coordinate(unit))
+    return out
+
+
 class TestAiTransfer:
     def test_p1_dies(self):
         alg = CyclicAlgebra.field(2)
@@ -440,6 +526,97 @@ class TestAiTransfer:
     def test_rank_not_divisible(self):
         with pytest.raises(RankMismatch):
             ai_transfer(SymLaurent.one(3), CyclicAlgebra.field(2))
+
+    ALGEBRAS = ((1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (4, 1), (4, 2), (6, 2), (6, 3))
+
+    def random_case(self, rng, d, r, coefficient):
+        """An algebra of type (d, r) with a random generator, and f with any
+        shift whose coefficients ``coefficient(rng)`` draws."""
+        s = d // r
+        zeta = Coordinate.of(F(rng.choice([j for j in range(s) if gcd(j, s) == 1]), s))
+        n = d * rng.randint(1, max(1, 6 // d))
+        g = random_laurent(rng, n)
+        return CyclicAlgebra(d, r, s, zeta), SymLaurent(n, g.shift, {k: coefficient(rng) for k in g.terms})
+
+    def test_matches_the_power_sum_route_field_for_field(self):
+        """Rows per key against the whole-element route, with every coefficient
+        term of f at one conductor: the same JSON, so the same conductors and
+        denominators, over (d, r, s) with s = 1 among them."""
+        rng = random.Random(71)
+        seen, refused = {"s=1": 0, "shift": 0, "several": 0, "unit": 0}, 0
+        for d, r in self.ALGEBRAS:
+            for _ in range(25):
+                N = rng.choice((1, 2, 3, 4, 5, 6, 12))
+
+                def coefficient(rng):
+                    terms = {e: Cyclo(N, [rng.randint(-3, 3) for _ in range(N)], rng.randint(1, 3))
+                             for e in rng.sample((-3, -1, 0, 1, 2), rng.randint(1, 3))}
+                    return QCyclo(terms, rng.choice((1, 2)))
+
+                alg, f = self.random_case(rng, d, r, coefficient)
+                if f.degree() > DEGREE_BUDGET:
+                    refused += 1
+                    for route in (ai_transfer, ai_transfer_reference):
+                        with pytest.raises(DegreeBudget):
+                            route(f, alg)
+                    continue
+                assert ai_transfer(f, alg).to_json() == ai_transfer_reference(f, alg).to_json()
+                seen["s=1"] += alg.s == 1
+                seen["shift"] += f.shift != 0
+                seen["several"] += any(len(c.terms) > 1 for c in f.terms.values())
+                seen["unit"] += f.shift != 0 and alg.s > 1
+        assert all(v > 10 for v in seen.values()) and refused, seen
+
+    def test_matches_the_power_sum_route_for_any_coefficients(self):
+        """With coefficient terms at several conductors the values agree; the
+        conductors need not, since each route lifts a sum to the lcm of the
+        conductors of what it added (see the next test)."""
+        rng, kernel = random.Random(73), TestOrbitKernel()
+        for d, r in self.ALGEBRAS:
+            for coefficient in (kernel.random_coefficient, random_qcyclo) * 15:
+                alg, f = self.random_case(rng, d, r, coefficient)
+                if f.degree() <= DEGREE_BUDGET:
+                    assert ai_transfer(f, alg) == ai_transfer_reference(f, alg)
+
+    def test_at_s_equal_one_the_coefficients_come_back_unchanged(self):
+        """At s = 1 the transfer is the identity and each key's row is itself,
+        so f comes back field for field.  The whole-element route lifts
+        m_(4) to conductor 12 here: its power sum p_(4) took the conductor 4
+        of m_(2,1,1) in the solve."""
+        f = SymLaurent(4, 1, {(2, 1, 1, 0): qc(coord(F(1, 4))), (4, 0, 0, 0): qc(coord(F(1, 3)))})
+        alg = CyclicAlgebra.split(4)
+        assert ai_transfer(f, alg).to_json() == f.to_json()
+        ref = ai_transfer_reference(f, alg)
+        assert ref == f and ref.terms[(4, 0, 0, 0)].terms[0].conductor == 12
+        rng, kernel = random.Random(79), TestOrbitKernel()
+        for _ in range(100):
+            alg, f = self.random_case(rng, 2, 2, kernel.random_coefficient)
+            assert ai_transfer(f, alg, budget=30).to_json() == f.to_json()
+
+    def test_degree_budget_is_checked_before_any_row(self):
+        f = SymLaurent.monomial(2, (13,))
+        for _ in range(2):
+            with pytest.raises(DegreeBudget, match="degree 13 exceeds budget 12"):
+                ai_transfer(f, CyclicAlgebra.field(2))
+        assert ai_transfer(f, CyclicAlgebra.field(2), budget=13) == ai_transfer_reference(
+            f, CyclicAlgebra.field(2), budget=13
+        )
+        with pytest.raises(RankMismatch):  # the rank is checked before the degree
+            ai_transfer(SymLaurent.monomial(3, (13,)), CyclicAlgebra.field(2))
+
+    def test_each_key_is_solved_once(self):
+        """Every key of degree <= 12 in 6 variables: each m_k is solved once, the
+        dominance-larger keys it needs taken from the memo."""
+        n = 6
+        keys = [lam + (0,) * (n - len(lam)) for deg in range(13) for lam in _partitions(deg, n)]
+        f = SymLaurent(n, 0, {k: QCyclo.rational(1) for k in keys})
+        hecke._ai_row.cache_clear()
+        hecke._m_to_p.cache_clear()
+        out = ai_transfer(f, CyclicAlgebra.field(2))
+        assert hecke._m_to_p.cache_info().misses == len(keys)
+        assert out == ai_transfer_reference(f, CyclicAlgebra.field(2))
+        assert to_power_sums(f) == to_power_sums_reference(f)
+        assert hecke._m_to_p.cache_info().misses == len(keys)
 
 
 class TestBcTransfer:
