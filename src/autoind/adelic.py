@@ -108,6 +108,8 @@ class GlobalDiscrete(Record):
             raise BadOrbit(f"orbit {orbit} does not divide d={d}")
         if q < 1:
             raise ValueError("q must be >= 1")
+        if not places:
+            raise PlaceSetMismatch("the place set is empty")
         set_field(self, "label", label)
         set_field(self, "side", side)
         set_field(self, "d", d)
@@ -426,8 +428,6 @@ def check_global_compat(Pi: GlobalDiscrete) -> bool:
     the cuspidal data: both maps commute with the staircase, so q adds no work."""
     if Pi.side != "E":
         raise ShapeError("compatibility check is defined on E-side data")
-    if Pi.orbit * Pi.g != Pi.d:
-        raise BadOrbit("orbit bookkeeping inconsistent")
     for v in Pi.places:
         ok, report = check_ia_bc_compat(Pi.cusp_local(v))
         if not ok:

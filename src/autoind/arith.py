@@ -8,9 +8,12 @@ Phi_N by folding exponents with x^N = 1, then by integer long division by sparse
 multiples of Phi_N, one prime of N at a time, ending at Phi_N itself.
 :class:`QCyclo` is the ring where sums of coordinates live: Q-linear sums of
 q-powers with ``Cyclo`` coefficients, the q-exponents kept as int numerators
-over one least common denominator, so equality compares ints.  A product
-reduces one ``Cyclo`` per q-exponent.  Zero tests are exact, so Hecke trace
-identities hold with tolerance zero.  No floats: JSON reads via :func:`json_int`.
+over one least common denominator, so equality compares ints.  Every sum and
+product of ``Cyclo``s, in both classes and in ``hecke.satake_eval``, goes
+through one accumulator, :func:`_product_sum`: int products spread into one
+vector at the lcm conductor and reduced once, one ``Cyclo`` per q-exponent.
+Zero tests are exact, so Hecke trace identities hold with tolerance zero.
+No floats: JSON reads via :func:`json_int`.
 """
 
 from __future__ import annotations
@@ -340,7 +343,11 @@ class Cyclo:
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
         """Sparse integer convolution at the lcm conductor, reduced once."""
-        return _product_sum(((self, other),))
+        return _product_sum(((self, other._sparse()),))
+
+    def _sparse(self):
+        """This as a sparse factor of :func:`_product_sum`."""
+        return self.conductor, self.den, [(j, c) for j, c in enumerate(self.num) if c]
 
     def scale(self, c) -> "Cyclo":
         """c times this, c an int or a Fraction: still a remainder, so only the gcd is taken."""
@@ -362,40 +369,44 @@ class Cyclo:
 
     @classmethod
     def sum(cls, items) -> "Cyclo":
-        """Sum at the lcm conductor: the numerators, spread to it and brought
-        over the lcm denominator, are added and then reduced once."""
-        items = list(items)
-        m = _bounded(lcm(*(it.conductor for it in items)))
-        den = lcm(*(it.den for it in items))
-        stops = [(len(it.num) - 1) * (m // it.conductor) + 1 for it in items]
-        acc = [0] * max(stops, default=0)
-        for it, stop in zip(items, stops):
-            if it.num:
-                step, k = m // it.conductor, den // it.den
-                scaled = it.num if k == 1 else [k * c for c in it.num]
-                acc[:stop:step] = map(add, acc[:stop:step], scaled)
-        return cls(m, acc, den)
+        """Sum at the lcm conductor: :func:`_product_sum` of the items against
+        the unit ``(1, 1, ((0, 1),))``, so no items give zero at conductor 1."""
+        return _product_sum([(it, (1, 1, ((0, 1),))) for it in items])
 
     def __repr__(self):
         return f"Cyclo({self.conductor}, {list(self.coeffs)})"
 
 
 def _product_sum(pairs) -> Cyclo:
-    """The sum of the products a * b of the pairs, their convolutions added as
-    ints over one denominator at the lcm of the pairs' lcm conductors, and reduced once."""
-    m = _bounded(lcm(*(lcm(a.conductor, b.conductor) for a, b in pairs)))
-    den = lcm(*(a.den * b.den for a, b in pairs))
-    acc = [0] * max((len(a.num) - 1) * (m // a.conductor) + (len(b.num) - 1) * (m // b.conductor) + 1
-                    for a, b in pairs)
-    for a, b in pairs:
-        sa, sb, k = m // a.conductor, m // b.conductor, den // (a.den * b.den)
-        bs = [(j * sb, c * k) for j, c in enumerate(b.num) if c]
+    """The sum of the products over the pairs ``(a, (n, d, terms))`` of a Cyclo a
+    and the sparse factor ``sum_(j, c) c zeta_n^j / d``, ``terms`` its nonzero
+    (index, value) pairs.  Every product is added as ints over the lcm of the
+    denominators into one vector of m slots, m the lcm of the conductors, its
+    exponents taken mod m (x^m = 1 modulo Phi_m), and reduced once: the one
+    place where a Cyclo is built from products or sums.  No pairs give zero."""
+    m = den = 1
+    for a, (n, d, _) in pairs:
+        m = lcm(m, a.conductor, n)
+        den = lcm(den, a.den * d)
+    acc = [0] * _bounded(m)
+    for a, (n, d, terms) in pairs:
+        sa, sb, k = m // a.conductor, m // n, den // (a.den * d)
+        bs = [(j * sb, c * k) for j, c in terms]
         for i, x in enumerate(a.num):
             if x:
                 i *= sa
                 for j, y in bs:
-                    acc[i + j] += x * y
+                    acc[(i + j) % m] += x * y
     return Cyclo(m, acc, den)
+
+
+def _filed_sum(den: int, items) -> "QCyclo":
+    """The QCyclo over ``den`` of the (q-numerator, product pair) items: the pairs
+    filed under their numerator, one :func:`_product_sum` each."""
+    buckets: dict[int, list] = {}
+    for e, pair in items:
+        buckets.setdefault(e, []).append(pair)
+    return QCyclo({e: _product_sum(ps) for e, ps in buckets.items()}, den)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +445,7 @@ class QCyclo:
         return {e * k: c for e, c in self.terms.items()} if k > 1 else self.terms
 
     def __add__(self, other: "QCyclo") -> "QCyclo":
-        den = lcm(self.den, other.den)
-        out = dict(self._over(den))
-        for e, c in other._over(den).items():
-            out[e] = out[e] + c if e in out else c
-        return QCyclo(out, den)
+        return QCyclo.sum((self, other))
 
     def __neg__(self) -> "QCyclo":
         return QCyclo({e: -c for e, c in self.terms.items()}, self.den)
@@ -449,12 +456,9 @@ class QCyclo:
     def __mul__(self, other: "QCyclo") -> "QCyclo":
         """Each pair of terms filed under its output exponent: one Cyclo per exponent."""
         den = lcm(self.den, other.den)
-        pairs: dict[int, list] = {}
-        theirs = other._over(den).items()
-        for e1, c1 in self._over(den).items():
-            for e2, c2 in theirs:
-                pairs.setdefault(e1 + e2, []).append((c1, c2))
-        return QCyclo({e: _product_sum(ps) for e, ps in pairs.items()}, den)
+        mine = self._over(den).items()
+        theirs = [(e, c._sparse()) for e, c in other._over(den).items()]
+        return _filed_sum(den, ((e1 + e2, (c1, b)) for e1, c1 in mine for e2, b in theirs))
 
     def scale(self, c) -> "QCyclo":
         return QCyclo({e: x.scale(c) for e, x in self.terms.items()}, self.den)
@@ -472,13 +476,12 @@ class QCyclo:
 
     @classmethod
     def sum(cls, items: Iterable["QCyclo"]) -> "QCyclo":
+        """The terms of all items filed under their exponent over the lcm of the
+        ``den``s, one Cyclo sum each: zero for no items."""
         items = list(items)
+        unit = (1, 1, ((0, 1),))
         den = lcm(*(it.den for it in items))
-        buckets: dict[int, list[Cyclo]] = {}
-        for it in items:
-            for e, c in it._over(den).items():
-                buckets.setdefault(e, []).append(c)
-        return QCyclo({e: Cyclo.sum(cs) for e, cs in buckets.items()}, den)
+        return _filed_sum(den, ((e, (c, unit)) for it in items for e, c in it._over(den).items()))
 
     def to_json(self):
         return {"terms": [

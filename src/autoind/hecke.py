@@ -27,7 +27,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Dict, Tuple
 
-from .arith import Cyclo, QCyclo, Record, _bounded, _reduce, set_field
+from .arith import QCyclo, Record, _bounded, _filed_sum, _reduce, set_field
 from .errors import BudgetExceeded, DegreeBudget, RankMismatch
 from .satake import CyclicAlgebra, SatakeParam, SphericalRepE, _multiset_splits
 
@@ -273,54 +273,35 @@ def _row_vector(row: Dict[int, int], N: int) -> list:
     return v
 
 
-def _orbit_sum(coords, exps: ExpVec) -> QCyclo:
-    """m_exps at ``coords``: one Cyclo per q-exponent, at its row's order."""
-    N, R = lcm(*(c.n for c in coords)), lcm(*(c.r for c in coords))
-    rows = _orbit_rows(coords, _dominant(exps), 0, N, R)
-    vectors = {e: _row_vector(row, N) for e, row in rows.items()}
-    return QCyclo({e: Cyclo(len(v), v) for e, v in vectors.items()}, R)
-
-
 def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
     """Substitute the coordinates of y into f: the trace of the Hecke operator.
     The factor ``(z_1 ... z_n)^(-shift)`` lowers every exponent by the shift.
 
-    Each product of a coefficient term and an orbit row is added, as ints over
-    one denominator, into one vector per output q-numerator over R (the lcm of
-    every q-denominator of y and f, and the result's keys), reduced once by one
-    Cyclo at C_e: the lcm of the conductors and row orders that meet q^e over
-    the nonzero rows, as when each product was reduced apart.  Only a row of
-    several roots can vanish; its vector is reduced as a zero test, no Cyclo built.
+    Each nonzero orbit row is the sparse factor ``(m, 1, [(a m/N, count), ..])``
+    at its order m, paired with each coefficient term under the output
+    q-numerator over R (the lcm of every q-denominator of y and f, and the
+    result's keys); ``arith._product_sum`` adds each exponent's products as ints
+    and reduces them once, at C_e: the lcm of the conductors and row orders that
+    meet q^e over the nonzero rows, as when each product was reduced apart.  Only
+    a row of several roots can vanish; its vector is reduced as a zero test, no
+    Cyclo built.
     """
     if f.nvars != y.rank:
         raise RankMismatch(f"f has {f.nvars} variables, parameter has rank {y.rank}")
     coords = y.coords
     N = lcm(*(c.n for c in coords))
     R = lcm(*(c.r for c in coords), *(coef.den for coef in f.terms.values()))
-    spread: Dict[int, list] = {}
+    pairs = []
     for k, coef in f.terms.items():
         cterms = coef._over(R).items()
         for t, row in _orbit_rows(coords, k, f.shift, N, R).items():
             m = N // gcd(N, *row)
             if len(row) > 1 and not _reduce(_row_vector(row, N), m):
                 continue
+            b = (m, 1, [(a * m // N, h) for a, h in row.items()])
             for e, c in cterms:
-                spread.setdefault(e + t, []).append((c, row, m))
-    terms = {}
-    for e, parts in spread.items():
-        M = _bounded(lcm(*(lcm(c.conductor, m) for c, _, m in parts)))
-        den = lcm(*(c.den for c, _, _ in parts))
-        acc = [0] * M
-        for c, row, _ in parts:
-            step, k = M // c.conductor, den // c.den
-            roots = [(a * M // N, h * k) for a, h in row.items()]
-            for i, x in enumerate(c.num):
-                if x:
-                    i *= step
-                    for b, h in roots:
-                        acc[(i + b) % M] += x * h
-        terms[e] = Cyclo(M, acc, den)
-    return QCyclo(terms, R)
+                pairs.append((e + t, (c, b)))
+    return _filed_sum(R, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +455,9 @@ class TensorSym(Record):
         set_field(self, "terms", {k: c for k, c in terms.items() if not c.is_zero()})
 
     def eval(self, z: SphericalRepE) -> QCyclo:
+        """The sum over the terms of the coefficient times each chunk's monomial
+        at its block, by :func:`satake_eval`, times the central character of z
+        to the power -shift."""
         if len(z.blocks) != self.r or z.block_rank != self.m:
             raise RankMismatch("block shape mismatch")
         base = QCyclo.from_coordinate(z.flatten().central_character() ** (-self.shift))
@@ -481,7 +465,7 @@ class TensorSym(Record):
         for key, coef in self.terms.items():
             acc = base * coef
             for block, chunk in zip(z.blocks, key):
-                acc = acc * _orbit_sum(block.coords, chunk)
+                acc = acc * satake_eval(SymLaurent.monomial(self.m, chunk), block)
             pieces.append(acc)
         return QCyclo.sum(pieces)
 

@@ -234,6 +234,8 @@ class Elliptic(Record):
     __slots__ = ("atom", "k", "levi", "translate")
 
     def __init__(self, atom: CuspidalAtom, k: int, levi: Tuple[int, ...], translate: int = 0):
+        if k < 1:
+            raise ValueError("segment length must be >= 1")
         levi = tuple(levi)
         if sum(levi) != k or any(p < 1 for p in levi):
             raise ValueError(f"{levi} is not a composition of {k}")

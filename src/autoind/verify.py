@@ -301,7 +301,7 @@ def crit4_central_character(seed: int = 0, cases: int = 500) -> PropertyResult:
 
 
 def _brute_ai_fiber(pi: SatakeParam, alg: CyclicAlgebra):
-    cands = sorted({c**alg.s for c in pi.coords}, key=lambda c: c.sort_key)
+    cands = sorted({c**alg.s for c in pi.coords})
     m = pi.rank // alg.d
     out = set()
     block_choices = list(itertools.combinations_with_replacement(cands, m))
@@ -316,8 +316,7 @@ def _brute_bc_fiber(z: SphericalRepE):
     alg = z.algebra
     block = z.blocks[0]
     cands = sorted(
-        {primitive_root(alg.s) ** j * c.root(alg.s) for c in block.coords for j in range(alg.s)},
-        key=lambda c: c.sort_key,
+        {primitive_root(alg.s) ** j * c.root(alg.s) for c in block.coords for j in range(alg.s)}
     )
     out = set()
     for coords in itertools.combinations_with_replacement(cands, block.rank):

@@ -3,7 +3,7 @@ import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 from time import perf_counter
 from unittest.mock import patch
 
@@ -377,6 +377,46 @@ def test_product_has_the_fields_of_the_pairwise_products(x, y):
         for e2, c2 in y.terms.items():
             pairwise = pairwise + QCyclo({e1 * y.den + e2 * x.den: c1 * c2}, den)
     assert qfields(x * y) == qfields(pairwise)
+
+
+def cyclo_sum_reference(cs):
+    """The coefficients of each Cyclo spread to the lcm conductor and added as Fractions."""
+    m = lcm(1, *(c.conductor for c in cs))
+    v = [F(0)] * m
+    for c in cs:
+        for i, x in enumerate(c.coeffs):
+            v[i * (m // c.conductor)] += x
+    return Cyclo(m, v)
+
+
+spread_qcyclos = st.builds(
+    QCyclo,
+    st.dictionaries(st.sampled_from((0, 1, -2, 3)), cyclos, max_size=3),
+    st.sampled_from((1, 2, 3, -6)),
+)
+
+
+@given(st.lists(spread_qcyclos, max_size=4))
+def test_a_sum_has_the_fields_of_the_cyclo_sums_per_exponent(xs):
+    """QCyclo.sum and x + y file the terms under their exponent over the lcm den;
+    each exponent's Cyclo has the fields of Cyclo.sum over its terms, which are
+    those of adding the terms spread to the lcm conductor."""
+    den = lcm(1, *(x.den for x in xs))
+    per = {}
+    for x in xs:
+        for e, c in x.terms.items():
+            per.setdefault(e * (den // x.den), []).append(c)
+    for cs in per.values():
+        assert fields(Cyclo.sum(cs)) == fields(cyclo_sum_reference(cs))
+    ref = QCyclo({e: Cyclo.sum(cs) for e, cs in per.items()}, den)
+    assert qfields(QCyclo.sum(xs)) == qfields(ref)
+    if len(xs) == 2:
+        assert qfields(xs[0] + xs[1]) == qfields(ref)
+
+
+def test_empty_sums_are_zero():
+    assert fields(Cyclo.sum(())) == fields(Cyclo.sum(iter(()))) == (1, (), 1)
+    assert QCyclo.sum(()).is_zero() and qfields(QCyclo.sum(iter(()))) == (1, [])
 
 
 def test_a_product_builds_one_cyclo_per_q_exponent(monkeypatch):

@@ -407,6 +407,13 @@ class TestRepsDocuments:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "BadInput"
 
+    @pytest.mark.parametrize("verb", ["lift-elliptic", "lift-unitary"])
+    def test_an_elliptic_datum_of_length_zero_is_bad_input(self, verb, capsys):
+        # the empty composition of k = 0 once passed and lifted to rank-0 factors
+        code, out = run_cli([verb], dict(ELLIPTIC, k=0, levi=[]), capsys)
+        assert code == 1, out
+        assert json.loads(out)["error"]["kind"] == "BadInput"
+
 
 def _lift_doc(zeta=(1, 2), qexp=(0, 1), algebra_zeta=None):
     doc = {"d": 2, "r": 1, "s": 2, "y": [{"zeta": list(zeta), "qexp": list(qexp)}]}
@@ -509,6 +516,19 @@ class TestGlobalVerbs:
         got = json.loads(out)
         assert got == {"distinct": False, "l": 2, "gamma": 0}
 
+    def test_an_empty_place_set_is_refused(self, capsys):
+        # it once gave a lift with no local data, and separate called any two
+        # data the same, whatever their labels and r
+        doc = self._global_doc()
+        doc["places"], doc["rep"]["locals"] = [], {}
+        code, out = run_cli(["global-lift"], doc, capsys)
+        assert code == 2, out
+        assert json.loads(out)["error"]["kind"] == "PlaceSetMismatch"
+        other = dict(doc["rep"], label="Lam2", r=2)
+        doc["pi"], doc["pi_prime"] = {"rep": doc.pop("rep"), "l": 1}, {"rep": other, "l": 1}
+        code, out = run_cli(["separate"], doc, capsys)
+        assert code == 2, out
+        assert json.loads(out)["error"]["kind"] == "PlaceSetMismatch"
 
     def test_separate_is_bounded_by_the_places_not_by_d(self):
         # one place with f = d: each translate acts on its single block as

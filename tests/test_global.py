@@ -58,6 +58,11 @@ class TestGlobalDiscrete:
         with pytest.raises(PlaceSetMismatch):
             GlobalDiscrete("L", "E", 2, 1, 1, (v,), {})
 
+    def test_an_empty_place_set_is_refused(self):
+        # it once built a datum whose rank and cusp rank raised IndexError
+        with pytest.raises(PlaceSetMismatch):
+            GlobalDiscrete("L", "E", 2, 1, 1, (), {})
+
     def test_stability_under_stabilizer(self):
         # r=2 over d=4 at a split place: blocks must be gcd(e,g)=2-periodic
         v = Place("v", 4, 1)

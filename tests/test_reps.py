@@ -111,6 +111,14 @@ class TestElliptic:
         with pytest.raises(ValueError):
             Elliptic(atom("e", 2, 1), 3, (1, 1))
 
+    def test_length_zero_is_refused_as_for_speh_data(self):
+        # () is the empty composition of 0, so only the length check refuses it
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="segment length must be >= 1"):
+                Elliptic(atom("e", 2, 1), k, ())
+        with pytest.raises(ValueError, match="segment length must be >= 1"):
+            EssDiscrete(atom("e", 2, 1), 0)
+
     def test_square_integrable_corner(self):
         e = Elliptic(atom("e2", 2, 1), 3, (3,))
         assert e.is_square_integrable()
