@@ -97,8 +97,8 @@ class Coordinate(Record):
     0 <= a < n and gcd(a, n) = gcd(p, r) = 1, so equality and the hash are the
     int tuple's and each operation takes an lcm or a gcd per part.
     ``Coordinate(zeta, qexp)`` takes ints or Fractions (``zeta`` mod 1), which
-    ``zeta`` and ``qexp`` give back.  The total order, on ``(qexp, n, a)`` as
-    ``sort_key``, is only used for canonical multiset sorting.
+    ``zeta`` and ``qexp`` give back.  The total order, on ``(qexp, n, a)``, is
+    only used for canonical multiset sorting.
     """
 
     __slots__ = ("a", "n", "p", "r")
@@ -137,8 +137,6 @@ class Coordinate(Record):
     def torsion_order(self):
         """Multiplicative order, or None if the q-part is nontrivial."""
         return None if self.p else self.n
-
-    sort_key = property(lambda self: (self.qexp, self.n, self.a))
 
     def __lt__(self, other: "Coordinate"):
         x, y = self.p * other.r, other.p * self.r
@@ -291,12 +289,14 @@ class Cyclo:
 
     ``num`` is the trimmed int remainder modulo Phi_N (at most phi(N) entries)
     and ``den`` a positive int with gcd(num, den) = 1: one representation per
-    element and conductor.  The constructor takes ints or rationals of any
-    length over a nonzero int ``den`` (a negative one changes the signs) and
-    reduces them.  No minimal-conductor normal form: mixed-conductor operations
-    lift to the lcm of the conductors.  Equality compares ``num`` and ``den`` at
-    one conductor, and is a zero test of the difference across two.  A conductor
-    above ``MAX_CONDUCTOR`` raises :class:`BudgetExceeded` before any allocation.
+    element and conductor.  The constructor, the door for values from outside,
+    takes ints or Fractions (no floats) over a nonzero int ``den`` (a negative one
+    changes the signs) and reduces them; kernel results set their fields from the
+    ints they hold with ``_set``, its last step.  No minimal-conductor normal form:
+    mixed-conductor operations lift to the lcm of the conductors.  Equality
+    compares ``num`` and ``den`` at one conductor, and is a zero test of the
+    difference across two.  A conductor above ``MAX_CONDUCTOR`` raises
+    :class:`BudgetExceeded` before any allocation.
     """
 
     __slots__ = ("conductor", "num", "den")
@@ -304,12 +304,11 @@ class Cyclo:
     def __init__(self, conductor: int, coeffs: Iterable, den: int = 1):
         _bounded(conductor)
         v = list(coeffs)
-        if not all(map(isinstance, v, repeat(int))):
-            fs = [Fraction(c) for c in v]
-            common = lcm(*(f.denominator for f in fs))
-            v = [f.numerator * (common // f.denominator) for f in fs]
-            den *= common
-        self._set(conductor, _reduce(v, conductor), den)
+        if not all(map(isinstance, v, repeat((int, Fraction)))):
+            raise ValueError(f"coefficients must be ints or Fractions, got {v!r}")
+        common = lcm(*(f.denominator for f in v))
+        v = [f.numerator * (common // f.denominator) for f in v]
+        self._set(conductor, _reduce(v, conductor), den * common)
 
     def _set(self, conductor: int, v: list, den: int) -> "Cyclo":
         """Set the fields from a trimmed remainder v over den, dividing out their signed gcd."""
@@ -321,12 +320,14 @@ class Cyclo:
 
     @classmethod
     def rational(cls, c) -> "Cyclo":
-        return cls(1, (c,))
+        if not isinstance(c, (int, Fraction)):
+            raise ValueError(f"a rational must be an int or a Fraction, got {c!r}")
+        return _new(cls)._set(1, [c.numerator] if c else [], c.denominator)
 
     @classmethod
     def root_of_unity(cls, a: int, n: int) -> "Cyclo":
         """zeta_n^a reduced mod Phi_n."""
-        return cls(n, [0] * (a % _bounded(n)) + [1])
+        return _new(cls)._set(n, _reduce([0] * (a % _bounded(n)) + [1], n), 1)
 
     @property
     def coeffs(self):
@@ -382,8 +383,8 @@ def _product_sum(pairs) -> Cyclo:
     and the sparse factor ``sum_(j, c) c zeta_n^j / d``, ``terms`` its nonzero
     (index, value) pairs.  Every product is added as ints over the lcm of the
     denominators into one vector of m slots, m the lcm of the conductors, its
-    exponents taken mod m (x^m = 1 modulo Phi_m), and reduced once: the one
-    place where a Cyclo is built from products or sums.  No pairs give zero."""
+    exponents taken mod m (x^m = 1 modulo Phi_m), reduced once and set by ``_set``:
+    the one place where a Cyclo is built from products or sums.  No pairs give zero."""
     m = den = 1
     for a, (n, d, _) in pairs:
         m = lcm(m, a.conductor, n)
@@ -397,7 +398,7 @@ def _product_sum(pairs) -> Cyclo:
                 i *= sa
                 for j, y in bs:
                     acc[(i + j) % m] += x * y
-    return Cyclo(m, acc, den)
+    return _new(Cyclo)._set(m, _reduce(acc, m), den)
 
 
 def _filed_sum(den: int, items) -> "QCyclo":

@@ -249,13 +249,17 @@ def _orbit_rows(coords, key: ExpVec, shift: int, N: int, R: int) -> Dict[int, Di
     R: {root index mod N: count}}``, N and R common multiples of the coordinates'
     zeta and q denominators.  A coordinate packs into one int, q-numerator * K +
     root index: for shift >= 0 the root part of a dot product with key - shift
-    lies within B = N (sum(key) + n shift) of 0, so K = 2B + 1 splits the parts."""
+    lies within B = N (sum(key) + n shift) of 0, so K = 2B + 1 splits the parts.
+    A plain dict counts the dot products: cheaper than a Counter on small orbits."""
     B = N * (sum(key) + len(key) * shift)
     K = 2 * B + 1
     w = [c.p * (R // c.r) * K + c.a * (N // c.n) for c in coords]
     bias = B - shift * sum(w)
+    dots: Dict[int, int] = {}
+    for x in [sum(map(mul, p, w)) for p in _orbit(key)]:
+        dots[x] = dots.get(x, 0) + 1
     rows: Dict[int, Dict[int, int]] = {}
-    for x, h in Counter(sum(map(mul, p, w)) for p in _orbit(key)).items():
+    for x, h in dots.items():
         t, a = divmod(x + bias, K)
         row = rows.setdefault(t, {})
         a = (a - B) % N

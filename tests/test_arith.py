@@ -23,6 +23,11 @@ def coord(z, q=0):
     return Coordinate.of(F(z), F(q))
 
 
+def sort_key(c):
+    """The key of the coordinates' total order, ``(qexp, n, a)``, as Fractions and ints."""
+    return c.qexp, c.n, c.a
+
+
 class TestCoordinate:
     def test_group_law(self):
         a = coord(F(1, 3), F(1, 2))
@@ -55,7 +60,7 @@ class TestCoordinate:
 
     def test_sort_is_total(self):
         xs = [coord(F(1, 2)), coord(0), coord(F(1, 3), -1)]
-        assert sorted(xs, key=lambda c: c.sort_key)[0] == coord(F(1, 3), -1)
+        assert sorted(xs, key=sort_key)[0] == coord(F(1, 3), -1)
 
 
 class TestCyclo:
@@ -424,8 +429,8 @@ def test_a_product_builds_one_cyclo_per_q_exponent(monkeypatch):
     x = qc(coord(F(1, 3))) + qc(coord(F(1, 4), F(1, 2))) + qc(coord(0, F(3, 2))).scale(F(1, 2))
     y = qc(coord(F(1, 5))) + qc(coord(F(1, 6), 1)).scale(3)
     built = []
-    init = Cyclo.__init__
-    monkeypatch.setattr(Cyclo, "__init__", lambda c, *a: built.append(1) or init(c, *a))
+    product_sum = arith._product_sum
+    monkeypatch.setattr(arith, "_product_sum", lambda ps: built.append(1) or product_sum(ps))
     z = x * y  # six pairs at q^0, 1/2, 1, 3/2, 3/2 and 5/2
     assert len(built) == len(z.terms) == 5
 
@@ -451,6 +456,70 @@ def test_every_power_of_x_below_2n_reduces_as_one_long_division():
 
 def fields(x):
     return x.conductor, x.num, x.den
+
+
+@st.composite
+def product_pairs(draw):
+    """Pairs ``(a, (n, d, terms))`` of mixed conductors, the factors' ``d`` of
+    either sign; a pair may be followed by its negation (of ``a`` or of ``d``),
+    so that parts of the sum cancel."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(cyclos)
+        n = draw(st.sampled_from(CONDUCTORS))
+        d = draw(st.sampled_from((1, 2, -3, -6)))
+        js = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+        terms = [(j, draw(st.integers(-5, 5).filter(bool))) for j in js]
+        out.append((a, (n, d, terms)))
+        if draw(st.booleans()):
+            out.append((-a, (n, d, terms)) if draw(st.booleans()) else (a, (n, -d, terms)))
+    return out
+
+
+def product_sum_reference(pairs):
+    """The products spread as ints into one vector at the lcm conductor over the
+    lcm denominator, then handed to the constructor."""
+    m = lcm(1, *(lcm(a.conductor, n) for a, (n, _, _) in pairs))
+    den = lcm(1, *(a.den * d for a, (_, d, _) in pairs))
+    acc = [0] * m
+    for a, (n, d, terms) in pairs:
+        for i, x in enumerate(a.num):
+            for j, c in terms:
+                acc[(i * (m // a.conductor) + j * (m // n)) % m] += x * c * (den // (a.den * d))
+    return Cyclo(m, acc, den)
+
+
+@given(product_pairs())
+def test_a_product_sum_has_the_fields_the_constructor_gives_its_ints(pairs):
+    """The accumulator sets its result's fields itself: they are those of the
+    constructor on the same spread ints, a sum that cancels included (zero, kept
+    at the lcm conductor)."""
+    got, ref = arith._product_sum(pairs), product_sum_reference(pairs)
+    assert fields(got) == fields(ref)
+    assert_normalised(got)
+    cancelling = [q for a, b in pairs for q in ((a, b), (-a, b))]
+    assert fields(arith._product_sum(cancelling)) == (ref.conductor, (), 1)
+
+
+@given(st.one_of(st.integers(-10**6, 10**6), mixed_fraction))
+def test_a_rational_has_the_fields_of_the_constructor(c):
+    for x in (c, -c, 0, F(0), F(c)):
+        got = Cyclo.rational(x)
+        assert fields(got) == fields(Cyclo(1, [x]))
+        assert_normalised(got)
+    assert QCyclo.rational(c) == QCyclo({0: Cyclo(1, [c])})
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, 0.0, -2.0, "1/2", None])
+def test_a_float_is_refused_as_a_rational_or_a_coefficient(bad):
+    for build in (
+        lambda: Cyclo.rational(bad),
+        lambda: QCyclo.rational(bad),
+        lambda: Cyclo(1, [bad]),
+        lambda: Cyclo(3, [1, F(1, 2), bad]),
+    ):
+        with pytest.raises(ValueError, match="ints or Fractions|an int or a Fraction"):
+            build()
 
 
 @given(cyclos, st.one_of(st.integers(-30, 30), small_fraction))
@@ -526,7 +595,7 @@ def agree(c, ref):
     assert (c.a, c.n, c.p, c.r) == (
         ref.zeta.numerator, ref.zeta.denominator, ref.qexp.numerator, ref.qexp.denominator
     )
-    assert c.to_json() == ref.to_json() and c.sort_key == ref.sort_key
+    assert c.to_json() == ref.to_json() and sort_key(c) == ref.sort_key
     assert c.torsion_order() == ref.torsion_order()
 
 
@@ -552,7 +621,7 @@ def test_coordinate_agrees_with_the_fraction_reference(raw, k, j):
                 assert hash(c) == hash(other)
     order = sorted(range(len(cs)), key=lambda i: refs[i].sort_key)
     assert [c.to_json() for c in sorted(cs)] == [cs[i].to_json() for i in order]
-    assert sorted(cs, key=lambda c: c.sort_key) == sorted(cs)
+    assert sorted(cs, key=sort_key) == sorted(cs)
 
 
 @given(wide_fraction, wide_fraction)

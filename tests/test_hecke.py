@@ -352,8 +352,8 @@ class TestOrbitKernel:
             rows.setdefault(v.qexp, set()).add(v.zeta)
         bound = len(rows) + sum(len(roots) > 1 for roots in rows.values())
         built, reduced = [], []
-        init = Cyclo.__init__
-        monkeypatch.setattr(Cyclo, "__init__", lambda c, *a: built.append(1) or init(c, *a))
+        product_sum = arith._product_sum
+        monkeypatch.setattr(arith, "_product_sum", lambda ps: built.append(1) or product_sum(ps))
         for module in (arith, hecke):
             monkeypatch.setattr(module, "_reduce", lambda v, n: reduced.append(1) or _reduce(v, n))
         out = satake_eval(f, y)
