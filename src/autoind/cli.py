@@ -15,9 +15,6 @@ from importlib import import_module
 
 from .errors import DomainError
 
-# Handlers take the verb's library module, the document and the caps given
-# on the command line; a cap left out takes the library's default.
-
 
 def _lift_spherical(satake, doc):
     return satake.delta_map(satake.SphericalRepE.from_json(doc)).to_json()
@@ -29,31 +26,31 @@ def _bc_spherical(satake, doc):
     return satake.bc_map(y, alg).to_json()
 
 
-def _fibers(satake, doc, **caps):
+def _fibers(satake, doc):
     direction = doc.get("direction", "ai")
     if direction == "ai":
         alg = satake.CyclicAlgebra.from_json(doc["algebra"])
         pi = satake.SatakeParam.from_json(doc["param"])
         fib = sorted(
-            satake.ai_fiber(pi, alg, **caps), key=lambda z: tuple(b.coords for b in z.blocks)
+            satake.ai_fiber(pi, alg), key=lambda z: tuple(b.coords for b in z.blocks)
         )
     elif direction == "bc":
         z = satake.SphericalRepE.from_json(doc["rep"])
-        fib = sorted(satake.bc_fiber(z, **caps), key=lambda y: y.coords)
+        fib = sorted(satake.bc_fiber(z), key=lambda y: y.coords)
     else:
         raise ValueError(f"unknown fiber direction {direction!r}")
     return {"count": len(fib), "fiber": [x.to_json() for x in fib]}
 
 
-def _hecke_ai(hecke, doc, **caps):
+def _hecke_ai(hecke, doc):
     alg = hecke.CyclicAlgebra.from_json(doc["algebra"])
-    return hecke.ai_transfer(hecke.SymLaurent.from_json(doc["f"]), alg, **caps).to_json()
+    return hecke.ai_transfer(hecke.SymLaurent.from_json(doc["f"]), alg).to_json()
 
 
-def _hecke_bc(hecke, doc, **caps):
+def _hecke_bc(hecke, doc):
     alg = hecke.CyclicAlgebra.from_json(doc["algebra"])
     factors = [hecke.SymLaurent.from_json(g) for g in doc["factors"]]
-    return hecke.bc_transfer(factors, alg, **caps).to_json()
+    return hecke.bc_transfer(factors, alg).to_json()
 
 
 def _lift_unitary(reps, doc):
@@ -80,22 +77,18 @@ def _separate(adelic, doc):
     return adelic.separate(pi, pi_prime).to_json()
 
 
-# a cap: (flag, keyword of the library function, least value)
-RANK_CAP = ("--max-rank", "max_rank", 1)
-DEGREE_CAP = ("--degree-budget", "budget", 0)
-
-# verb -> (library module, handler, options).  ``main`` imports the module
-# only when it dispatches, so a verb loads only the layers it uses.
+# verb -> (library module, handler).  ``main`` imports the module only when
+# it dispatches, so a verb loads only the layers it uses.
 VERBS = {
-    "lift-spherical": ("satake", _lift_spherical, ()),
-    "bc-spherical": ("satake", _bc_spherical, ()),
-    "fibers": ("satake", _fibers, (RANK_CAP,)),
-    "hecke-ai": ("hecke", _hecke_ai, (DEGREE_CAP,)),
-    "hecke-bc": ("hecke", _hecke_bc, (DEGREE_CAP,)),
-    "lift-unitary": ("reps", _lift_unitary, ()),
-    "lift-elliptic": ("reps", _lift_elliptic, ()),
-    "global-lift": ("adelic", _global_lift, ()),
-    "separate": ("adelic", _separate, ()),
+    "lift-spherical": ("satake", _lift_spherical),
+    "bc-spherical": ("satake", _bc_spherical),
+    "fibers": ("satake", _fibers),
+    "hecke-ai": ("hecke", _hecke_ai),
+    "hecke-bc": ("hecke", _hecke_bc),
+    "lift-unitary": ("reps", _lift_unitary),
+    "lift-elliptic": ("reps", _lift_elliptic),
+    "global-lift": ("adelic", _global_lift),
+    "separate": ("adelic", _separate),
 }
 
 
@@ -132,11 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
         "unramified cyclic extensions",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-    for verb, (_, _, options) in VERBS.items():
+    for verb in VERBS:
         p = sub.add_parser(verb)
         p.add_argument("--input", "-i", default=None, help="JSON file (default stdin)")
-        for flag, keyword, floor in options:
-            p.add_argument(flag, dest=keyword, type=_int_at_least(floor), default=None)
     pv = sub.add_parser("verify")
     pv.add_argument("--suite", default="all")
     pv.add_argument("--seed", type=int, default=0)
@@ -165,11 +156,10 @@ def main(argv=None) -> int:
         detail = f"expected a JSON object, got {type(doc).__name__}"
         print(json.dumps({"error": {"kind": "BadInput", "detail": detail}}))
         return 1
-    module, handler, options = VERBS[args.verb]
+    module, handler = VERBS[args.verb]
     library = import_module(f".{module}", __package__)
-    caps = {kw: getattr(args, kw) for _, kw, _ in options if getattr(args, kw) is not None}
     try:
-        out = handler(library, doc, **caps)
+        out = handler(library, doc)
     except DomainError as exc:
         print(json.dumps({"error": {"kind": exc.kind, "detail": exc.detail}}))
         return 2

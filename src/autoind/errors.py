@@ -29,14 +29,15 @@ class BlocksDiffer(DomainError):
 
 
 class BudgetExceeded(DomainError):
-    """Fiber enumeration past the hard rank cap, a cyclotomic conductor past
+    """A fiber past ``satake.MAX_FIBER_RANK`` or ``satake.MAX_FIBER_SIZE``, a
+    twist split past ``satake.MAX_SPLIT_FAILS``, a cyclotomic conductor past
     ``arith.MAX_CONDUCTOR``, an orbit past ``hecke.MAX_ORBIT``, or more
     coordinates, blocks or factors than ``satake.MAX_PARTS``."""
 
 
 class DegreeBudget(DomainError):
-    """A Hecke transfer past the degree budget: for ``ai_transfer`` the degree
-    converted to power sums, for ``bc_transfer`` the degree of the product."""
+    """A Hecke transfer past ``hecke.DEGREE_BUDGET``: for ``ai_transfer`` the
+    degree converted to power sums, for ``bc_transfer`` the degree of the product."""
 
 
 class BadOrbit(DomainError):

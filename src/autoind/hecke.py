@@ -344,11 +344,12 @@ def _m_to_p(nvars: int, key: ExpVec) -> Dict[Tuple[int, ...], Fraction]:
     return {mu: x / row[key] for mu, x in out.items() if x}
 
 
-def to_power_sums(f: SymLaurent, budget: int = DEGREE_BUDGET) -> Dict[ExpVec, QCyclo]:
+def to_power_sums(f: SymLaurent) -> Dict[ExpVec, QCyclo]:
     """The body of f in the power-sum basis, as a map ``{lam: coefficient}``:
-    the sum of each coefficient times its key's row :func:`_m_to_p`."""
-    if f.degree() > budget:
-        raise DegreeBudget(f"degree {f.degree()} exceeds budget {budget}")
+    the sum of each coefficient times its key's row :func:`_m_to_p`.  A degree
+    above ``DEGREE_BUDGET`` raises :class:`DegreeBudget` first."""
+    if f.degree() > DEGREE_BUDGET:
+        raise DegreeBudget(f"degree {f.degree()} exceeds budget {DEGREE_BUDGET}")
     out = _combine((c, _m_to_p(f.nvars, k)) for k, c in f.terms.items())
     return {lam: c for lam, c in out.items() if not c.is_zero()}
 
@@ -375,21 +376,20 @@ def _ai_row(nvars: int, key: ExpVec, s: int) -> Dict[ExpVec, Fraction]:
     return {k: v for k, v in out.items() if v}
 
 
-def ai_transfer(
-    f: SymLaurent, algebra: CyclicAlgebra, budget: int = DEGREE_BUDGET
-) -> SymLaurent:
+def ai_transfer(f: SymLaurent, algebra: CyclicAlgebra) -> SymLaurent:
     """The transfer b with ``satake_eval(f, delta_map(y)) = satake_eval(bf, y.flatten())``.
 
     In the power-sum basis: ``p_k -> s p_{k/s}`` when s | k, else 0; each
     key's image is one rational row of :func:`_ai_row`.  The Laurent shift
     maps through the determinant coordinate, contributing the unit
-    ``zeta^(-shift * mr * s(s-1)/2)``.
+    ``zeta^(-shift * mr * s(s-1)/2)``.  Degrees above ``DEGREE_BUDGET``
+    are refused before any row is built.
     """
     d, r, s = algebra.d, algebra.r, algebra.s
     if f.nvars % d:
         raise RankMismatch(f"{f.nvars} variables not divisible by d={d}")
-    if f.degree() > budget:
-        raise DegreeBudget(f"degree {f.degree()} exceeds budget {budget}")
+    if f.degree() > DEGREE_BUDGET:
+        raise DegreeBudget(f"degree {f.degree()} exceeds budget {DEGREE_BUDGET}")
     m = f.nvars // d
     body = _combine((c, _ai_row(f.nvars, k, s)) for k, c in f.terms.items())
     out = SymLaurent(m * r, f.shift, body)
@@ -414,15 +414,13 @@ def _product_degree(factors) -> int:
     return sum(g.degree() for g in factors) - factors[0].nvars * min(shift, valuation)
 
 
-def bc_transfer(
-    factors, algebra: CyclicAlgebra, budget: int = DEGREE_BUDGET
-) -> SymLaurent:
+def bc_transfer(factors, algebra: CyclicAlgebra) -> SymLaurent:
     """Base-change transfer: ``prod_i f_i(bc_map(y).blocks[i]) = (bf)(y)``.
 
     The r block transforms multiply (convolution over the split directions),
     then the field stage substitutes z -> z^s: ``m_lam -> m_{s lam}``, and the
-    shift scales by s.  The degree of the product is checked against the
-    budget before the factors are multiplied.
+    shift scales by s.  A product degree above ``DEGREE_BUDGET`` raises
+    :class:`DegreeBudget` before the factors are multiplied.
     """
     factors = list(factors)
     if len(factors) != algebra.r:
@@ -431,8 +429,8 @@ def bc_transfer(
     if any(g.nvars != n for g in factors):
         raise RankMismatch("factors must share the variable count")
     degree = _product_degree(factors)
-    if degree > budget:
-        raise DegreeBudget(f"degree {degree} exceeds budget {budget}")
+    if degree > DEGREE_BUDGET:
+        raise DegreeBudget(f"degree {degree} exceeds budget {DEGREE_BUDGET}")
     product, s = reduce(mul, factors), algebra.s
     return SymLaurent(
         n, s * product.shift, {tuple(s * e for e in k): c for k, c in product.terms.items()}

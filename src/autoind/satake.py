@@ -7,18 +7,20 @@ twist-stable rank-(m d) multiset over F by taking canonical s-th roots and
 spreading them along the powers of the twist root zeta.
 
 All maps here are the parameter-level (weak-lift) versions; fibers are
-computed constructively and are exponential in the rank, so a rank cap
-(``max_rank``, 12 by default) and a cap on the number of members
-(``MAX_FIBER_SIZE``, checked before any member is built) protect against
-runaway enumeration.  The maps that build one coordinate, block or factor
-per unit of a number in their input (d, r or l) check ``MAX_PARTS`` first.
+computed constructively and are exponential in the rank, so constant bounds
+on the rank (``MAX_FIBER_RANK``), the members (``MAX_FIBER_SIZE``, checked
+before any is built) and the failed tries of ``twist_split``
+(``MAX_SPLIT_FAILS``) stop runaway enumeration.  The maps that build one
+coordinate, block or factor per unit of a number in their input (d, r or l)
+check ``MAX_PARTS`` first.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement, islice, product
+from itertools import accumulate, combinations_with_replacement, islice, product, repeat
 from math import comb, prod
+from operator import mul
 from typing import Optional, Tuple
 
 from .arith import ONE, Coordinate, Record, json_fraction, json_int, primitive_root, set_field
@@ -33,6 +35,10 @@ MAX_FIBER_SIZE = 100
 # builds them.  It lies above 4000, the largest count the seeded suites, the
 # benchmark streams and the tests reach.
 MAX_PARTS = 5_000
+# Most placements one ``twist_split`` may undo.  It lies above 20, the most the
+# seeded suites, the benchmark streams and the tests reach, and above 62 (2 +
+# 4 + .. + 32), the most ``ai_fiber`` can undo on a rank-12 pi.
+MAX_SPLIT_FAILS = 100
 
 
 def check_parts(count: int, what: str) -> None:
@@ -210,7 +216,8 @@ def twist_split(pi: SatakeParam, zeta: Coordinate, r: int) -> Optional[Tuple[Coo
     of unity zeta) and of ``adelic.global_ai_lift`` (r below or above it).
     Backtracking on the largest remaining coordinate c: it lies in some
     ``zeta^i A``, so A holds one of the distinct ``c zeta^(-i)``, i < min(r,
-    order of zeta), tried in the order of i.
+    order of zeta), tried in the order of i, on an explicit stack.  Undoing
+    more than ``MAX_SPLIT_FAILS`` placements raises :class:`BudgetExceeded`.
     """
     if pi.rank % r:
         return None
@@ -222,26 +229,29 @@ def twist_split(pi: SatakeParam, zeta: Coordinate, r: int) -> Optional[Tuple[Coo
     powers = [zeta**i for i in range(r)]
     inverse = zeta.inverse()
     tries = min(r, zeta.torsion_order())
-
-    def rec(acc, top):
-        if len(acc) == size:
-            return tuple(acc)
-        while not counter[coords[top]]:
-            top -= 1
-        a = coords[top]
-        for _ in range(tries):
+    stack = []  # per coordinate placed: (it, its need, the level's untried candidates, top)
+    top, untried, failed = len(coords) - 1, None, 0
+    while len(stack) < size:
+        if untried is None:  # a new level opens at the largest remaining coordinate
+            while not counter[coords[top]]:
+                top -= 1
+            untried = accumulate(repeat(inverse, tries - 1), mul, initial=coords[top])
+        for a in untried:
             need = Counter(z * a for z in powers)
             if all(counter[m] >= k for m, k in need.items()):
                 counter.subtract(need)
-                acc.append(a)
-                if rec(acc, top) is not None:
-                    return tuple(acc)
-                acc.pop()
-                counter.update(need)
-            a = a * inverse
-        return None
-
-    return rec([], len(coords) - 1)
+                stack.append((a, need, untried, top))
+                untried = None
+                break
+        else:  # every candidate failed: undo the last placement
+            if not stack:
+                return None
+            failed += 1
+            if failed > MAX_SPLIT_FAILS:
+                raise BudgetExceeded(f"twist split past {MAX_SPLIT_FAILS} failed tries")
+            _, need, untried, top = stack.pop()
+            counter.update(need)
+    return tuple(a for a, *_ in stack)
 
 
 def _sub_multisets(mults: tuple, size: int, i: int = 0):
@@ -278,23 +288,21 @@ def _check_fiber_size(size: int):
         raise BudgetExceeded(f"fiber of more than {MAX_FIBER_SIZE} members")
 
 
-def ai_fiber(
-    pi: SatakeParam, algebra: CyclicAlgebra, max_rank: int = MAX_FIBER_RANK
-) -> set[SphericalRepE]:
+def ai_fiber(pi: SatakeParam, algebra: CyclicAlgebra) -> set[SphericalRepE]:
     """All y over E with ``delta_map(y) == pi``, computed constructively.
 
     ``twist_split(pi, zeta, s)`` splits pi into zeta-orbits, or returns None
     exactly when pi is not zeta-stable (zeta acts freely).  The distributions
     of the orbits' s-th powers into r blocks are the fiber; for r = 1 it is a
-    singleton.  Ranks above ``max_rank`` raise :class:`BudgetExceeded` first,
+    singleton.  Ranks above ``MAX_FIBER_RANK`` raise :class:`BudgetExceeded` first,
     and so do fibers of more than ``MAX_FIBER_SIZE`` members, seen by taking
     at most one split more than that before any member is built.
     """
     alg = algebra
     if pi.rank % alg.d:
         raise RankMismatch(f"rank {pi.rank} not divisible by d={alg.d}")
-    if pi.rank > max_rank:
-        raise BudgetExceeded(f"rank {pi.rank} exceeds fiber cap {max_rank}")
+    if pi.rank > MAX_FIBER_RANK:
+        raise BudgetExceeded(f"rank {pi.rank} exceeds fiber cap {MAX_FIBER_RANK}")
     check_parts(alg.r, "blocks")
     reps = twist_split(pi, alg.zeta, alg.s)
     if reps is None:
@@ -316,21 +324,21 @@ def bc_map(y: SatakeParam, algebra: CyclicAlgebra) -> SphericalRepE:
     return SphericalRepE(algebra, (block,) * algebra.r)
 
 
-def bc_fiber(z: SphericalRepE, max_rank: int = MAX_FIBER_RANK) -> set[SatakeParam]:
+def bc_fiber(z: SphericalRepE) -> set[SatakeParam]:
     """All y over F with ``bc_map(y) == z``; requires all blocks equal.
 
     Fiber members differ by coordinatewise multiplication by s-th roots of
     unity, up to permutation: a coordinate of multiplicity k takes a
     multiset of k of its s roots, so the fiber has prod C(k + s - 1, k)
-    members.  Block ranks above ``max_rank``, and fibers of more than
+    members.  Block ranks above ``MAX_FIBER_RANK``, and fibers of more than
     ``MAX_FIBER_SIZE`` members, raise :class:`BudgetExceeded` before any work.
     """
     alg = z.algebra
     if any(b != z.blocks[0] for b in z.blocks[1:]):
         raise BlocksDiffer("blocks differ: parameter is not a base-change image")
     block = z.blocks[0]
-    if block.rank > max_rank:
-        raise BudgetExceeded(f"rank {block.rank} exceeds fiber cap {max_rank}")
+    if block.rank > MAX_FIBER_RANK:
+        raise BudgetExceeded(f"rank {block.rank} exceeds fiber cap {MAX_FIBER_RANK}")
     counts = Counter(block.coords)
     _check_fiber_size(prod(comb(k + alg.s - 1, k) for k in counts.values()))
     zeta = primitive_root(alg.s)

@@ -3,16 +3,13 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import autoind
-from autoind.arith import Coordinate
 from autoind.cli import VERBS, build_parser, main
-from autoind.errors import BudgetExceeded
-from autoind.satake import MAX_PARTS, CyclicAlgebra, SatakeParam, ai_fiber
+from autoind.satake import MAX_PARTS, MAX_SPLIT_FAILS
 
 
 def run_cli(argv, stdin_doc=None, capsys=None):
@@ -122,23 +119,17 @@ class TestErrors:
         assert proc.returncode == 1, proc.stderr
         assert json.loads(proc.stdout)["error"]["kind"] == "BadInput"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["lift-spherical", "--max-rank", "3"], ["fibers", "--degree-budget", "3"]],
-    )
-    def test_caps_only_on_their_verbs(self, argv):
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    @pytest.mark.parametrize("flag", ["--max-rank", "--degree-budget"])
+    def test_no_compute_verb_takes_a_cap(self, verb, flag):
+        # every bound is a library constant: a raised cap undid the bound
         with pytest.raises(SystemExit):
-            build_parser().parse_args(argv)
+            build_parser().parse_args([verb, flag, "3"])
 
     @pytest.mark.parametrize("argv, refused", [
         (["verify", "--suite", "satake", "--cases", "-3"], "--cases: must be at least 1, got -3"),
         (["verify", "--cases", "0"], "--cases: must be at least 1, got 0"),
-        (["fibers", "--max-rank", "0"], "--max-rank: must be at least 1, got 0"),
-        (["fibers", "--max-rank", "-1"], "--max-rank: must be at least 1, got -1"),
-        (["hecke-ai", "--degree-budget", "-5"], "--degree-budget: must be at least 0, got -5"),
-        (["hecke-bc", "--degree-budget", "x"], "--degree-budget: invalid int value: 'x'"),
-    ], ids=["cases-negative", "cases-zero", "max-rank-zero", "max-rank-negative",
-            "degree-budget-negative", "degree-budget-not-int"])
+    ], ids=["cases-negative", "cases-zero"])
     def test_out_of_range_int_option_is_a_usage_error(self, argv, refused):
         proc = run_cli_process(argv, {})
         assert proc.returncode == 2
@@ -174,18 +165,6 @@ class TestHeckeVerbs:
         code, out = run_cli(["hecke-bc"], doc, capsys)
         assert code == 0
         assert json.loads(out)["terms"][0]["exps"] == [2]
-
-    def test_zero_degree_budget_is_honoured(self, capsys):
-        doc = {
-            "algebra": {"d": 2, "r": 1, "s": 2},
-            "f": {"nvars": 2, "shift": 0, "terms": [
-                {"exps": [1, 0], "coef": {"terms": [
-                    {"qexp": [0, 1], "conductor": 1, "coeffs": [[1, 1]]}]}}
-            ]},
-        }
-        code, out = run_cli(["hecke-ai", "--degree-budget", "0"], doc, capsys)
-        assert code == 2
-        assert json.loads(out)["error"]["kind"] == "DegreeBudget"
 
     def test_bc_budget_is_checked_before_multiplying(self):
         # two staircases of degree 45 in 10 variables: multiplying them first
@@ -328,23 +307,6 @@ class TestFibers:
         code, out = run_cli(["fibers"], doc, capsys)
         assert code == 0
         assert json.loads(out)["count"] == 2
-
-    def test_max_rank_applies_to_one_call(self, capsys):
-        doc = {
-            "direction": "bc",
-            "rep": {"d": 2, "r": 1, "s": 2, "y": [coord(0, 1, 2, 1), coord(1, 2, 0, 1)]},
-        }
-        code, out = run_cli(["fibers", "--max-rank", "1"], doc, capsys)
-        assert code == 2
-        assert json.loads(out)["error"]["kind"] == "BudgetExceeded"
-        code, _ = run_cli(["fibers", "--max-rank", "20"], doc, capsys)
-        assert code == 0
-        # the raised cap must not outlive the command
-        pi = SatakeParam(
-            tuple(Coordinate.of(F(j % 2, 2), j // 2) for j in range(14))
-        )
-        with pytest.raises(BudgetExceeded):
-            ai_fiber(pi, CyclicAlgebra.field(2))
 
     @pytest.mark.parametrize("doc", [
         # 12 distinct coordinates into 4 blocks of 3: 369 600 members
@@ -621,6 +583,29 @@ class TestGlobalVerbs:
         # the split keeps the largest 4000-th root of (1/3, q): the canonical
         # order puts zeta = 11989/12000 last among the roots
         assert got["factors"][0]["locals"]["v"]["coords"] == [coord(11989, 12000, 1, 4000)]
+
+    @pytest.mark.parametrize("d, f, r, blocks", [
+        # 500 coordinates over the quadratic field: the split placed them one
+        # recursion level each and ended in a RecursionError
+        (2, 2, 1, [[coord(0, 1, j, 1) for j in range(500)]]),
+        # three blocks of 24 copies: the search filled the first candidate past
+        # what a split allows and backtracked, about 2.3x longer per 2 copies
+        (6, 2, 3, [[coord(0, 1, 1, 1)] * 24] * 3),
+    ], ids=["deep-500", "backtracking-3x24"])
+    def test_twist_split_is_bounded(self, d, f, r, blocks):
+        doc = {"d": d, "places": [{"label": "v", "f": f}],
+               "rep": {"label": "L", "r": r, "locals": {"v": {"blocks": blocks}}}}
+        proc = run_cli_process(["global-lift"], doc)
+        got = json.loads(proc.stdout)
+        if r == 1:
+            assert proc.returncode == 0, proc.stderr
+            assert len(got["factors"][0]["locals"]["v"]["coords"]) == 1000
+        else:
+            assert proc.returncode == 2, proc.stderr
+            assert got["error"] == {
+                "kind": "BudgetExceeded",
+                "detail": f"twist split past {MAX_SPLIT_FAILS} failed tries",
+            }
 
 
 class TestVerify:
