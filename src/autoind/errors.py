@@ -30,9 +30,9 @@ class BlocksDiffer(DomainError):
 
 class BudgetExceeded(DomainError):
     """A fiber past ``satake.MAX_FIBER_RANK`` or ``satake.MAX_FIBER_SIZE``, a
-    twist split past ``satake.MAX_SPLIT_FAILS``, a cyclotomic conductor past
-    ``arith.MAX_CONDUCTOR``, an orbit past ``hecke.MAX_ORBIT``, or more
-    coordinates, blocks or factors than ``satake.MAX_PARTS``."""
+    cyclotomic conductor past ``arith.MAX_CONDUCTOR``, an orbit past
+    ``hecke.MAX_ORBIT``, or more coordinates, blocks or factors than
+    ``satake.MAX_PARTS``."""
 
 
 class DegreeBudget(DomainError):

@@ -8,19 +8,18 @@ spreading them along the powers of the twist root zeta.
 
 All maps here are the parameter-level (weak-lift) versions; fibers are
 computed constructively and are exponential in the rank, so constant bounds
-on the rank (``MAX_FIBER_RANK``), the members (``MAX_FIBER_SIZE``, checked
-before any is built) and the failed tries of ``twist_split``
-(``MAX_SPLIT_FAILS``) stop runaway enumeration.  The maps that build one
+on the rank (``MAX_FIBER_RANK``) and the members (``MAX_FIBER_SIZE``, checked
+before any is built) stop runaway enumeration; ``twist_split`` solves each
+<zeta>-coset in closed form, so it needs no bound.  The maps that build one
 coordinate, block or factor per unit of a number in their input (d, r or l)
 check ``MAX_PARTS`` first.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate, combinations_with_replacement, islice, product, repeat
-from math import comb, prod
-from operator import mul
+from collections import Counter, defaultdict
+from itertools import combinations_with_replacement, islice, product
+from math import comb, gcd, prod
 from typing import Optional, Tuple
 
 from .arith import ONE, Coordinate, Record, json_fraction, json_int, primitive_root, set_field
@@ -35,10 +34,6 @@ MAX_FIBER_SIZE = 100
 # builds them.  It lies above 4000, the largest count the seeded suites, the
 # benchmark streams and the tests reach.
 MAX_PARTS = 5_000
-# Most placements one ``twist_split`` may undo.  It lies above 20, the most the
-# seeded suites, the benchmark streams and the tests reach, and above 62 (2 +
-# 4 + .. + 32), the most ``ai_fiber`` can undo on a rank-12 pi.
-MAX_SPLIT_FAILS = 100
 
 
 def check_parts(count: int, what: str) -> None:
@@ -209,49 +204,78 @@ def delta_map(y: SphericalRepE) -> SatakeParam:
     return SatakeParam(tuple(out))
 
 
+def _window_solutions(m: list, r: int):
+    """Every a >= 0 with ``sum(a[j - i] for i < r) == m[j]`` at each j mod f = len(m),
+    as ``[m, w, X]``: the a are w + x[j mod g], g = gcd(r, f), for the x >= 0
+    summing to X; None when there is none.  With r = k f + t and S = sum(a) =
+    sum(m) / r, b = m - k S holds the length-t window sums, so a[j + t] - a[j] =
+    b[j + t] - b[j + t - 1] fixes a on each class mod g up to a constant, and w
+    shifts each class to least entry 0."""
+    f = len(m)
+    k, t = divmod(r, f)
+    S, rest = divmod(sum(m), r)
+    b = [x - k * S for x in m]
+    g = gcd(r, f)
+    if rest or min(b) < 0 or len({sum(b[c::g]) for c in range(g)}) > 1:
+        return None
+    if not t:  # whole cycles: b sums to t S = 0, and any a summing to S is one
+        return [m, [0] * f, S]
+    w = [0] * f
+    for c in range(g):
+        for j in range(c, c + t * (f // g - 1), t):
+            w[(j + t) % f] = w[j % f] + b[(j + t) % f] - b[(j + t - 1) % f]
+        low = min(w[c::g])
+        w[c::g] = [x - low for x in w[c::g]]
+    X, rest = divmod(b[0] - sum(w[-i] for i in range(t)), t // g)
+    return None if rest or X < 0 else [m, w, X]
+
+
 def twist_split(pi: SatakeParam, zeta: Coordinate, r: int) -> Optional[Tuple[Coordinate, ...]]:
     """Find A with the union of ``zeta^i A`` (i < r) equal to pi, or None.
 
     The twist-orbit splitter of ``ai_fiber`` (r = s, the order of the root
     of unity zeta) and of ``adelic.global_ai_lift`` (r below or above it).
-    Backtracking on the largest remaining coordinate c: it lies in some
-    ``zeta^i A``, so A holds one of the distinct ``c zeta^(-i)``, i < min(r,
-    order of zeta), tried in the order of i, on an explicit stack.  Undoing
-    more than ``MAX_SPLIT_FAILS`` placements raises :class:`BudgetExceeded`.
+    The largest remaining coordinate c lies in some ``zeta^i A``, so A holds
+    one of the distinct ``c zeta^(-i)``, i < min(r, order of zeta): the split
+    places the first that leaves a split of the rest.  Whether it does is read
+    off c's <zeta>-coset, solved once by ``_window_solutions`` and kept up to
+    date, so nothing is undone and the answer is a search's first one.
     """
     if pi.rank % r:
         return None
     size = pi.rank // r
-    if not size:  # before the r powers of zeta: r is unbounded on an empty pi
+    if not size:  # before anything of size r or f: both are unbounded on an empty pi
         return ()
-    coords = pi.coords  # sorted, so the largest remaining one is the last
-    counter = Counter(coords)
-    powers = [zeta**i for i in range(r)]
-    inverse = zeta.inverse()
-    tries = min(r, zeta.torsion_order())
-    stack = []  # per coordinate placed: (it, its need, the level's untried candidates, top)
-    top, untried, failed = len(coords) - 1, None, 0
-    while len(stack) < size:
-        if untried is None:  # a new level opens at the largest remaining coordinate
-            while not counter[coords[top]]:
-                top -= 1
-            untried = accumulate(repeat(inverse, tries - 1), mul, initial=coords[top])
-        for a in untried:
-            need = Counter(z * a for z in powers)
-            if all(counter[m] >= k for m, k in need.items()):
-                counter.subtract(need)
-                stack.append((a, need, untried, top))
-                untried = None
-                break
-        else:  # every candidate failed: undo the last placement
-            if not stack:
-                return None
-            failed += 1
-            if failed > MAX_SPLIT_FAILS:
-                raise BudgetExceeded(f"twist split past {MAX_SPLIT_FAILS} failed tries")
-            _, need, untried, top = stack.pop()
-            counter.update(need)
-    return tuple(a for a, *_ in stack)
+    f = zeta.torsion_order()
+    g = gcd(r, f)
+    step = pow(zeta.a, -1, f)  # the angle u/f above c's coset root is zeta^(u step)
+    cosets, where = defaultdict(lambda: [0] * f), {}
+    for c, mult in Counter(pi.coords).items():
+        u, low = divmod(c.a * f, c.n)
+        h = gcd(low, c.n)
+        key, j = where[c] = (low // h, c.n // h, c.p, c.r), u * step % f
+        cosets[key][j] = mult
+    cosets = {key: _window_solutions(m, r) for key, m in cosets.items()}
+    if None in cosets.values():
+        return None
+    inverse, tries = zeta.inverse(), min(r, f)
+    coords, top, out = pi.coords, len(pi.coords) - 1, []
+    while len(out) < size:
+        key, j = where[coords[top]]
+        m, w, X = coset = cosets[key]
+        if not m[j]:
+            top -= 1
+            continue
+        i = next(i for i in range(tries) if w[(j - i) % f] + X > 0)
+        s = (j - i) % f
+        if not w[s]:  # only the solutions with one more in s's class are left
+            coset[2] -= 1
+            w[s % g :: g] = [x + 1 for x in w[s % g :: g]]
+        w[s] -= 1
+        for u in range(s, s + r):
+            m[u % f] -= 1
+        out.append(coords[top] * inverse**i if i else coords[top])
+    return tuple(out)
 
 
 def _sub_multisets(mults: tuple, size: int, i: int = 0):

@@ -9,7 +9,7 @@ import pytest
 
 import autoind
 from autoind.cli import VERBS, build_parser, main
-from autoind.satake import MAX_PARTS, MAX_SPLIT_FAILS
+from autoind.satake import MAX_PARTS
 
 
 def run_cli(argv, stdin_doc=None, capsys=None):
@@ -291,7 +291,8 @@ def test_golden_output_is_byte_identical(doc, capsys):
     conductors 1, 3, 4, 6 and 12 and mixed denominators; lift-unitary and
     lift-elliptic on every factor kind, r < d, payloads and translates;
     lift-spherical, bc-spherical, fibers (ai and bc, members whose
-    coordinates tie on qexp and differ in (N, a)), global-lift and separate."""
+    coordinates tie on qexp and differ in (N, a)), global-lift (with the two
+    repeated-coordinate documents a backtracking split refused) and separate."""
     verb = doc.stem.split("_")[0]
     code = main([verb, "--input", str(doc)])
     assert code == 0
@@ -569,43 +570,50 @@ class TestGlobalVerbs:
 
     def test_global_lift_is_linear_in_r(self):
         # r = d = f = 4000 twist translates of one coordinate: the split tries
-        # each candidate once and the lift is built as one tuple per place
+        # each candidate once and the lift is built as one tuple per place;
+        # r = 1 places the 4000 lifted coordinates one at a time, so a split
+        # that did work of the size of f per candidate would be quadratic
         d = 4000
-        doc = {
-            "d": d, "places": [{"label": "v", "f": d}],
-            "rep": {"label": "L", "r": d, "q": 1, "locals": {"v": {"blocks": [[coord(1, 3, 1, 1)]]}}},
-        }
-        proc = run_cli_process(["global-lift"], doc)
-        assert proc.returncode == 0, proc.stderr
-        got = json.loads(proc.stdout)
-        assert len(got["factors"]) == d
-        assert [f["translate"] for f in got["factors"]] == list(range(d))
-        # the split keeps the largest 4000-th root of (1/3, q): the canonical
-        # order puts zeta = 11989/12000 last among the roots
-        assert got["factors"][0]["locals"]["v"]["coords"] == [coord(11989, 12000, 1, 4000)]
+        for r in (d, 1):
+            doc = {
+                "d": d, "places": [{"label": "v", "f": d}],
+                "rep": {"label": "L", "r": r, "q": 1,
+                        "locals": {"v": {"blocks": [[coord(1, 3, 1, 1)]]}}},
+            }
+            proc = run_cli_process(["global-lift"], doc)
+            assert proc.returncode == 0, proc.stderr
+            got = json.loads(proc.stdout)
+            assert [f["translate"] for f in got["factors"]] == list(range(r))
+            coords = got["factors"][0]["locals"]["v"]["coords"]
+            assert len(coords) == d // r
+            if r == d:
+                # the split keeps the largest 4000-th root of (1/3, q): the
+                # canonical order puts zeta = 11989/12000 last among the roots
+                assert coords == [coord(11989, 12000, 1, 4000)]
 
     @pytest.mark.parametrize("d, f, r, blocks", [
         # 500 coordinates over the quadratic field: the split placed them one
         # recursion level each and ended in a RecursionError
         (2, 2, 1, [[coord(0, 1, j, 1) for j in range(500)]]),
-        # three blocks of 24 copies: the search filled the first candidate past
-        # what a split allows and backtracked, about 2.3x longer per 2 copies
+        # three blocks of 24 copies: a backtracking split undid placements
+        # exponentially often in the copies (refused past 100 undos)
         (6, 2, 3, [[coord(0, 1, 1, 1)] * 24] * 3),
     ], ids=["deep-500", "backtracking-3x24"])
     def test_twist_split_is_bounded(self, d, f, r, blocks):
         doc = {"d": d, "places": [{"label": "v", "f": f}],
                "rep": {"label": "L", "r": r, "locals": {"v": {"blocks": blocks}}}}
         proc = run_cli_process(["global-lift"], doc)
+        assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout)
         if r == 1:
-            assert proc.returncode == 0, proc.stderr
             assert len(got["factors"][0]["locals"]["v"]["coords"]) == 1000
         else:
-            assert proc.returncode == 2, proc.stderr
-            assert got["error"] == {
-                "kind": "BudgetExceeded",
-                "detail": f"twist split past {MAX_SPLIT_FAILS} failed tries",
-            }
+            # the 72 square roots q^(1/2) and the 72 of -q^(1/2) split one way
+            # only: 24 of each in every one of the three translates
+            assert [f["translate"] for f in got["factors"]] == [0, 1, 2]
+            for factor in got["factors"]:
+                coords = factor["locals"]["v"]["coords"]
+                assert coords == [coord(0, 1, 1, 2)] * 24 + [coord(1, 2, 1, 2)] * 24
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autoind.arith import Coordinate, Record, set_field
 from autoind.errors import (
@@ -169,6 +170,52 @@ class TestGlobalLift:
             assert len(calls) == len(fs)
             for v in Pi.places:
                 assert lift.local(v) == delta_map(Pi.local(v))
+
+
+def _divisors(n):
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+@st.composite
+def global_data(draw):
+    """E-side data with any d <= 24, r | d, 1-3 places of any residue degree,
+    cusp ranks up to 12 and q <= 3, the coordinates drawn from 2-3 values so
+    that they repeat: the lift builds at most 24 * 12 * 3 coordinates a place."""
+    d = draw(st.integers(1, 24))
+    r = draw(st.sampled_from(_divisors(d)))
+    m = draw(st.integers(1, 12))
+    values = draw(st.lists(
+        st.builds(coord, st.integers(0, 11).map(lambda a: F(a, 12)), st.sampled_from((0, F(1, 2), 1))),
+        min_size=2, max_size=3,
+    ))
+    places = tuple(
+        Place(f"v{i}", d, f)
+        for i, f in enumerate(draw(st.lists(st.sampled_from(_divisors(d)), min_size=1, max_size=3)))
+    )
+
+    def block():  # m coordinates: values[i] for each i between two cuts
+        cuts = sorted(draw(st.integers(0, m)) for _ in values[1:])
+        return SatakeParam(tuple(
+            c for c, lo, hi in zip(values, [0] + cuts, cuts + [m]) for _ in range(hi - lo)
+        ))
+
+    locals_ = {}
+    for v in places:
+        period = gcd(v.e, d // r)  # sigma^(d/r)-stable: blocks repeat with this period
+        base = [block() for _ in range(period)]
+        locals_[v.label] = SphericalRepE(v.algebra, tuple(base[i % period] for i in range(v.e)))
+    return GlobalDiscrete("L", "E", d, r, draw(st.integers(1, 3)), places, locals_)
+
+
+@settings(deadline=None)
+@given(global_data())
+def test_every_valid_datum_has_a_strong_lift(Pi):
+    # the paper's global theorem: the lift answers, never with LocalMismatch
+    # or BudgetExceeded, and its local datum is the lifting map's everywhere
+    lift = global_ai_lift(Pi)
+    assert len(lift.factors) == Pi.orbit
+    for v in Pi.places:
+        assert lift.local(v) == delta_map(Pi.local(v))
 
 
 class TestRigidity:

@@ -1,10 +1,12 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import product
+from itertools import accumulate, product, repeat
+from math import gcd
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from autoind.arith import Coordinate, primitive_root
 from autoind.errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
@@ -191,6 +193,83 @@ class TestAiFiber:
 def spread(a, zeta, r):
     """The multiset union of zeta^i a for a in A and i < r."""
     return SatakeParam(tuple(zeta**i * c for c in a for i in range(r)))
+
+
+class Refused(Exception):
+    """The reference search undid more placements than it may."""
+
+
+def backtracking_split(pi, zeta, r, max_undos=100):
+    """The depth-first search ``twist_split`` replaced, kept as its reference:
+    on the largest remaining coordinate c, place the first ``c zeta^-i``,
+    i < min(r, order of zeta), whose r translates are all left, and undo the
+    last placement when none is.  Past ``max_undos`` undos it raises Refused."""
+    if pi.rank % r:
+        return None
+    size = pi.rank // r
+    if not size:
+        return ()
+    coords = pi.coords
+    counter = Counter(coords)
+    powers = [zeta**i for i in range(r)]
+    tries = min(r, zeta.torsion_order())
+    stack = []  # per coordinate placed: (it, its need, the level's untried candidates, top)
+    top, untried, undos = len(coords) - 1, None, 0
+    while len(stack) < size:
+        if untried is None:
+            while not counter[coords[top]]:
+                top -= 1
+            untried = accumulate(repeat(zeta.inverse(), tries - 1), mul, initial=coords[top])
+        for a in untried:
+            need = Counter(z * a for z in powers)
+            if all(counter[m] >= k for m, k in need.items()):
+                counter.subtract(need)
+                stack.append((a, need, untried, top))
+                untried = None
+                break
+        else:
+            if not stack:
+                return None
+            undos += 1
+            if undos > max_undos:
+                raise Refused
+            _, need, untried, top = stack.pop()
+            counter.update(need)
+    return tuple(a for a, *_ in stack)
+
+
+@st.composite
+def split_cases(draw):
+    """(pi, zeta, r): f <= 12, zeta any generator of order f, r <= 2f + 2, and
+    pi the r translates of A over 1-3 values, so that coordinates repeat; in
+    about 30% of the cases one coordinate is moved off the split."""
+    f = draw(st.integers(1, 12))
+    zeta = coord(F(draw(st.sampled_from([k for k in range(f) if gcd(k, f) == 1])), f))
+    r = draw(st.integers(1, 2 * f + 2))
+    values = draw(st.lists(
+        st.builds(coord, st.integers(0, 23).map(lambda a: F(a, 24)), st.sampled_from((0, F(1, 2), 1))),
+        min_size=1, max_size=3,
+    ))
+    coords = [zeta**i * a for a in draw(st.lists(st.sampled_from(values), max_size=6)) for i in range(r)]
+    if coords and draw(st.integers(0, 9)) < 3:
+        moved = draw(st.sampled_from(values)) * zeta ** draw(st.integers(0, f - 1))
+        coords[draw(st.integers(0, len(coords) - 1))] = moved
+    return SatakeParam(tuple(coords)), zeta, r
+
+
+@settings(deadline=None)
+@given(split_cases())
+def test_twist_split_answers_as_the_backtracking_search(case):
+    pi, zeta, r = case
+    try:
+        want = backtracking_split(pi, zeta, r)
+    except Refused:
+        assume(False)
+    got = twist_split(pi, zeta, r)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and SatakeParam(got) == SatakeParam(want)
 
 
 class TestTwistSplit:
