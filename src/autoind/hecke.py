@@ -29,7 +29,7 @@ from typing import Dict, Tuple
 
 from .arith import QCyclo, Record, _bounded, _filed_sum, _reduce, set_field
 from .errors import BudgetExceeded, DegreeBudget, RankMismatch
-from .satake import CyclicAlgebra, SatakeParam, SphericalRepE, _multiset_splits
+from .satake import CyclicAlgebra, SatakeParam
 
 DEGREE_BUDGET = 12
 # Largest orbit (exponent vectors of one m_lam) that evaluation expands: just
@@ -128,37 +128,6 @@ class SymLaurent(Record):
         set_field(self, "nvars", nvars)
         set_field(self, "shift", shift)
         set_field(self, "terms", clean)
-
-    # constructors ----------------------------------------------------------
-
-    @classmethod
-    def one(cls, n: int) -> "SymLaurent":
-        return cls(n, 0, {(0,) * n: QCyclo.rational(1)})
-
-    @classmethod
-    def monomial(cls, n: int, lam, coef=None) -> "SymLaurent":
-        lam = _dominant(lam)
-        if len(lam) > n:
-            raise RankMismatch(f"partition has {len(lam)} parts, only {n} variables")
-        key = lam + (0,) * (n - len(lam))
-        return cls(n, 0, {key: coef if coef is not None else QCyclo.rational(1)})
-
-    @classmethod
-    def elementary(cls, n: int, k: int) -> "SymLaurent":
-        if not 0 <= k <= n:
-            raise RankMismatch(f"e_{k} undefined in {n} variables")
-        return cls.monomial(n, (1,) * k)
-
-    @classmethod
-    def power_sum(cls, n: int, k: int) -> "SymLaurent":
-        if k == 0:
-            return cls(n, 0, {(0,) * n: QCyclo.rational(n)})
-        return cls.monomial(n, (k,))
-
-    @classmethod
-    def det_power(cls, n: int, k: int) -> "SymLaurent":
-        """(z_1 ... z_n)^k for any integer k."""
-        return cls(n, -k, {(0,) * n: QCyclo.rational(1)})
 
     # structure -------------------------------------------------------------
 
@@ -344,22 +313,6 @@ def _m_to_p(nvars: int, key: ExpVec) -> Dict[Tuple[int, ...], Fraction]:
     return {mu: x / row[key] for mu, x in out.items() if x}
 
 
-def to_power_sums(f: SymLaurent) -> Dict[ExpVec, QCyclo]:
-    """The body of f in the power-sum basis, as a map ``{lam: coefficient}``:
-    the sum of each coefficient times its key's row :func:`_m_to_p`.  A degree
-    above ``DEGREE_BUDGET`` raises :class:`DegreeBudget` first."""
-    if f.degree() > DEGREE_BUDGET:
-        raise DegreeBudget(f"degree {f.degree()} exceeds budget {DEGREE_BUDGET}")
-    out = _combine((c, _m_to_p(f.nvars, k)) for k, c in f.terms.items())
-    return {lam: c for lam, c in out.items() if not c.is_zero()}
-
-
-def from_power_sums(expr: Dict[ExpVec, QCyclo], nvars: int, shift: int = 0) -> SymLaurent:
-    """``(z_1 ... z_n)^(-shift)`` times the sum of ``c * p_lam`` over ``expr``."""
-    pairs = ((c, _p_monomial(nvars, lam)) for lam, c in expr.items())
-    return SymLaurent(nvars, shift, _combine(pairs))
-
-
 # ---------------------------------------------------------------------------
 # Transfer homomorphisms
 
@@ -436,54 +389,3 @@ def bc_transfer(factors, algebra: CyclicAlgebra) -> SymLaurent:
         n, s * product.shift, {tuple(s * e for e in k): c for k, c in product.terms.items()}
     )
 
-
-# ---------------------------------------------------------------------------
-# Block splitting (constant term along the parabolic of type (m, .., m))
-
-
-class TensorSym(Record):
-    """Element of the r-fold tensor product of symmetric Laurent algebras.
-
-    Terms map r-tuples of dominant exponent vectors (length m each) to QCyclo
-    coefficients; a common shift applies blockwise.
-    """
-
-    __slots__ = ("r", "m", "shift", "terms")
-
-    def __init__(self, r: int, m: int, shift: int, terms):
-        set_field(self, "r", r)
-        set_field(self, "m", m)
-        set_field(self, "shift", shift)
-        set_field(self, "terms", {k: c for k, c in terms.items() if not c.is_zero()})
-
-    def eval(self, z: SphericalRepE) -> QCyclo:
-        """The sum over the terms of the coefficient times each chunk's monomial
-        at its block, by :func:`satake_eval`, times the central character of z
-        to the power -shift."""
-        if len(z.blocks) != self.r or z.block_rank != self.m:
-            raise RankMismatch("block shape mismatch")
-        base = QCyclo.from_coordinate(z.flatten().central_character() ** (-self.shift))
-        pieces = []
-        for key, coef in self.terms.items():
-            acc = base * coef
-            for block, chunk in zip(z.blocks, key):
-                acc = acc * satake_eval(SymLaurent.monomial(self.m, chunk), block)
-            pieces.append(acc)
-        return QCyclo.sum(pieces)
-
-    def __repr__(self):
-        return f"TensorSym(r={self.r}, m={self.m}, shift={self.shift}, {len(self.terms)} terms)"
-
-
-def constant_term(f: SymLaurent, r: int) -> TensorSym:
-    """Restrict a symmetric function of mr variables to r blocks of m.
-
-    Satisfies ``satake_eval(f, z.flatten()) == constant_term(f, r).eval(z)``.
-    """
-    if f.nvars % r:
-        raise RankMismatch(f"{f.nvars} variables not divisible into {r} blocks")
-    m = f.nvars // r
-    # the permutations of a key with dominant chunks are its splits into r
-    # ordered sub-multisets of m parts; distinct keys give distinct splits
-    terms = {ch: c for vec, c in f.terms.items() for ch in _multiset_splits(vec, r, m)}
-    return TensorSym(r, m, f.shift, terms)

@@ -227,8 +227,8 @@ class Elliptic(Record):
     """Elliptic datum u~(atom, k; levi).
 
     ``levi`` is a composition of k; actual block sizes are levi entries times
-    the atom size (see :meth:`levi_sizes`).  There are exactly 2^(k-1)
-    compositions; levi == (k,) is the essentially square-integrable corner.
+    the atom size.  There are exactly 2^(k-1) compositions; levi == (k,) is
+    the essentially square-integrable corner.
     """
 
     __slots__ = ("atom", "k", "levi", "translate")
@@ -247,9 +247,6 @@ class Elliptic(Record):
     @property
     def rank(self) -> int:
         return self.atom.size * self.k
-
-    def levi_sizes(self) -> Tuple[int, ...]:
-        return tuple(m * self.atom.size for m in self.levi)
 
     def is_square_integrable(self) -> bool:
         return self.levi == (self.k,)

@@ -134,10 +134,7 @@ class SphericalRepE(Record):
         return self.blocks[0].rank
 
     def flatten(self) -> SatakeParam:
-        out: tuple[Coordinate, ...] = ()
-        for b in self.blocks:
-            out = out + b.coords
-        return SatakeParam(out)
+        return SatakeParam([c for b in self.blocks for c in b.coords])
 
     def rotate(self, j: int) -> "SphericalRepE":
         """The Galois translate sigma^j: cyclic rotation of the field factors."""

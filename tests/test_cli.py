@@ -644,10 +644,10 @@ NO_SYMPY = """
 import sys
 from fractions import Fraction
 import autoind.cli
-from autoind.arith import Coordinate
+from autoind.arith import Coordinate, QCyclo
 from autoind.hecke import SymLaurent, ai_transfer, satake_eval
 from autoind.satake import CyclicAlgebra, SatakeParam
-f = SymLaurent.elementary(2, 2)
+f = SymLaurent(2, 0, {(1, 1): QCyclo.rational(1)})
 ai_transfer(f, CyclicAlgebra.field(2))
 satake_eval(f, SatakeParam((Coordinate.of(Fraction(1, 3)), Coordinate.of(Fraction(1, 5), 1))))
 assert "sympy" not in sys.modules, "sympy was imported"

@@ -9,8 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 from autoind.adelic import GlobalDiscrete, InducedGlobal, Place, Verdict
-from autoind.arith import Coordinate, primitive_root
-from autoind.hecke import SymLaurent, constant_term
+from autoind.arith import Coordinate, QCyclo, primitive_root
+from autoind.hecke import SymLaurent
 from autoind.reps import CuspidalAtom, Elliptic, EssDiscrete, Product, Speh, TwistedPair
 from autoind.satake import CyclicAlgebra, SatakeParam, SphericalRepE
 from autoind.verify import PropertyResult
@@ -41,14 +41,13 @@ RECORDS = {
     "LocalRSFactor": LocalRSFactor((Y, X)),
     "Verdict": Verdict(distinct=False, l=1, gamma=0),
     "PropertyResult": PropertyResult("p", 3, False, "seed 0, case 2: tag"),
-    "SymLaurent": SymLaurent.elementary(2, 2),
-    "TensorSym": constant_term(SymLaurent.elementary(4, 2), 2),
+    "SymLaurent": SymLaurent(2, 0, {(1, 1): QCyclo.rational(1)}),
 }
-# these hold a dict: a GlobalDiscrete its local data, the Hecke elements their terms
-UNHASHABLE = {"GlobalDiscrete", "InducedGlobal", "SymLaurent", "TensorSym"}
-# the Hecke elements name the class and count the terms; a Coordinate shows
+# these hold a dict: a GlobalDiscrete its local data, a SymLaurent its terms
+UNHASHABLE = {"GlobalDiscrete", "InducedGlobal", "SymLaurent"}
+# a SymLaurent names the class and counts the terms; a Coordinate shows
 # its two Fractions, Coordinate(1/3, 1)
-HAND_REPR = {"Coordinate", "SymLaurent", "TensorSym"}
+HAND_REPR = {"Coordinate", "SymLaurent"}
 
 
 def fields(x) -> tuple:

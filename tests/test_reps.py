@@ -128,7 +128,8 @@ class TestElliptic:
     def test_levi_sizes_scale_with_g(self):
         e = Elliptic(atom("e3", 2, 1), 3, (1, 2))
         out = lift_unitary(e)
-        assert out.factors[0].levi_sizes() == (2, 4)
+        f = out.factors[0]
+        assert tuple(p * f.atom.size for p in f.levi) == (2, 4)
 
     def test_r2_gives_pair(self):
         e = Elliptic(atom("e4", 2, 2), 2, (1, 1))

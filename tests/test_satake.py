@@ -441,6 +441,38 @@ def test_delta_then_fiber_recovers(block, d):
     assert ai_fiber(delta_map(y), alg) == {y}
 
 
+@st.composite
+def image_cases(draw):
+    """(pi, algebra): d in {1, 2, 3, 4, 6, 12}, r | d, zeta any generator of
+    order s = d / r, and pi the union of k whole <zeta>-orbits {zeta^j t : j < s},
+    r | k and rank k s in 5..12, each t one of 1-3 values so that orbits repeat."""
+    d = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+    r = draw(st.sampled_from([r for r in range(1, d + 1) if d % r == 0]))
+    s = d // r
+    zeta = coord(F(draw(st.sampled_from([a for a in range(s) if gcd(a, s) == 1])), s))
+    k = r * draw(st.integers(-(-5 // d), 12 // d))
+    values = draw(st.lists(
+        st.builds(coord, st.integers(0, 23).map(lambda a: F(a, 24)), st.sampled_from((0, F(1, 2), 1))),
+        min_size=1, max_size=3,
+    ))
+    ts = draw(st.lists(st.sampled_from(values), min_size=k, max_size=k))
+    return SatakeParam(tuple(zeta**j * t for t in ts for j in range(s))), CyclicAlgebra(d, r, s, zeta)
+
+
+@settings(deadline=None)
+@given(image_cases())
+def test_a_union_of_whole_zeta_orbits_has_a_fiber(case):
+    """Past the brute-force range: pi is in the image of delta_map, so its fiber
+    is not empty unless it is too large to list, and every member maps to pi."""
+    pi, alg = case
+    try:
+        fiber = ai_fiber(pi, alg)
+    except BudgetExceeded as e:
+        assert "fiber of more than" in str(e)
+        return
+    assert fiber and all(delta_map(y) == pi for y in fiber)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(coords_st, min_size=1, max_size=2), st.sampled_from([(2, 2), (3, 3), (4, 2)]))
 def test_bc_fiber_closure(block, dr):
