@@ -2,8 +2,10 @@
 
 Layers, from bottom to top:
 
-* :mod:`autoind.arith` — coordinates (roots of unity times rational q-powers)
-  and their exact group ring with cyclotomic coefficients.
+* :mod:`autoind.values` — coordinates (roots of unity times rational q-powers),
+  the immutable records and the JSON readers.
+* :mod:`autoind.arith` — the cyclotomic kernel: the coordinates' exact group
+  ring with cyclotomic coefficients, loaded only by the Hecke layer and verify.
 * :mod:`autoind.satake` — Satake parameters over the base field and over
   cyclic algebras; the induction and base-change maps with their fibers.
 * :mod:`autoind.hecke` — spherical Hecke algebras as symmetric Laurent

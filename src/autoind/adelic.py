@@ -20,7 +20,7 @@ from collections import Counter
 from math import gcd
 from typing import Dict, Optional, Tuple
 
-from .arith import Coordinate, Record, json_int, primitive_root, set_field
+from .values import Coordinate, Record, json_int, primitive_root, set_field
 from .errors import (
     BadOrbit,
     HypothesisViolated,

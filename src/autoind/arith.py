@@ -1,19 +1,16 @@
-"""Exact arithmetic in the value group (roots of unity) x q^Q and its group ring.
+"""The cyclotomic kernel: exact arithmetic in Q(zeta_N) and in its group ring over q^Q.
 
-A :class:`Coordinate` is one Satake eigenvalue ``e^{2 pi i a/n} q^(p/r)``, kept
-as four normalised ints; ``q`` is formal (transcendental, ``q > 1``) and the
-unramified twist ``nu`` multiplies by ``q^{-1}``.  :class:`Cyclo` is an element
-of Q(zeta_N): int numerators over one positive int denominator, reduced modulo
-Phi_N by folding exponents with x^N = 1, then by integer long division by sparse
-multiples of Phi_N, one prime of N at a time, ending at Phi_N itself.
-:class:`QCyclo` is the ring where sums of coordinates live: Q-linear sums of
-q-powers with ``Cyclo`` coefficients, the q-exponents kept as int numerators
-over one least common denominator, so equality compares ints.  Every sum and
-product of ``Cyclo``s, in both classes and in ``hecke.satake_eval``, goes
-through one accumulator, :func:`_product_sum`: int products spread into one
-vector at the lcm conductor and reduced once, one ``Cyclo`` per q-exponent.
-Zero tests are exact, so Hecke trace identities hold with tolerance zero.
-No floats: JSON reads via :func:`json_int`.
+:class:`Cyclo` is an element of Q(zeta_N): int numerators over one positive int
+denominator, reduced modulo Phi_N by folding exponents with x^N = 1, then by
+integer long division by sparse multiples of Phi_N, one prime of N at a time,
+ending at Phi_N itself.  :class:`QCyclo` is the ring where sums of coordinates
+live: Q-linear sums of q-powers with ``Cyclo`` coefficients, the q-exponents kept
+as int numerators over one least common denominator, so equality compares ints.
+Every sum and product of ``Cyclo``s, in both classes and in ``hecke.satake_eval``,
+goes through one accumulator, :func:`_product_sum`: int products spread into one
+vector at the lcm conductor and reduced once, one ``Cyclo`` per q-exponent.  Zero
+tests are exact, so Hecke trace identities hold with tolerance zero.  Only the
+Hecke layer and ``verify`` load this kernel; coordinates are :mod:`autoind.values`.
 """
 
 from __future__ import annotations
@@ -22,161 +19,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, attrgetter
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import BudgetExceeded
+from .values import Coordinate, _new, json_int, json_pair
 
 # Largest conductor of a Cyclo (about N entries; the lcm of two document
 # conductors can be their product), above the seeded suites' lcm(1..12) = 27720.
 MAX_CONDUCTOR = 30_000
-
-
-# ---------------------------------------------------------------------------
-# Coordinates
-
-
-def json_int(value, name: str) -> int:
-    """A JSON int; floats and bools are refused."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    return value
-
-
-def json_fraction(pair, name: str) -> Fraction:
-    """A JSON pair ``[numerator, denominator]`` of ints."""
-    num, den = pair
-    return Fraction(json_int(num, name), json_int(den, name))
-
-
-class Record:
-    """Base of the immutable records: the fields are a subclass's ``__slots__``,
-    each set once by its ``__init__`` with :data:`set_field`.  Equality and the
-    hash go by the exact class and the field tuple; copy and pickle call the
-    constructor on the fields again."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        get = attrgetter(*cls.__slots__)
-        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == self._values(other)
-
-    def __hash__(self):
-        return hash(self._values(self))
-
-    def __reduce__(self):
-        return type(self), self._values(self)
-
-    def _derive(self, **changes):
-        """A copy with the named fields changed, past the constructor's checks."""
-        out = object.__new__(type(self))
-        for k, v in zip(self.__slots__, self._values(self)):
-            set_field(out, k, changes.get(k, v))
-        return out
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values(self)))
-        return f"{type(self).__name__}({fields})"
-
-
-set_field = object.__setattr__  # the one way a Record's __init__ sets a field
-
-
-class Coordinate(Record):
-    """One eigenvalue ``e^{2 pi i a/n} * q^(p/r)``: four immutable ints with n, r >= 1,
-    0 <= a < n and gcd(a, n) = gcd(p, r) = 1, so equality and the hash are the
-    int tuple's and each operation takes an lcm or a gcd per part.
-    ``Coordinate(zeta, qexp)`` takes ints or Fractions (``zeta`` mod 1), which
-    ``zeta`` and ``qexp`` give back.  The total order, on ``(qexp, n, a)``, is
-    only used for canonical multiset sorting.
-    """
-
-    __slots__ = ("a", "n", "p", "r")
-
-    def __new__(cls, zeta, qexp):
-        n = zeta.denominator
-        return _reduced(zeta.numerator % n, n, qexp.numerator, qexp.denominator)
-
-    zeta = property(lambda self: Fraction(self.a, self.n))
-    qexp = property(lambda self: Fraction(self.p, self.r))
-
-    def __eq__(self, other):  # Record's, without building the two field tuples
-        if other.__class__ is not Coordinate:
-            return NotImplemented
-        return self.p == other.p and self.a == other.a and self.r == other.r and self.n == other.n
-
-    __hash__ = lambda self: hash((self.a, self.n, self.p, self.r))
-
-    def __mul__(self, other: "Coordinate") -> "Coordinate":
-        n, r = lcm(self.n, other.n), lcm(self.r, other.r)
-        a = (self.a * (n // self.n) + other.a * (n // other.n)) % n
-        return _reduced(a, n, self.p * (r // self.r) + other.p * (r // other.r), r)
-
-    def inverse(self) -> "Coordinate":
-        return _reduced(-self.a % self.n, self.n, -self.p, self.r)
-
-    def __pow__(self, k: int) -> "Coordinate":
-        return _reduced(self.a * k % self.n, self.n, self.p * k, self.r)
-
-    def root(self, k: int) -> "Coordinate":
-        """Canonical k-th root; all others are this times ``(j/k, 0)``."""
-        if k < 1:
-            raise ValueError("root index must be >= 1")
-        return _reduced(self.a, self.n * k, self.p, self.r * k)
-
-    def torsion_order(self):
-        """Multiplicative order, or None if the q-part is nontrivial."""
-        return None if self.p else self.n
-
-    def __lt__(self, other: "Coordinate"):
-        x, y = self.p * other.r, other.p * self.r
-        return x < y or (x == y and (self.n, self.a) < (other.n, other.a))
-
-    def to_json(self):
-        return {"zeta": [self.a, self.n], "qexp": [self.p, self.r]}
-
-    @classmethod
-    def from_json(cls, doc) -> "Coordinate":
-        return cls(json_fraction(doc["zeta"], "zeta"), json_fraction(doc["qexp"], "qexp"))
-
-    of = classmethod(lambda cls, zeta=0, qexp=0: cls(zeta, qexp))
-    __reduce__ = lambda self: (_reduced, self._values(self))  # copy and pickle by the ints
-
-    def __repr__(self):
-        return f"Coordinate({self.zeta}, {self.qexp})"
-
-
-_new = object.__new__
-_set_a, _set_n, _set_p, _set_r = (Coordinate.__dict__[k].__set__ for k in Coordinate.__slots__)
-
-
-def _reduced(a: int, n: int, p: int, r: int) -> Coordinate:
-    """The coordinate of (a/n, p/r) for n, r >= 1, 0 <= a < n, set by the slot setters."""
-    g, h = gcd(a, n), gcd(p, r)
-    c = _new(Coordinate)
-    _set_a(c, a // g)
-    _set_n(c, n // g)
-    _set_p(c, p // h)
-    _set_r(c, r // h)
-    return c
-
-
-ONE = Coordinate(0, 0)
-
-
-def primitive_root(s: int) -> Coordinate:
-    """The canonical primitive s-th root of unity ``(1/s, 0)``, for s >= 1."""
-    return _reduced(1 % s, s, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +348,10 @@ class QCyclo:
     @classmethod
     def from_json(cls, doc) -> "QCyclo":
         """The terms over the lcm of their q-denominators; a repeated ``qexp`` is summed."""
-        parsed = [(json_fraction(t["qexp"], "qexp"), t) for t in doc["terms"]]
+        parsed = [(Fraction(*json_pair(t["qexp"], "qexp")), t) for t in doc["terms"]]
         den, terms = lcm(*(e.denominator for e, _ in parsed)), {}
         for e, t in parsed:
-            coeffs = [json_fraction(c, "coeffs") for c in t["coeffs"]]
+            coeffs = [Fraction(*json_pair(c, "coeffs")) for c in t["coeffs"]]
             c = Cyclo(json_int(t["conductor"], "conductor"), coeffs)
             e = e.numerator * (den // e.denominator)
             terms[e] = terms[e] + c if e in terms else c

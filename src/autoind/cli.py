@@ -1,14 +1,14 @@
 """Command-line front end: JSON in, JSON out, deterministic.
 
 Exit codes: 0 on success, 2 on a domain error (reported as
-``{"error": {"kind": .., "detail": ..}}``), 1 on malformed input.  The
-``verify`` verb runs the seeded property suites and prints one line per
-property.
+``{"error": {"kind": .., "detail": ..}}``) or a usage error (reason on
+stderr), 1 on malformed input.  :func:`parse_args` reads argv by the fixed
+grammar of ``USAGE``, with no ``argparse`` to import.  The ``verify`` verb runs
+the seeded property suites and prints one line per property.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from importlib import import_module
@@ -92,12 +92,57 @@ VERBS = {
 }
 
 
-def cmd_verify(args, parser) -> int:
+USAGE = """usage: autoind VERB [--input FILE | -i FILE | --input=FILE]
+       autoind verify [--suite SUITE] [--seed N] [--cases N]"""
+
+
+def _usage_error(reason: str):
+    print(f"{USAGE}\nautoind: error: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv: list) -> tuple:
+    """``(verb, options)`` from argv by the grammar of ``USAGE``: ``-h`` or
+    ``--help`` prints the help and exits 0, a usage error exits 2."""
+    if "-h" in argv or "--help" in argv:
+        print(f"{USAGE}\n\nVERB is one of {', '.join(VERBS)}; FILE is JSON (default stdin).")
+        raise SystemExit(0)
+    if not argv:
+        _usage_error("the following arguments are required: verb")
+    verb, words = argv[0], iter(argv[1:])
+    if verb == "verify":
+        options = {"--suite": "all", "--seed": 0, "--cases": None}
+    elif verb in VERBS:
+        options = {"--input": None}
+    else:
+        choices = ", ".join([*VERBS, "verify"])
+        _usage_error(f"argument verb: invalid choice: {verb!r} (choose from {choices})")
+    for word in words:
+        name, eq, value = word.partition("=")
+        name = "--input" if name == "-i" else name
+        if name not in options:
+            _usage_error(f"unrecognized arguments: {word}")
+        value = value if eq else next(words, None)
+        if value is None:
+            _usage_error(f"argument {name}{'/-i' * (name == '--input')}: expected one argument")
+        if name in ("--seed", "--cases"):
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {name}: invalid int value: {value!r}")
+            if name == "--cases" and value < 1:
+                _usage_error(f"argument --cases: must be at least 1, got {value}")
+        options[name] = value
+    return verb, options
+
+
+def cmd_verify(options) -> int:
     from .verify import SUITES, run_suite  # compute verbs need not import it
 
-    if args.suite != "all" and args.suite not in SUITES:
-        parser.error(f"unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}")
-    results = run_suite(args.suite, seed=args.seed, cases=args.cases)
+    suite = options["--suite"]
+    if suite != "all" and suite not in SUITES:
+        _usage_error(f"unknown suite {suite!r}; choose from all, {', '.join(SUITES)}")
+    results = run_suite(suite, seed=options["--seed"], cases=options["--cases"])
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]
@@ -105,58 +150,25 @@ def cmd_verify(args, parser) -> int:
     return 1 if failed else 0
 
 
-def _int_at_least(floor: int):
-    """An argparse type: an int of at least ``floor``, else a usage error."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < floor:
-            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse names the type when int() refuses the text
-    return parse
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="autoind",
-        description="Exact Satake-level lifting calculus for GL(n) over "
-        "unramified cyclic extensions",
-    )
-    sub = ap.add_subparsers(dest="verb", required=True)
-    for verb in VERBS:
-        p = sub.add_parser(verb)
-        p.add_argument("--input", "-i", default=None, help="JSON file (default stdin)")
-    pv = sub.add_parser("verify")
-    pv.add_argument("--suite", default="all")
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--cases", type=_int_at_least(1), default=None)
-    return ap
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.verb == "verify":
-        return cmd_verify(args, parser)
+    verb, options = parse_args(sys.argv[1:] if argv is None else list(argv))
+    if verb == "verify":
+        return cmd_verify(options)
     try:
-        if args.input:
-            with open(args.input) as fh:
+        if options["--input"]:
+            with open(options["--input"]) as fh:
                 doc = json.load(fh)
         else:
             doc = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": {"kind": "BadInput", "detail": str(exc)}}))
-        return 1
-    except RecursionError:
-        print(json.dumps({"error": {"kind": "BadInput", "detail": "document nested too deeply"}}))
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON
+        detail = "document nested too deeply" if isinstance(exc, RecursionError) else str(exc)
+        print(json.dumps({"error": {"kind": "BadInput", "detail": detail}}))
         return 1
     if not isinstance(doc, dict):
         detail = f"expected a JSON object, got {type(doc).__name__}"
         print(json.dumps({"error": {"kind": "BadInput", "detail": detail}}))
         return 1
-    module, handler = VERBS[args.verb]
+    module, handler = VERBS[verb]
     library = import_module(f".{module}", __package__)
     try:
         out = handler(library, doc)

@@ -27,7 +27,8 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Dict, Tuple
 
-from .arith import QCyclo, Record, _bounded, _filed_sum, _reduce, set_field
+from .arith import QCyclo, _bounded, _filed_sum, _reduce
+from .values import Record, set_field
 from .errors import BudgetExceeded, DegreeBudget, RankMismatch
 from .satake import CyclicAlgebra, SatakeParam
 

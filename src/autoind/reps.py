@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import islice, product
 from typing import Optional, Tuple
 
-from .arith import Coordinate, Record, json_fraction, json_int, primitive_root, set_field
+from .values import Coordinate, Record, json_int, json_pair, primitive_root, set_field
 from .errors import BadOrbit, NoProvenance, NotUnramified, ShapeError
 from .satake import (
     MAX_PARTS,
@@ -414,8 +414,8 @@ def factor_from_json(doc):
     k, translate = json_int(doc["k"], "k"), json_int(doc.get("translate", 0), "translate")
     if kind == "elliptic":
         return Elliptic(atom, k, tuple(json_int(p, "levi") for p in doc["levi"]), translate)
-    twist = json_fraction(doc.get("twist", [0, 1]), "twist")
+    twist = Fraction(*json_pair(doc.get("twist", [0, 1]), "twist"))
     speh = Speh(EssDiscrete(atom, k, twist, translate), json_int(doc.get("q", 1), "q"))
     if kind == "speh":
         return speh
-    return TwistedPair(speh, json_fraction(doc["alpha"], "alpha"))
+    return TwistedPair(speh, Fraction(*json_pair(doc["alpha"], "alpha")))

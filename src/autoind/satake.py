@@ -22,8 +22,7 @@ from itertools import combinations_with_replacement, islice, product
 from math import comb, gcd, prod
 from typing import Optional, Tuple
 
-from .arith import ONE, Coordinate, Record, json_fraction, json_int, primitive_root, set_field
-from .arith import _reduced
+from .values import ONE, Coordinate, Record, _reduced, json_int, primitive_root, set_field
 from .errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
 
 MAX_FIBER_RANK = 12
@@ -76,7 +75,7 @@ class CyclicAlgebra(Record):
 
     @classmethod
     def from_json(cls, doc) -> "CyclicAlgebra":
-        zeta = Coordinate(json_fraction(doc["zeta"], "zeta"), 0) if "zeta" in doc else None
+        zeta = Coordinate.from_json({"zeta": doc["zeta"], "qexp": [0, 1]}) if "zeta" in doc else None
         return cls(*(json_int(doc[k], k) for k in "drs"), zeta)
 
 

@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import gcd
 from typing import List
 
-from .arith import ONE, Coordinate, QCyclo, Record, primitive_root, set_field
+from .arith import QCyclo
+from .values import ONE, Coordinate, Record, primitive_root, set_field
 from .satake import (
     CyclicAlgebra,
     SatakeParam,

@@ -12,11 +12,12 @@ from hypothesis import given, strategies as st
 
 from autoind import arith
 from autoind.arith import (
-    MAX_CONDUCTOR, ONE, Coordinate, Cyclo, QCyclo, _chain, _divide, _reduce, cyclotomic_polynomial,
+    MAX_CONDUCTOR, Cyclo, QCyclo, _chain, _divide, _reduce, cyclotomic_polynomial,
 )
 from autoind.errors import BudgetExceeded
 from autoind.hecke import SymLaurent, satake_eval
 from autoind.satake import SatakeParam
+from autoind.values import ONE, Coordinate
 
 
 def coord(z, q=0):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import autoind
-from autoind.cli import VERBS, build_parser, main
+from autoind.cli import VERBS, main
 from autoind.satake import MAX_PARTS
 
 
@@ -119,12 +119,28 @@ class TestErrors:
         assert proc.returncode == 1, proc.stderr
         assert json.loads(proc.stdout)["error"]["kind"] == "BadInput"
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_undecodable_input_is_bad_input(self, source, tmp_path, capsys):
+        # a byte that is not UTF-8 ended in a UnicodeDecodeError traceback
+        raw = b'{"d": 2, "\xff": 1}'
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        argv = ["lift-spherical", "-i", str(path)] if source == "file" else ["lift-spherical"]
+        sys.stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+        try:
+            code = main(argv)
+        finally:
+            sys.stdin = sys.__stdin__
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "BadInput"
+
     @pytest.mark.parametrize("verb", sorted(VERBS))
     @pytest.mark.parametrize("flag", ["--max-rank", "--degree-budget"])
     def test_no_compute_verb_takes_a_cap(self, verb, flag):
         # every bound is a library constant: a raised cap undid the bound
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([verb, flag, "3"])
+        with pytest.raises(SystemExit) as exc:
+            main([verb, flag, "3"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv, refused", [
         (["verify", "--suite", "satake", "--cases", "-3"], "--cases: must be at least 1, got -3"),
@@ -135,6 +151,44 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("usage: autoind") and refused in proc.stderr
+
+
+class TestUsage:
+    """The argv grammar: ``VERB [--input FILE | -i FILE | --input=FILE]``,
+    ``verify [--suite S] [--seed N] [--cases N]`` and ``-h``/``--help``."""
+
+    @pytest.mark.parametrize("argv, reason", [
+        ([], "the following arguments are required: verb"),
+        (["nope"], "invalid choice: 'nope'"),
+        (["lift-spherical", "--bogus"], "unrecognized arguments: --bogus"),
+        (["lift-spherical", "--input"], "argument --input/-i: expected one argument"),
+        (["lift-spherical", "-i"], "argument --input/-i: expected one argument"),
+        (["verify", "--input", "doc.json"], "unrecognized arguments: --input"),
+        (["verify", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    ], ids=["none", "unknown-verb", "unknown-option", "input-no-value", "i-no-value",
+            "verify-input", "seed-not-int"])
+    def test_usage_error_exits_2_with_the_reason(self, argv, reason, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: autoind") and reason in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["lift-spherical", "-h"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: autoind") and "lift-spherical" in out and err == ""
+
+    def test_every_input_form_reads_the_same_document(self, capsys):
+        doc = min(GOLDEN.glob("lift-spherical_*.json"))
+        expected = doc.with_suffix(".out").read_text()
+        for argv in (["-i", str(doc)], ["--input", str(doc)], [f"--input={doc}"]):
+            assert run_cli(["lift-spherical", *argv], None, capsys) == (0, expected)
+        assert run_cli(["lift-spherical"], doc.read_text(), capsys) == (0, expected)
 
 
 class TestHeckeVerbs:
@@ -450,6 +504,49 @@ class TestJsonInts:
             assert code == 0, out
 
 
+def _hecke_doc(qexp=(0, 1), coeffs=((1, 3),)):
+    coef = {"terms": [{"qexp": list(qexp), "conductor": 3, "coeffs": [list(c) for c in coeffs]}]}
+    f = {"nvars": 2, "shift": 0, "terms": [{"exps": [1, 0], "coef": coef}]}
+    return {"algebra": {"d": 2, "r": 1, "s": 2}, "f": f}
+
+
+# each place a document gives a rational pair, as (argv, document) of the pair
+PAIR_PLACES = {
+    "zeta": lambda p: (["lift-spherical"], _lift_doc(zeta=p)),
+    "qexp": lambda p: (["lift-spherical"], _lift_doc(qexp=p)),
+    "algebra-zeta": lambda p: (["lift-spherical"], _lift_doc(algebra_zeta=p)),
+    "twist": lambda p: (["lift-unitary"], _with(SPEH, "twist", p)),
+    "alpha": lambda p: (["lift-unitary"], _with(PAIR, "alpha", p)),
+    "coef-qexp": lambda p: (["hecke-ai"], _hecke_doc(qexp=p)),
+    "coef-coeffs": lambda p: (["hecke-ai"], _hecke_doc(coeffs=(p, (1, 3)))),
+}
+
+
+class TestJsonPairs:
+    """A rational pair ``[num, den]`` of ints: den 0 is malformed input, and a
+    negative den reads as the pair with both signs changed."""
+
+    @pytest.mark.parametrize("place", PAIR_PLACES)
+    def test_a_zero_denominator_is_bad_input(self, place, capsys):
+        code, out = run_cli(*PAIR_PLACES[place]([1, 0]), capsys)
+        assert code == 1, out
+        assert json.loads(out)["error"]["kind"] == "BadInput"
+
+    @pytest.mark.parametrize("place, pair, normal", [
+        ("zeta", [1, -3], [2, 3]),
+        ("qexp", [1, -2], [-1, 2]),
+        ("algebra-zeta", [1, -2], [1, 2]),
+        ("twist", [1, -2], [-1, 2]),
+        ("alpha", [-1, -3], [1, 3]),
+        ("coef-qexp", [1, -2], [-1, 2]),
+        ("coef-coeffs", [1, -2], [-1, 2]),
+    ])
+    def test_a_negative_denominator_changes_both_signs(self, place, pair, normal, capsys):
+        code, out = run_cli(*PAIR_PLACES[place](pair), capsys)
+        assert code == 0, out
+        assert run_cli(*PAIR_PLACES[place](normal), capsys) == (0, out)
+
+
 class TestGlobalVerbs:
     def _global_doc(self):
         return {
@@ -626,9 +723,9 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "unknown suite 'nope'" in err
-        assert all(name in err for name in ("all", "satake", "hecke", "reps", "global"))
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: autoind")
+        assert "unknown suite 'nope'; choose from all, satake, hecke, reps, global" in err
 
     @pytest.mark.parametrize("golden, argv", [
         ("verify_all_seed0", ["--seed", "0"]),
@@ -644,7 +741,8 @@ NO_SYMPY = """
 import sys
 from fractions import Fraction
 import autoind.cli
-from autoind.arith import Coordinate, QCyclo
+from autoind.arith import QCyclo
+from autoind.values import Coordinate
 from autoind.hecke import SymLaurent, ai_transfer, satake_eval
 from autoind.satake import CyclicAlgebra, SatakeParam
 f = SymLaurent(2, 0, {(1, 1): QCyclo.rational(1)})
@@ -673,20 +771,22 @@ def test_compute_verbs_do_not_import_verify():
     subprocess.run([sys.executable, "-c", NO_VERIFY], env=env, check=True, timeout=120)
 
 
-LAYERS = {"autoind", "autoind.cli", "autoind.errors", "autoind.arith", "autoind.satake"}
+LAYERS = {"autoind", "autoind.cli", "autoind.errors", "autoind.values", "autoind.satake"}
 EXTRA_LAYERS = {
     "lift-spherical": set(), "bc-spherical": set(), "fibers": set(),
-    "hecke-ai": {"autoind.hecke"}, "hecke-bc": {"autoind.hecke"},
+    "hecke-ai": {"autoind.hecke", "autoind.arith"}, "hecke-bc": {"autoind.hecke", "autoind.arith"},
     "lift-unitary": {"autoind.reps"}, "lift-elliptic": {"autoind.reps"},
     "global-lift": {"autoind.adelic"}, "separate": {"autoind.adelic"},
 }
 # besides the autoind modules, the probe reports dataclasses and inspect,
-# which cost a verb 8-15 ms of start-up when only the records needed them
+# which cost a verb 8-15 ms of start-up when only the records needed them,
+# argparse, which no verb needs, and fractions, which only reps and the
+# cyclotomic kernel use
 IMPORTS = """
 import sys
 from autoind.cli import main
 main(sys.argv[1:])
-stdlib = ("dataclasses", "inspect")
+stdlib = ("dataclasses", "inspect", "argparse", "fractions")
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "autoind" or m in stdlib)),
       file=sys.stderr)
 """
@@ -700,8 +800,10 @@ def test_each_verb_imports_only_its_layers(verb):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.stdout == doc.with_suffix(".out").read_text()
     loaded = set(proc.stderr.split())
-    assert "dataclasses" not in loaded and "inspect" not in loaded
-    assert loaded == LAYERS | EXTRA_LAYERS[verb]
+    assert not loaded & {"dataclasses", "inspect", "argparse"}
+    if not EXTRA_LAYERS[verb] & {"autoind.reps", "autoind.hecke"}:
+        assert "fractions" not in loaded
+    assert loaded - {"fractions"} == LAYERS | EXTRA_LAYERS[verb]
 
 
 ATOM_1E6 = {"id": "a", "side": "E", "size": 1, "d": 10**6, "r": 10**6}

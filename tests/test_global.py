@@ -6,7 +6,6 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autoind.arith import Coordinate, Record, set_field
 from autoind.errors import (
     BudgetExceeded,
     HypothesisViolated,
@@ -27,6 +26,7 @@ from autoind.adelic import (
     separate,
 )
 from autoind.satake import SatakeParam, SphericalRepE, delta_map
+from autoind.values import Coordinate, Record, set_field
 from autoind.verify import crit9_separate, random_global_discrete, random_places
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autoind import arith, hecke
-from autoind.arith import Coordinate, Cyclo, QCyclo, _reduce
+from autoind.arith import Cyclo, QCyclo, _reduce
 from autoind.errors import BudgetExceeded, DegreeBudget, RankMismatch
 from autoind.hecke import (
     DEGREE_BUDGET,
@@ -22,6 +22,7 @@ from autoind.hecke import (
     satake_eval,
 )
 from autoind.satake import CyclicAlgebra, SatakeParam, SphericalRepE, bc_map, delta_map
+from autoind.values import Coordinate
 from autoind.verify import (
     random_algebra,
     random_coordinate,

@@ -9,10 +9,11 @@ from fractions import Fraction as F
 import pytest
 
 from autoind.adelic import GlobalDiscrete, InducedGlobal, Place, Verdict
-from autoind.arith import Coordinate, QCyclo, primitive_root
+from autoind.arith import QCyclo
 from autoind.hecke import SymLaurent
 from autoind.reps import CuspidalAtom, Elliptic, EssDiscrete, Product, Speh, TwistedPair
 from autoind.satake import CyclicAlgebra, SatakeParam, SphericalRepE
+from autoind.values import Coordinate, primitive_root
 from autoind.verify import PropertyResult
 from test_global import LocalRSFactor  # a record that only the tests define
 

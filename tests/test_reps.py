@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from autoind.arith import ONE, Coordinate
 from autoind.errors import BadOrbit, NoProvenance, NotUnramified, ShapeError
 from autoind.reps import (
     CuspidalAtom,
@@ -21,6 +20,7 @@ from autoind.reps import (
     specialize,
 )
 from autoind.satake import SatakeParam, delta_map
+from autoind.values import ONE, Coordinate
 from autoind.verify import random_symbolic_product, random_unitary_product
 
 

@@ -8,7 +8,6 @@ from operator import mul
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from autoind.arith import Coordinate, primitive_root
 from autoind.errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
 from autoind.satake import (
     MAX_FIBER_SIZE,
@@ -23,6 +22,7 @@ from autoind.satake import (
     param_of_unramified_character,
     twist_split,
 )
+from autoind.values import Coordinate, primitive_root
 from autoind.verify import (
     _brute_ai_fiber,
     _brute_bc_fiber,
