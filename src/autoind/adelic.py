@@ -147,10 +147,6 @@ class GlobalDiscrete(Record):
         z = self.cusp_locals[v.label]
         return z.block_rank if self.side == "E" else z.rank
 
-    @property
-    def rank(self) -> int:
-        return self.cusp_rank * self.q
-
     def translated(self, j: int) -> "GlobalDiscrete":
         """The translate by j more: validation does not read the translate."""
         return self._derive(translate=self.translate + j)

@@ -150,14 +150,6 @@ class SymLaurent(Record):
         )
         return SymLaurent(self.nvars, m, _combine(pairs))
 
-    def __neg__(self) -> "SymLaurent":
-        return SymLaurent(
-            self.nvars, self.shift, {k: -c for k, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "SymLaurent") -> "SymLaurent":
-        return self + (-other)
-
     def __mul__(self, other: "SymLaurent") -> "SymLaurent":
         if self.nvars != other.nvars:
             raise RankMismatch("variable counts differ")

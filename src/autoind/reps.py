@@ -6,7 +6,8 @@ F) or Galois-stabilizer cardinality r (over E), and, when unramified, the
 value of the underlying character at a uniformizer.  An atom records exactly
 these, so segments, Speh representations, unitary products and elliptic
 representations become finite symbolic expressions and the lifting maps
-become computable functions.
+become computable functions.  A twist nu^c and a complementary-series exponent
+alpha are kept as q-only Coordinates q^c and q^alpha, which order by value.
 
 The lift of a discrete datum with stabilizer r over a degree-d field
 extension is the r-fold product of twist-translates (exponents 0..r-1) of a
@@ -20,11 +21,10 @@ A :class:`Product` is a multiset of factors of three kinds (:class:`Speh`,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice, product
 from typing import Optional, Tuple
 
-from .values import Coordinate, Record, json_int, json_pair, primitive_root, set_field
+from .values import Coordinate, Record, _reduced, json_int, json_pair, primitive_root, set_field
 from .errors import BadOrbit, NoProvenance, NotUnramified, ShapeError
 from .satake import (
     MAX_PARTS,
@@ -93,24 +93,28 @@ class CuspidalAtom(Record):
         return cls(doc["id"], doc["side"], size, d, orbit, payload)
 
 
-class EssDiscrete(Record):
-    """Essentially square-integrable datum: segment of length k, twisted by nu^twist.
+def _q_power(c) -> Coordinate:  # q^c from an int or Fraction c, or from q^c itself
+    if isinstance(c, Coordinate) and c.n > 1:
+        raise ValueError("a twist or an alpha must be a power of q")
+    return c if isinstance(c, Coordinate) else Coordinate(0, c)
 
-    ``translate`` indexes a twist-translate (F side, mod x) or Galois
-    translate (E side, mod g) of the atom.
+
+class EssDiscrete(Record):
+    """Essentially square-integrable datum: segment of length k, twisted by nu^c.
+
+    ``twist`` is q^c, built from an int or a Fraction c.  ``translate`` indexes a
+    twist-translate (F side, mod x) or Galois translate (E side, mod g) of the atom.
     """
 
     __slots__ = ("atom", "k", "twist", "translate")
 
-    def __init__(self, atom: CuspidalAtom, k: int, twist: Fraction = Fraction(0),
-                 translate: int = 0):
+    def __init__(self, atom: CuspidalAtom, k: int, twist=0, translate: int = 0):
         if k < 1:
             raise ValueError("segment length must be >= 1")
-        translate %= atom.translates
         set_field(self, "atom", atom)
         set_field(self, "k", k)
-        set_field(self, "twist", Fraction(twist))
-        set_field(self, "translate", translate)
+        set_field(self, "twist", _q_power(twist))
+        set_field(self, "translate", translate % atom.translates)
 
     @property
     def rank(self) -> int:
@@ -139,18 +143,17 @@ class Speh(Record):
     def rank(self) -> int:
         return self.base.rank * self.q
 
-    def twisted(self, c) -> "Speh":
-        b = self.base
-        return Speh(EssDiscrete(b.atom, b.k, b.twist + Fraction(c), b.translate), self.q)
+    def twisted(self, t: Coordinate) -> "Speh":  # by nu^c more, for t = q^c
+        return self._derive(base=self.base._derive(twist=self.base.twist * t))
 
     def translated(self, j: int) -> "Speh":
         b = self.base
-        return Speh(EssDiscrete(b.atom, b.k, b.twist, b.translate + j), self.q)
+        return self._derive(base=b._derive(translate=(b.translate + j) % b.atom.translates))
 
     def lift(self):
         """The r twist-translates of the same Speh datum over the paired atom."""
         b = self.base
-        return _translates(b.atom, lambda a, i: Speh(EssDiscrete(a, b.k, b.twist, i), self.q))
+        return _translates(b.atom, lambda a, i: self._derive(base=b._derive(atom=a, translate=i)))
 
     def is_generic(self) -> bool:
         return self.q == 1
@@ -166,27 +169,26 @@ class Speh(Record):
         if b.atom.side == "F" and b.translate:
             xi = xi * primitive_root(d) ** b.translate
         # nu^c multiplies by q^(-c), scaled by the residue degree of the side
-        xi = xi * Coordinate.of(0, -b.twist * qscale)
+        xi = xi * b.twist ** -qscale
         return param_of_unramified_character(xi, self.q, qscale).coords
 
     def to_json(self):
         b = self.base
-        twist = [b.twist.numerator, b.twist.denominator]
-        return {"kind": "speh", "atom": b.atom.to_json(), "k": b.k, "twist": twist,
-                "translate": b.translate, "q": self.q}
+        return {"kind": "speh", "atom": b.atom.to_json(), "k": b.k,
+                "twist": [b.twist.p, b.twist.r], "translate": b.translate, "q": self.q}
 
     def sort_key(self):
         return (0,) + self.base.sort_key() + (self.q,)
 
 
 class TwistedPair(Record):
-    """u(delta, q; alpha): complementary-series pair nu^alpha u x nu^-alpha u."""
+    """u(delta, q; alpha): complementary-series pair nu^alpha u x nu^-alpha u; alpha is q^alpha."""
 
     __slots__ = ("base", "alpha")
 
-    def __init__(self, base: Speh, alpha: Fraction):
-        alpha = Fraction(alpha)
-        if not 0 < alpha < Fraction(1, 2):
+    def __init__(self, base: Speh, alpha):
+        alpha = _q_power(alpha)
+        if not 0 < 2 * alpha.p < alpha.r:
             raise ValueError("alpha must lie in (0, 1/2)")
         set_field(self, "base", base)
         set_field(self, "alpha", alpha)
@@ -201,10 +203,10 @@ class TwistedPair(Record):
 
     def _halves(self) -> tuple:
         """nu^alpha u and nu^-alpha u: lift and Satake data go half by half."""
-        return (self.base.twisted(self.alpha), self.base.twisted(-self.alpha))
+        return (self.base.twisted(self.alpha), self.base.twisted(self.alpha.inverse()))
 
     def translated(self, j: int) -> "TwistedPair":
-        return TwistedPair(self.base.translated(j), self.alpha)
+        return self._derive(base=self.base.translated(j))
 
     def lift(self):
         return (f for half in self._halves() for f in half.lift())
@@ -216,8 +218,7 @@ class TwistedPair(Record):
         return tuple(c for half in self._halves() for c in half.coords(qscale, d))
 
     def to_json(self):
-        alpha = [self.alpha.numerator, self.alpha.denominator]
-        return dict(self.base.to_json(), kind="pair", alpha=alpha)
+        return dict(self.base.to_json(), kind="pair", alpha=[self.alpha.p, self.alpha.r])
 
     def sort_key(self):
         return (1,) + self.base.sort_key() + (self.alpha,)
@@ -244,17 +245,13 @@ class Elliptic(Record):
         set_field(self, "levi", levi)
         set_field(self, "translate", translate % atom.translates)
 
-    @property
-    def rank(self) -> int:
-        return self.atom.size * self.k
-
     def is_square_integrable(self) -> bool:
         return self.levi == (self.k,)
 
     is_generic = is_square_integrable
 
     def translated(self, j: int) -> "Elliptic":
-        return Elliptic(self.atom, self.k, self.levi, self.translate + j)
+        return self._derive(translate=(self.translate + j) % self.atom.translates)
 
     def lift(self):
         """Same composition over the paired atom.
@@ -263,7 +260,7 @@ class Elliptic(Record):
         normalized composition of k is unchanged; the square-integrable corner
         (levi = (k,)) maps to the square-integrable corner.
         """
-        return _translates(self.atom, lambda atomF, i: Elliptic(atomF, self.k, self.levi, i))
+        return _translates(self.atom, lambda atomF, i: self._derive(atom=atomF, translate=i))
 
     def coords(self, qscale: int, d: int) -> tuple:
         if self.k != 1:
@@ -285,13 +282,6 @@ class Product(Record):
 
     def __init__(self, factors: Tuple):
         set_field(self, "factors", tuple(sorted(factors, key=lambda f: f.sort_key())))
-
-    @property
-    def rank(self) -> int:
-        return sum(f.rank for f in self.factors)
-
-    def sort_key(self):
-        return tuple(f.sort_key() for f in self.factors)
 
     def to_json(self):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
@@ -414,8 +404,8 @@ def factor_from_json(doc):
     k, translate = json_int(doc["k"], "k"), json_int(doc.get("translate", 0), "translate")
     if kind == "elliptic":
         return Elliptic(atom, k, tuple(json_int(p, "levi") for p in doc["levi"]), translate)
-    twist = Fraction(*json_pair(doc.get("twist", [0, 1]), "twist"))
+    twist = _reduced(0, 1, *json_pair(doc.get("twist", [0, 1]), "twist"))
     speh = Speh(EssDiscrete(atom, k, twist, translate), json_int(doc.get("q", 1), "q"))
     if kind == "speh":
         return speh
-    return TwistedPair(speh, Fraction(*json_pair(doc["alpha"], "alpha")))
+    return TwistedPair(speh, _reduced(0, 1, *json_pair(doc["alpha"], "alpha")))

@@ -524,11 +524,16 @@ PAIR_PLACES = {
 
 class TestJsonPairs:
     """A rational pair ``[num, den]`` of ints: den 0 is malformed input, and a
-    negative den reads as the pair with both signs changed."""
+    negative den reads as the pair with both signs changed.  An alpha is read
+    by its value: outside (0, 1/2), in any form, it is malformed input."""
 
-    @pytest.mark.parametrize("place", PAIR_PLACES)
-    def test_a_zero_denominator_is_bad_input(self, place, capsys):
-        code, out = run_cli(*PAIR_PLACES[place]([1, 0]), capsys)
+    @pytest.mark.parametrize("place, pair", [
+        *(pytest.param(place, [1, 0], id=place) for place in PAIR_PLACES),
+        *(pytest.param("alpha", pair, id=f"alpha-{pair[0]}/{pair[1]}")
+          for pair in ([1, 2], [2, 4], [0, 1], [-1, 3])),
+    ])
+    def test_a_zero_denominator_is_bad_input(self, place, pair, capsys):
+        code, out = run_cli(*PAIR_PLACES[place](pair), capsys)
         assert code == 1, out
         assert json.loads(out)["error"]["kind"] == "BadInput"
 
@@ -540,6 +545,7 @@ class TestJsonPairs:
         ("alpha", [-1, -3], [1, 3]),
         ("coef-qexp", [1, -2], [-1, 2]),
         ("coef-coeffs", [1, -2], [-1, 2]),
+        ("alpha", [2, 6], [1, 3]),
     ])
     def test_a_negative_denominator_changes_both_signs(self, place, pair, normal, capsys):
         code, out = run_cli(*PAIR_PLACES[place](pair), capsys)
@@ -780,13 +786,13 @@ EXTRA_LAYERS = {
 }
 # besides the autoind modules, the probe reports dataclasses and inspect,
 # which cost a verb 8-15 ms of start-up when only the records needed them,
-# argparse, which no verb needs, and fractions, which only reps and the
-# cyclotomic kernel use
+# argparse, which no verb needs, and fractions with the decimal it imports,
+# which only the cyclotomic kernel of the Hecke verbs uses
 IMPORTS = """
 import sys
 from autoind.cli import main
 main(sys.argv[1:])
-stdlib = ("dataclasses", "inspect", "argparse", "fractions")
+stdlib = ("dataclasses", "inspect", "argparse", "fractions", "decimal")
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "autoind" or m in stdlib)),
       file=sys.stderr)
 """
@@ -801,9 +807,9 @@ def test_each_verb_imports_only_its_layers(verb):
     assert proc.stdout == doc.with_suffix(".out").read_text()
     loaded = set(proc.stderr.split())
     assert not loaded & {"dataclasses", "inspect", "argparse"}
-    if not EXTRA_LAYERS[verb] & {"autoind.reps", "autoind.hecke"}:
-        assert "fractions" not in loaded
-    assert loaded - {"fractions"} == LAYERS | EXTRA_LAYERS[verb]
+    if "autoind.hecke" not in EXTRA_LAYERS[verb]:
+        assert not loaded & {"fractions", "decimal"}
+    assert loaded - {"fractions", "decimal"} == LAYERS | EXTRA_LAYERS[verb]
 
 
 ATOM_1E6 = {"id": "a", "side": "E", "size": 1, "d": 10**6, "r": 10**6}

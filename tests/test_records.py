@@ -107,7 +107,7 @@ def test_keyword_calls_and_defaults():
     assert alg.zeta == primitive_root(3) and alg == CyclicAlgebra(6, 2, 3, primitive_root(3))
     assert CyclicAlgebra.field(2).zeta == primitive_root(2)
     base = EssDiscrete(ATOM, 1, translate=3)
-    assert (base.twist, base.translate) == (0, 1) and type(base.twist) is F
+    assert (base.twist, base.translate) == (Coordinate(0, 0), 1) and type(base.twist) is Coordinate
     assert EssDiscrete(ATOM, 2) == EssDiscrete(ATOM, 2, F(0), 0)
     assert Verdict(distinct=True).to_json() == {"distinct": True, "l": None, "gamma": None}
     assert Verdict(distinct=False, l=2, gamma=5).to_json() == {"distinct": False, "l": 2,
@@ -120,9 +120,10 @@ def test_keyword_calls_and_defaults():
 
 
 def test_derived_records_are_validated_and_normalised():
-    # a twist, a translate or a lift builds its record through the constructor,
-    # except GlobalDiscrete.translated, which copies the validated fields
-    assert SPEH.translated(3).base.translate == 0 and SPEH.twisted(1).base.twist == F(3, 2)
+    # a reps twist, translate or lift copies the validated fields with
+    # Record._derive; a translate is still reduced modulo the atom's translates
+    assert SPEH.translated(3).base.translate == 0
+    assert SPEH.twisted(Coordinate(0, 1)).base.twist == Coordinate(0, F(3, 2))
     assert Elliptic(ATOM, 2, (2,)).translated(5).translate == 1
     # GlobalDiscrete keeps its own equality, on the local data as translated:
     # its two blocks are equal, so every translate equals it
@@ -131,5 +132,13 @@ def test_derived_records_are_validated_and_normalised():
         Speh(SPEH.base, 0)
     with pytest.raises(ValueError):
         TwistedPair(SPEH, F(1, 2))
+    # a twist or an alpha is q^c: an int or a Fraction c, or a q-only Coordinate
+    assert EssDiscrete(ATOM, 1, Coordinate(0, F(1, 2)), 1) == SPEH.base
+    assert TwistedPair(SPEH, Coordinate(0, F(1, 3))) == RECORDS["TwistedPair"]
+    for bad in (X, primitive_root(2)):
+        with pytest.raises(ValueError):
+            EssDiscrete(ATOM, 1, bad)
+        with pytest.raises(ValueError):
+            TwistedPair(SPEH, bad)
     with pytest.raises(ValueError):
         CyclicAlgebra(4, 2, 2, primitive_root(4))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from autoind.errors import BadOrbit, NoProvenance, NotUnramified, ShapeError
 from autoind.reps import (
@@ -73,7 +74,7 @@ class TestLiftShapes:
         pi = lift_unitary(Speh(d1, 1))
         assert len(pi.factors) == 3
         assert sorted(f.base.translate for f in pi.factors) == [0, 1, 2]
-        assert all(f.q == 1 and f.base.twist == F(1, 2) for f in pi.factors)
+        assert all(f.q == 1 and f.base.twist == coord(0, F(1, 2)) for f in pi.factors)
 
     def test_galois_translates_share_lift(self):
         a = atom("g2", 4, 2, size=2)
@@ -87,7 +88,7 @@ class TestLiftShapes:
         pi = lift_unitary(tau)
         assert len(pi.factors) == 4
         assert sorted(f.base.twist for f in pi.factors) == [
-            -F(1, 4), -F(1, 4), F(1, 4), F(1, 4)
+            coord(0, -F(1, 4)), coord(0, -F(1, 4)), coord(0, F(1, 4)), coord(0, F(1, 4))
         ]
 
     def test_canonical_order_stable(self):
@@ -212,6 +213,14 @@ class TestSpecialization:
         tau = Product((Speh(EssDiscrete(a, 1, twist=F(1, 2)), 1),))
         assert specialize(tau) == SatakeParam((coord(0, F(-1, 2)),))
 
+    def test_an_elliptic_datum_of_length_one_specializes_as_its_speh(self):
+        a = atom("s8", 2, 2, payload=coord(F(1, 3), F(1, 2)))
+        e, u = Elliptic(a, 1, (1,)), Speh(EssDiscrete(a, 1), 1)
+        assert specialize(e) == specialize(u)
+        assert specialize(lift_unitary(e)) == specialize(lift_unitary(u)) == delta_map(specialize(e))
+        with pytest.raises(NotUnramified):
+            specialize(Elliptic(a, 2, (2,)))
+
     def test_consistency_square_random(self):
         rng = random.Random(23)
         for _ in range(40):
@@ -241,3 +250,43 @@ class TestJson:
         for _ in range(10):
             tau = random_symbolic_product(rng, 4)
             assert factor_from_json(tau.to_json()) == tau
+
+
+# twists and alphas from small value sets, so that equal values recur, each
+# written as [m * num, m * den] with m of either sign
+ATOMS = {"a": {"id": "a", "side": "E", "size": 1, "d": 2, "r": 2},
+         "b": {"id": "b", "side": "E", "size": 1, "d": 4, "r": 2}}
+TWISTS = [F(j, 2) for j in range(-2, 3)] + [F(-1, 3), F(1, 3), F(2, 3)]
+ALPHAS = [F(1, 3), F(1, 4), F(1, 5), F(2, 5), F(3, 7)]
+
+
+def written(value: F, m: int) -> list:
+    return [m * value.numerator, m * value.denominator]
+
+
+@st.composite
+def factor_docs(draw):
+    """A factor document, its reduced form and the order key of that form."""
+    uid, k, translate, q = (draw(st.sampled_from("ab")), draw(st.integers(1, 2)),
+                            draw(st.integers(0, 3)), draw(st.integers(1, 2)))
+    twist, m = draw(st.sampled_from(TWISTS)), draw(st.sampled_from((1, 2, 3, -1, -2, -6)))
+    doc = {"kind": "speh", "atom": ATOMS[uid], "k": k, "twist": written(twist, m),
+           "translate": translate, "q": q}
+    translate %= ATOMS[uid]["d"] // ATOMS[uid]["r"]
+    reduced = dict(doc, twist=written(twist, 1), translate=translate)
+    key = (0, "E", uid, k, twist, translate, q)
+    if draw(st.booleans()):
+        alpha, m = draw(st.sampled_from(ALPHAS)), draw(st.sampled_from((1, 2, -1, -3)))
+        doc = dict(doc, kind="pair", alpha=written(alpha, m))
+        reduced = dict(reduced, kind="pair", alpha=written(alpha, 1))
+        key = (1, *key, alpha)
+    return doc, reduced, key
+
+
+@given(st.lists(factor_docs(), min_size=1, max_size=6))
+def test_factor_order_and_json_go_by_the_values_of_the_pairs(factors):
+    # the order of a Product's factors is the order of Fraction keys, and
+    # to_json writes each twist and alpha as its reduced pair, den > 0
+    tau = factor_from_json({"kind": "product", "factors": [doc for doc, _, _ in factors]})
+    want = [reduced for _, reduced, _ in sorted(factors, key=lambda x: x[2])]
+    assert tau.to_json() == {"kind": "product", "factors": want}
