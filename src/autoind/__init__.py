@@ -3,7 +3,7 @@
 Layers, from bottom to top:
 
 * :mod:`autoind.values` — coordinates (roots of unity times rational q-powers),
-  the immutable records and the JSON readers.
+  the immutable records, the JSON readers and ``CyclicAlgebra`` (satake re-exports it).
 * :mod:`autoind.arith` — the cyclotomic kernel: the coordinates' exact group
   ring with cyclotomic coefficients, loaded only by the Hecke layer and verify.
 * :mod:`autoind.satake` — Satake parameters over the base field and over

@@ -20,20 +20,19 @@ from collections import Counter
 from math import gcd
 from typing import Dict, Optional, Tuple
 
-from .values import Coordinate, Record, json_int, primitive_root, set_field
+from .values import Coordinate, CyclicAlgebra, Record, json_int, primitive_root, set_field
 from .errors import (
     BadOrbit,
     HypothesisViolated,
     LocalMismatch,
     PlaceSetMismatch,
     ShapeError,
+    check_parts,
 )
 from .satake import (
-    CyclicAlgebra,
     SatakeParam,
     SphericalRepE,
     check_ia_bc_compat,
-    check_parts,
     delta_map,
     param_of_unramified_character,
     twist_split,

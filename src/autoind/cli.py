@@ -9,6 +9,7 @@ the seeded property suites and prints one line per property.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from importlib import import_module
@@ -155,17 +156,15 @@ def main(argv=None) -> int:
     if verb == "verify":
         return cmd_verify(options)
     try:
-        if options["--input"]:
+        if options["--input"] is not None:  # "" is a path like any other
             with open(options["--input"]) as fh:
                 doc = json.load(fh)
         else:
             doc = json.load(sys.stdin)
-    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, or no UTF-8 JSON object
         detail = "document nested too deeply" if isinstance(exc, RecursionError) else str(exc)
-        print(json.dumps({"error": {"kind": "BadInput", "detail": detail}}))
-        return 1
-    if not isinstance(doc, dict):
-        detail = f"expected a JSON object, got {type(doc).__name__}"
         print(json.dumps({"error": {"kind": "BadInput", "detail": detail}}))
         return 1
     module, handler = VERBS[verb]
@@ -184,5 +183,14 @@ def main(argv=None) -> int:
     return 0
 
 
+def run():
+    """The process entry (``python -m autoind.cli``, the ``autoind`` script; tests call
+    :func:`main`): the heap is frozen on exit, so shutdown's collections skip it."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()  # not os._exit: streams must still flush and atexit handlers run
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

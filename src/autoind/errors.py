@@ -1,4 +1,4 @@
-"""Domain errors shared by all modules.
+"""Domain errors shared by all modules, and the one parts budget ``MAX_PARTS``.
 
 Every error carries a machine-readable ``kind``, its class name, used by the
 CLI to build ``{"error": {"kind": ..., "detail": ...}}`` documents (exit
@@ -32,7 +32,19 @@ class BudgetExceeded(DomainError):
     """A fiber past ``satake.MAX_FIBER_RANK`` or ``satake.MAX_FIBER_SIZE``, a
     cyclotomic conductor past ``arith.MAX_CONDUCTOR``, an orbit past
     ``hecke.MAX_ORBIT``, or more coordinates, blocks or factors than
-    ``satake.MAX_PARTS``."""
+    :data:`MAX_PARTS`."""
+
+
+# Most coordinates, blocks or factors one call may build, checked before it
+# builds them.  It lies above 4000, the largest count the seeded suites, the
+# benchmark streams and the tests reach.
+MAX_PARTS = 5_000
+
+
+def check_parts(count: int, what: str) -> None:
+    """Refuse a call that would build more than ``MAX_PARTS`` parts."""
+    if count > MAX_PARTS:
+        raise BudgetExceeded(f"more than {MAX_PARTS} {what}")
 
 
 class DegreeBudget(DomainError):

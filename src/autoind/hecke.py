@@ -28,9 +28,8 @@ from operator import mul
 from typing import Dict, Tuple
 
 from .arith import QCyclo, _bounded, _filed_sum, _reduce
-from .values import Record, set_field
+from .values import CyclicAlgebra, Record, set_field
 from .errors import BudgetExceeded, DegreeBudget, RankMismatch
-from .satake import CyclicAlgebra, SatakeParam
 
 DEGREE_BUDGET = 12
 # Largest orbit (exponent vectors of one m_lam) that evaluation expands: just
@@ -239,9 +238,9 @@ def _row_vector(row: Dict[int, int], N: int) -> list:
     return v
 
 
-def satake_eval(f: SymLaurent, y: SatakeParam) -> QCyclo:
-    """Substitute the coordinates of y into f: the trace of the Hecke operator.
-    The factor ``(z_1 ... z_n)^(-shift)`` lowers every exponent by the shift.
+def satake_eval(f: SymLaurent, y) -> QCyclo:
+    """Substitute the coordinates of y, a ``satake.SatakeParam``, into f: the trace of
+    the Hecke operator.  The factor ``(z_1 ... z_n)^(-shift)`` lowers every exponent by the shift.
 
     Each nonzero orbit row is the sparse factor ``(m, 1, [(a m/N, count), ..])``
     at its order m, paired with each coefficient term under the output

@@ -25,15 +25,7 @@ from itertools import islice, product
 from typing import Optional, Tuple
 
 from .values import Coordinate, Record, _reduced, json_int, json_pair, primitive_root, set_field
-from .errors import BadOrbit, NoProvenance, NotUnramified, ShapeError
-from .satake import (
-    MAX_PARTS,
-    CyclicAlgebra,
-    SatakeParam,
-    SphericalRepE,
-    check_parts,
-    param_of_unramified_character,
-)
+from .errors import MAX_PARTS, BadOrbit, NoProvenance, NotUnramified, ShapeError, check_parts
 
 
 class CuspidalAtom(Record):
@@ -170,6 +162,7 @@ class Speh(Record):
             xi = xi * primitive_root(d) ** b.translate
         # nu^c multiplies by q^(-c), scaled by the residue degree of the side
         xi = xi * b.twist ** -qscale
+        from .satake import param_of_unramified_character  # the lift verbs never get here
         return param_of_unramified_character(xi, self.q, qscale).coords
 
     def to_json(self):
@@ -381,6 +374,7 @@ def specialize(x):
         raise ShapeError("factors must share one side and one extension degree")
     ((side, d),) = shapes
     qscale = d if side == "E" else 1
+    from .satake import CyclicAlgebra, SatakeParam, SphericalRepE  # the lift verbs need none
     param = SatakeParam(tuple(c for f in factors for c in f.coords(qscale, d)))
     if side == "F":
         return param

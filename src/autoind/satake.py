@@ -22,63 +22,13 @@ from itertools import combinations_with_replacement, islice, product
 from math import comb, gcd, prod
 from typing import Optional, Tuple
 
-from .values import ONE, Coordinate, Record, _reduced, json_int, primitive_root, set_field
-from .errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
+from .values import ONE, Coordinate, CyclicAlgebra, Record, _reduced, primitive_root, set_field
+from .errors import MAX_PARTS, BlocksDiffer, BudgetExceeded, NotStable, RankMismatch, check_parts
 
 MAX_FIBER_RANK = 12
 # Most members a fiber may have, checked before enumeration.  It lies above
 # 64, the largest fiber the seeded suites and the lift-global benchmark reach.
 MAX_FIBER_SIZE = 100
-# Most coordinates, blocks or factors one call may build, checked before it
-# builds them.  It lies above 4000, the largest count the seeded suites, the
-# benchmark streams and the tests reach.
-MAX_PARTS = 5_000
-
-
-def check_parts(count: int, what: str) -> None:
-    """Refuse a call that would build more than ``MAX_PARTS`` parts."""
-    if count > MAX_PARTS:
-        raise BudgetExceeded(f"more than {MAX_PARTS} {what}")
-
-
-class CyclicAlgebra(Record):
-    """Extension datum: degree d = r*s, r field factors of degree s each.
-
-    ``zeta`` is the twist root kappa(pi_F), of exact multiplicative order s.
-    r = 1 is the field case; s = 1 the split algebra (zeta = 1).
-    """
-
-    __slots__ = ("d", "r", "s", "zeta")
-
-    def __init__(self, d: int, r: int, s: int, zeta: Coordinate = None):
-        if d != r * s or r < 1 or s < 1:
-            raise ValueError(f"need d = r*s, got d={d}, r={r}, s={s}")
-        if zeta is None:
-            zeta = primitive_root(s)
-        if zeta.torsion_order() != s:
-            raise ValueError(f"zeta must have exact order s={s}")
-        set_field(self, "d", d)
-        set_field(self, "r", r)
-        set_field(self, "s", s)
-        set_field(self, "zeta", zeta)
-
-    @classmethod
-    def field(cls, d: int, zeta: Coordinate = None) -> "CyclicAlgebra":
-        return cls(d, 1, d, zeta)
-
-    @classmethod
-    def split(cls, r: int) -> "CyclicAlgebra":
-        return cls(r, r, 1)
-
-    def to_json(self):
-        return {"d": self.d, "r": self.r, "s": self.s, "zeta": self.zeta.to_json()["zeta"]}
-
-    @classmethod
-    def from_json(cls, doc) -> "CyclicAlgebra":
-        zeta = Coordinate.from_json({"zeta": doc["zeta"], "qexp": [0, 1]}) if "zeta" in doc else None
-        return cls(*(json_int(doc[k], k) for k in "drs"), zeta)
-
-
 class SatakeParam(Record):
     """Canonical multiset of Satake eigenvalues: the class of pi_y.
 

@@ -1,4 +1,4 @@
-"""The value group (roots of unity) x q^Q, the immutable records and the JSON readers.
+"""The value group (roots of unity) x q^Q, the records, the JSON readers and :class:`CyclicAlgebra`.
 
 A :class:`Coordinate` is one Satake eigenvalue ``e^{2 pi i a/n} q^(p/r)``, kept as four
 normalised ints; ``q`` is formal (transcendental, ``q > 1``) and the unramified twist
@@ -162,3 +162,41 @@ ONE = Coordinate(0, 0)
 def primitive_root(s: int) -> Coordinate:
     """The canonical primitive s-th root of unity ``(1/s, 0)``, for s >= 1."""
     return _reduced(1 % s, s, 0, 1)
+
+
+class CyclicAlgebra(Record):
+    """Extension datum: degree d = r*s, r field factors of degree s each.
+
+    ``zeta`` is the twist root kappa(pi_F), of exact multiplicative order s.
+    r = 1 is the field case; s = 1 the split algebra (zeta = 1).
+    """
+
+    __slots__ = ("d", "r", "s", "zeta")
+
+    def __init__(self, d: int, r: int, s: int, zeta: Coordinate = None):
+        if d != r * s or r < 1 or s < 1:
+            raise ValueError(f"need d = r*s, got d={d}, r={r}, s={s}")
+        if zeta is None:
+            zeta = primitive_root(s)
+        if zeta.torsion_order() != s:
+            raise ValueError(f"zeta must have exact order s={s}")
+        set_field(self, "d", d)
+        set_field(self, "r", r)
+        set_field(self, "s", s)
+        set_field(self, "zeta", zeta)
+
+    @classmethod
+    def field(cls, d: int, zeta: Coordinate = None) -> "CyclicAlgebra":
+        return cls(d, 1, d, zeta)
+
+    @classmethod
+    def split(cls, r: int) -> "CyclicAlgebra":
+        return cls(r, r, 1)
+
+    def to_json(self):
+        return {"d": self.d, "r": self.r, "s": self.s, "zeta": self.zeta.to_json()["zeta"]}
+
+    @classmethod
+    def from_json(cls, doc) -> "CyclicAlgebra":
+        zeta = Coordinate.from_json({"zeta": doc["zeta"], "qexp": [0, 1]}) if "zeta" in doc else None
+        return cls(*(json_int(doc[k], k) for k in "drs"), zeta)

@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +191,14 @@ class TestUsage:
         for argv in (["-i", str(doc)], ["--input", str(doc)], [f"--input={doc}"]):
             assert run_cli(["lift-spherical", *argv], None, capsys) == (0, expected)
         assert run_cli(["lift-spherical"], doc.read_text(), capsys) == (0, expected)
+
+    @pytest.mark.parametrize("argv", [["--input="], ["-i", ""]], ids=["input-eq", "i"])
+    def test_an_empty_path_is_opened_not_stdin(self, argv, capsys):
+        # an empty path used to read stdin and exit 0
+        doc = min(GOLDEN.glob("lift-spherical_*.json")).read_text()
+        code, out = run_cli(["lift-spherical", *argv], doc, capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "BadInput"
 
 
 class TestHeckeVerbs:
@@ -777,12 +787,15 @@ def test_compute_verbs_do_not_import_verify():
     subprocess.run([sys.executable, "-c", NO_VERIFY], env=env, check=True, timeout=120)
 
 
-LAYERS = {"autoind", "autoind.cli", "autoind.errors", "autoind.values", "autoind.satake"}
+# CyclicAlgebra and the parts budget live in values and errors, so the Hecke
+# and reps verbs compile no satake
+LAYERS = {"autoind", "autoind.cli", "autoind.errors", "autoind.values"}
+SATAKE, HECKE = {"autoind.satake"}, {"autoind.hecke", "autoind.arith"}
 EXTRA_LAYERS = {
-    "lift-spherical": set(), "bc-spherical": set(), "fibers": set(),
-    "hecke-ai": {"autoind.hecke", "autoind.arith"}, "hecke-bc": {"autoind.hecke", "autoind.arith"},
+    "lift-spherical": SATAKE, "bc-spherical": SATAKE, "fibers": SATAKE,
+    "hecke-ai": HECKE, "hecke-bc": HECKE,
     "lift-unitary": {"autoind.reps"}, "lift-elliptic": {"autoind.reps"},
-    "global-lift": {"autoind.adelic"}, "separate": {"autoind.adelic"},
+    "global-lift": {"autoind.adelic"} | SATAKE, "separate": {"autoind.adelic"} | SATAKE,
 }
 # besides the autoind modules, the probe reports dataclasses and inspect,
 # which cost a verb 8-15 ms of start-up when only the records needed them,
@@ -810,6 +823,50 @@ def test_each_verb_imports_only_its_layers(verb):
     if "autoind.hecke" not in EXTRA_LAYERS[verb]:
         assert not loaded & {"fractions", "decimal"}
     assert loaded - {"fractions", "decimal"} == LAYERS | EXTRA_LAYERS[verb]
+
+
+SCRIPT = re.search(r'^autoind = "([\w.]+):(\w+)"$',
+                   (Path(__file__).parents[1] / "pyproject.toml").read_text(), re.M)
+NOT_STABLE = {"direction": "ai", "algebra": {"d": 2, "r": 1, "s": 2},
+              "param": {"coords": [coord(0, 1, 0, 1), coord(0, 1, 1, 1)]}}
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+def test_the_process_entry_keeps_exit_codes_and_output(launcher):
+    # python -m autoind.cli and the autoind script leave through cli.run,
+    # which freezes the heap before exit: stdout must still reach the pipe,
+    # and an atexit handler must still run, and find the heap frozen
+    module, function = SCRIPT.groups()
+    entry = (["-m", "autoind.cli"] if launcher == "module" else ["-c", (
+        f"import atexit, gc, sys; from {module} import {function}; atexit.register("
+        f"lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); {function}()")])
+    golden = min(GOLDEN.glob("hecke-ai_*.json"))
+    env = dict(os.environ, PYTHONPATH=str(Path(autoind.__file__).resolve().parents[1]))
+    for argv, doc, code, kind in [
+        (["hecke-ai", "-i", str(golden)], "", 0, None),
+        (["fibers"], json.dumps(NOT_STABLE), 2, "NotStable"),
+        (["lift-unitary"], "not json {", 1, "BadInput"),
+        (["nope"], "", 2, None),
+    ]:
+        proc = subprocess.run([sys.executable, *entry, *argv], input=doc, capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        if kind:
+            assert json.loads(proc.stdout)["error"]["kind"] == kind
+        else:  # the golden bytes, or nothing after a usage error
+            assert proc.stdout == (golden.with_suffix(".out").read_text() if code == 0 else "")
+        assert proc.stderr.startswith("usage: autoind") == (argv == ["nope"])
+        assert ("frozen True" in proc.stderr) == (launcher == "script")
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only the process entry freezes the heap: tests and the benchmark's
+    # set-up call main in-process
+    before = gc.get_freeze_count()
+    assert main(["lift-spherical", "-i", str(min(GOLDEN.glob("lift-spherical_*.json")))]) == 0
+    with pytest.raises(SystemExit):
+        main(["nope"])
+    assert gc.get_freeze_count() == before
 
 
 ATOM_1E6 = {"id": "a", "side": "E", "size": 1, "d": 10**6, "r": 10**6}
