@@ -49,7 +49,7 @@ def check_parts(count: int, what: str) -> None:
 
 class DegreeBudget(DomainError):
     """A Hecke transfer past ``hecke.DEGREE_BUDGET``: for ``ai_transfer`` the
-    degree converted to power sums, for ``bc_transfer`` the degree of the product."""
+    degree of the input, for ``bc_transfer`` the degree of the product."""
 
 
 class BadOrbit(DomainError):

@@ -10,18 +10,18 @@ evaluation identities:
 * ``eval of (f_1, .., f_r) at bc_map(y) == satake_eval(bc_transfer(..), y)``
 
 Base change is the Adams operation f(z) -> f(z^s): ``m_lam -> m_{s lam}``.
-Induction is ``p_k -> s p_{k/s}`` (or 0) in the power-sum basis, so each m_key
-maps by one rational m-basis row.  The tables that depend only on the shape are
-memoised, keyed by int tuples: orbits, m-basis products, the rows R_lam of p_lam
-(Macdonald, Symmetric Functions, I.6), their inverse and the induction rows.
-Evaluation walks at most ``MAX_ORBIT`` exponent vectors per key, one dot product
-of packed ints each, and reduces one int vector per output q-exponent.
+Induction is the Verschiebung ``p_k -> s p_{k/s}`` (or 0), a ring map on the
+elementary basis, so each m_key maps by one integer m-basis row (Macdonald,
+Symmetric Functions, I.5).  The tables that depend only on the shape are
+memoised, keyed by int tuples: orbits, m-basis products, the rows of e_lam,
+their inverse and the induction rows.  Evaluation walks at most ``MAX_ORBIT``
+exponent vectors per key, one dot product of packed ints each, and reduces one
+int vector per output q-exponent.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, gcd, lcm, prod
 from operator import mul
@@ -270,39 +270,36 @@ def satake_eval(f: SymLaurent, y) -> QCyclo:
 
 
 # ---------------------------------------------------------------------------
-# Power-sum basis
+# Elementary basis
 
 
 @lru_cache(maxsize=None)
-def _p_monomial(nvars: int, lam: Tuple[int, ...]) -> Dict[ExpVec, int]:
-    """The row R_lam: p_{lam_1} ... p_{lam_l} in nvars variables, as integer
-    m-basis coefficients.  R_{lam mu} counts the maps f from the parts of lam
-    to those of mu with mu_j = sum_{f(i) = j} lam_i; mu with more than nvars
-    parts drop out."""
+def _e_row(nvars: int, lam: Tuple[int, ...]) -> Dict[ExpVec, int]:
+    """e_lam = e_{lam_1} ... e_{lam_l} in nvars variables, as integer m-basis
+    coefficients: the product of the m_(1^k), k in lam, each part at most nvars."""
     row = {(0,) * nvars: 1}
     for part in lam:
         nxt: Dict[ExpVec, int] = {}
         for key, c in row.items():
-            for k, v in _m_product(key, (part,) + (0,) * (nvars - 1), nvars).items():
+            for k, v in _m_product(key, (1,) * part + (0,) * (nvars - part), nvars).items():
                 nxt[k] = nxt.get(k, 0) + c * v
         row = nxt
     return row
 
 
 @lru_cache(maxsize=None)
-def _m_to_p(nvars: int, key: ExpVec) -> Dict[Tuple[int, ...], Fraction]:
-    """m_key in nvars variables in the power-sum basis, as rational coefficients.
-    The solve is triangular: p_lam, lam the nonzero parts of key, is R_{lam key}
-    m_key plus dominance-larger m_k of its degree, so m_key = (p_lam - sum
-    R_{lam k} m_k) / R_{lam key}, and the memo solves each m_k once."""
-    lam = tuple(e for e in key if e)
-    row = _p_monomial(nvars, lam)
-    out = {lam: Fraction(1)}
-    for k, v in row.items():
+def _m_to_e(nvars: int, key: ExpVec) -> Dict[Tuple[int, ...], int]:
+    """m_key in nvars variables in the elementary basis, as integer coefficients.
+    With lam the conjugate of key, e_lam is m_key plus dominance-smaller m_k of
+    its degree (Macdonald, Symmetric Functions, I.2), so m_key = e_lam - sum
+    (e_lam)_k m_k: no division, and the memo solves each m_k once."""
+    lam = tuple(sum(e > j for e in key) for j in range(key[0]))
+    out = {lam: 1}
+    for k, v in _e_row(nvars, lam).items():
         if k != key:
-            for mu, x in _m_to_p(nvars, k).items():
+            for mu, x in _m_to_e(nvars, k).items():
                 out[mu] = out.get(mu, 0) - v * x
-    return {mu: x / row[key] for mu, x in out.items() if x}
+    return {mu: x for mu, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +307,24 @@ def _m_to_p(nvars: int, key: ExpVec) -> Dict[Tuple[int, ...], Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _ai_row(nvars: int, key: ExpVec, s: int) -> Dict[ExpVec, Fraction]:
-    """The induction image of m_key, from nvars variables to nvars / s, as a
-    rational m-basis row: ``p_k -> s p_{k/s}`` (or 0) on its :func:`_m_to_p` row."""
-    out: Dict[ExpVec, Fraction] = {}
-    for lam, x in _m_to_p(nvars, key).items():
+def _ai_row(nvars: int, key: ExpVec, s: int) -> Dict[ExpVec, int]:
+    """The induction image of m_key, from nvars variables to nvars / s, as an
+    integer m-basis row: the Verschiebung V_s on its :func:`_m_to_e` row, a ring
+    map with ``V_s e_k = (-1)^(k - k/s) e_{k/s}`` when s | k, else 0."""
+    out: Dict[ExpVec, int] = {}
+    for lam, x in _m_to_e(nvars, key).items():
         if all(k % s == 0 for k in lam):
-            for k, v in _p_monomial(nvars // s, tuple(k // s for k in lam)).items():
-                out[k] = out.get(k, 0) + x * s ** len(lam) * v
+            sign = (-1) ** sum(k - k // s for k in lam)
+            for k, v in _e_row(nvars // s, tuple(k // s for k in lam)).items():
+                out[k] = out.get(k, 0) + sign * x * v
     return {k: v for k, v in out.items() if v}
 
 
 def ai_transfer(f: SymLaurent, algebra: CyclicAlgebra) -> SymLaurent:
     """The transfer b with ``satake_eval(f, delta_map(y)) = satake_eval(bf, y.flatten())``.
 
-    In the power-sum basis: ``p_k -> s p_{k/s}`` when s | k, else 0; each
-    key's image is one rational row of :func:`_ai_row`.  The Laurent shift
+    The Verschiebung ``p_k -> s p_{k/s}`` when s | k, else 0; each key's
+    image is one integer row of :func:`_ai_row`.  The Laurent shift
     maps through the determinant coordinate, contributing the unit
     ``zeta^(-shift * mr * s(s-1)/2)``.  Degrees above ``DEGREE_BUDGET``
     are refused before any row is built.

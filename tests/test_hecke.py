@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial, gcd
 from operator import mul
 
@@ -16,7 +16,6 @@ from autoind.hecke import (
     SymLaurent,
     ai_transfer,
     bc_transfer,
-    _p_monomial,
     _perms,
     _product_degree,
     satake_eval,
@@ -277,7 +276,7 @@ class TestOrbitKernel:
         one of the others could hand its entry to an int key.  Each table only
         sees ints and tuples of ints, since the constructor refuses the rest."""
         seen = []
-        for name in ("_orbit", "_m_product", "_m_to_p", "_ai_row"):
+        for name in ("_orbit", "_m_product", "_e_row", "_m_to_e", "_ai_row"):
             memo = getattr(hecke, name)
             monkeypatch.setattr(hecke, name, lambda *a, memo=memo: seen.append(a) or memo(*a))
         rng = random.Random(83)
@@ -387,6 +386,49 @@ def _partitions(d, max_len, largest=None):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
+def _p_monomial(nvars, lam):
+    """The row R_lam: p_{lam_1} ... p_{lam_l} in nvars variables, as integer
+    m-basis coefficients (Macdonald, Symmetric Functions, I.6).  R_{lam mu}
+    counts the maps f from the parts of lam to those of mu with mu_j = sum_{f(i)
+    = j} lam_i; mu with more than nvars parts drop out."""
+    row = {(0,) * nvars: 1}
+    for part in lam:
+        nxt = {}
+        for key, c in row.items():
+            for k, v in hecke._m_product(key, (part,) + (0,) * (nvars - 1), nvars).items():
+                nxt[k] = nxt.get(k, 0) + c * v
+        row = nxt
+    return row
+
+
+@lru_cache(maxsize=None)
+def _m_to_p(nvars, key):
+    """m_key in nvars variables in the power-sum basis, as Fractions.  The solve
+    is triangular: p_lam, lam the nonzero parts of key, is R_{lam key} m_key plus
+    dominance-larger m_k of its degree, so m_key = (p_lam - sum R_{lam k} m_k) /
+    R_{lam key}, and the memo solves each m_k once."""
+    lam = tuple(e for e in key if e)
+    row = _p_monomial(nvars, lam)
+    out = {lam: F(1)}
+    for k, v in row.items():
+        if k != key:
+            for mu, x in _m_to_p(nvars, k).items():
+                out[mu] = out.get(mu, 0) - v * x
+    return {mu: x / row[key] for mu, x in out.items() if x}
+
+
+def ai_row_reference(nvars, key, s):
+    """The induction image of m_key through the power sums: ``p_k -> s p_{k/s}``
+    (or 0) on its :func:`_m_to_p` row, as a rational m-basis row."""
+    out = {}
+    for lam, x in _m_to_p(nvars, key).items():
+        if all(k % s == 0 for k in lam):
+            for k, v in _p_monomial(nvars // s, tuple(k // s for k in lam)).items():
+                out[k] = out.get(k, 0) + x * s ** len(lam) * v
+    return {k: v for k, v in out.items() if v}
+
+
 def to_power_sums_reference(f):
     """The triangular solve on the whole element: peel the smallest surviving
     key of each degree, subtracting its p_lam row from the rest."""
@@ -403,9 +445,9 @@ def to_power_sums_reference(f):
 
 
 def power_sum_row(n, lam):
-    """The library's row ``hecke._m_to_p`` of m_lam in n variables, as QCyclos."""
+    """The row :func:`_m_to_p` of m_lam in n variables, as QCyclos."""
     key = tuple(lam) + (0,) * (n - len(lam))
-    return {mu: QCyclo.rational(x) for mu, x in hecke._m_to_p(n, key).items()}
+    return {mu: QCyclo.rational(x) for mu, x in _m_to_p(n, key).items()}
 
 
 def from_power_sums(expr, nvars, shift=0):
@@ -577,21 +619,44 @@ class TestAiTransfer:
 
     def test_each_key_is_solved_once(self):
         """Every key of degree <= 12 in 6 variables: each m_k is solved once, the
-        dominance-larger keys it needs taken from the memo."""
+        dominance-smaller keys it needs taken from the memo; the reference's
+        power-sum solve, over the dominance-larger keys, likewise."""
         n = 6
         keys = [lam + (0,) * (n - len(lam)) for deg in range(13) for lam in _partitions(deg, n)]
         f = SymLaurent(n, 0, {k: QCyclo.rational(1) for k in keys})
         hecke._ai_row.cache_clear()
-        hecke._m_to_p.cache_clear()
+        hecke._m_to_e.cache_clear()
         out = ai_transfer(f, CyclicAlgebra.field(2))
-        assert hecke._m_to_p.cache_info().misses == len(keys)
+        assert hecke._m_to_e.cache_info().misses == len(keys)
         assert out == ai_transfer_reference(f, CyclicAlgebra.field(2))
+        _m_to_p.cache_clear()
         rows = {}
         for k in keys:
             for mu, x in power_sum_row(n, k).items():
                 rows[mu] = rows[mu] + x if mu in rows else x
         assert {mu: x for mu, x in rows.items() if not x.is_zero()} == to_power_sums_reference(f)
-        assert hecke._m_to_p.cache_info().misses == len(keys)
+        assert _m_to_p.cache_info().misses == len(keys)
+
+    def test_small_rows_in_the_elementary_basis(self):
+        """m_(1,1) = e_2, m_(2) = e_(1,1) - 2 e_2 and m_(2,1) = e_(2,1) - 3 e_3;
+        V_2 e_2 = -e_1 and V_2 p_2 = 2 p_1."""
+        assert hecke._m_to_e(2, (1, 1)) == {(2,): 1}
+        assert hecke._m_to_e(2, (2, 0)) == {(1, 1): 1, (2,): -2}
+        assert hecke._m_to_e(3, (2, 1, 0)) == {(2, 1): 1, (3,): -3}
+        assert hecke._ai_row(2, (1, 1), 2) == {(1,): -1}
+        assert hecke._ai_row(4, (2, 0, 0, 0), 2) == {(1, 0): 2}
+
+    @pytest.mark.parametrize("n, s", [(8, 2), (8, 4), (9, 3), (12, 2), (12, 3)])
+    def test_integer_rows_match_the_power_sum_route_past_six_variables(self, n, s):
+        """Criterion 2's oracle stops at 6 variables (``MAX_ORBIT``); past it the
+        induction row of every key of degree <= 12 is the power-sum route's,
+        with int values."""
+        for deg in range(DEGREE_BUDGET + 1):
+            for lam in _partitions(deg, n):
+                key = lam + (0,) * (n - len(lam))
+                row = hecke._ai_row(n, key, s)
+                assert row == ai_row_reference(n, key, s), key
+                assert all(type(v) is int for v in row.values()), key
 
 
 class TestBcTransfer:
