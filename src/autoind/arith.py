@@ -8,7 +8,10 @@ live: Q-linear sums of q-powers with ``Cyclo`` coefficients, the q-exponents kep
 as int numerators over one least common denominator, so equality compares ints.
 Every sum and product of ``Cyclo``s, in both classes and in ``hecke.satake_eval``,
 goes through one accumulator, :func:`_product_sum`: int products spread into one
-vector at the lcm conductor and reduced once, one ``Cyclo`` per q-exponent.  Zero
+vector at the lcm conductor and reduced once, one ``Cyclo`` per q-exponent.  The
+one exception is a product by a rational, which is a scale (:func:`_scaled`): a
+rational multiple of a remainder is a remainder, so only the gcd is taken.  Roots
+of unity are reduced once each and memoised, at most ``MAX_ROOTS`` of them.  Zero
 tests are exact, so Hecke trace identities hold with tolerance zero.  Only the
 Hecke layer and ``verify`` load this kernel; coordinates are :mod:`autoind.values`.
 """
@@ -28,6 +31,9 @@ from .values import Coordinate, _new, json_int, json_pair
 # Largest conductor of a Cyclo (about N entries; the lcm of two document
 # conductors can be their product), above the seeded suites' lcm(1..12) = 27720.
 MAX_CONDUCTOR = 30_000
+# Most reduced roots of unity kept at once: above the ~1100 (a, n) that 40k
+# ops of the hecke-transfer benchmark meet and the 130 of ``verify all``.
+MAX_ROOTS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +183,9 @@ class Cyclo:
 
     @classmethod
     def root_of_unity(cls, a: int, n: int) -> "Cyclo":
-        """zeta_n^a reduced mod Phi_n."""
-        return _new(cls)._set(n, _reduce([0] * (a % _bounded(n)) + [1], n), 1)
+        """zeta_n^a reduced mod Phi_n: one shared Cyclo per (a mod n, n), from a
+        bounded memo that a refused conductor never reaches."""
+        return _root_of_unity(a % _bounded(n), n)
 
     @property
     def coeffs(self):
@@ -202,10 +209,8 @@ class Cyclo:
         return self.conductor, self.den, [(j, c) for j, c in enumerate(self.num) if c]
 
     def scale(self, c) -> "Cyclo":
-        """c times this, c an int or a Fraction: still a remainder, so only the gcd is taken."""
-        k = c.numerator
-        v = [k * x for x in self.num] if k else []
-        return _new(Cyclo)._set(self.conductor, v, self.den * c.denominator)
+        """c times this, c an int or a Fraction."""
+        return _scaled(self.conductor, self.num, c.numerator, self.den * c.denominator)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -227,6 +232,18 @@ class Cyclo:
 
     def __repr__(self):
         return f"Cyclo({self.conductor}, {list(self.coeffs)})"
+
+
+@lru_cache(maxsize=MAX_ROOTS)
+def _root_of_unity(a: int, n: int) -> Cyclo:
+    """zeta_n^a reduced mod Phi_n, for 0 <= a < n and a bounded n."""
+    return _new(Cyclo)._set(n, _reduce([0] * a + [1], n), 1)
+
+
+def _scaled(n: int, v, k: int, den: int) -> Cyclo:
+    """k / den times ``sum_i v[i] zeta_n^i``, v a trimmed remainder mod Phi_n: a
+    rational multiple of a remainder is a remainder, so only the gcd is taken."""
+    return _new(Cyclo)._set(n, [k * x for x in v] if k else [], den)
 
 
 def _product_sum(pairs) -> Cyclo:
@@ -306,8 +323,16 @@ class QCyclo:
         return self + (-other)
 
     def __mul__(self, other: "QCyclo") -> "QCyclo":
-        """Each pair of terms filed under its output exponent: one Cyclo per exponent."""
+        """A factor r q^e with r rational scales the other's terms by r and shifts
+        them by e.  Otherwise each pair of terms is filed under its output
+        exponent: one Cyclo per exponent."""
         den = lcm(self.den, other.den)
+        for x, y in ((self, other), (other, self)):
+            if len(x.terms) == 1:
+                ((e, r),) = x._over(den).items()
+                if r.conductor == 1:
+                    k, d, terms = r.num[0], r.den, y._over(den).items()
+                    return QCyclo({e + f: _scaled(c.conductor, c.num, k, c.den * d) for f, c in terms}, den)
         mine = self._over(den).items()
         theirs = [(e, c._sparse()) for e, c in other._over(den).items()]
         return _filed_sum(den, ((e1 + e2, (c1, b)) for e1, c1 in mine for e2, b in theirs))

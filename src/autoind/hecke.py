@@ -15,8 +15,9 @@ elementary basis, so each m_key maps by one integer m-basis row (Macdonald,
 Symmetric Functions, I.5).  The tables that depend only on the shape are
 memoised, keyed by int tuples: orbits, m-basis products, the rows of e_lam,
 their inverse and the induction rows.  Evaluation walks at most ``MAX_ORBIT``
-exponent vectors per key, one dot product of packed ints each, and reduces one
-int vector per output q-exponent.
+exponent vectors per key, one dot product of packed ints each, and reduces at
+most one int vector per output q-exponent: none where the exponent is a rational
+times one row, whose remainder is scaled.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Dict, Tuple
 
-from .arith import QCyclo, _bounded, _filed_sum, _reduce
+from .arith import Cyclo, QCyclo, _bounded, _product_sum, _reduce, _scaled
 from .values import CyclicAlgebra, Record, set_field
 from .errors import BudgetExceeded, DegreeBudget, RankMismatch
 
@@ -242,31 +243,46 @@ def satake_eval(f: SymLaurent, y) -> QCyclo:
     """Substitute the coordinates of y, a ``satake.SatakeParam``, into f: the trace of
     the Hecke operator.  The factor ``(z_1 ... z_n)^(-shift)`` lowers every exponent by the shift.
 
-    Each nonzero orbit row is the sparse factor ``(m, 1, [(a m/N, count), ..])``
-    at its order m, paired with each coefficient term under the output
-    q-numerator over R (the lcm of every q-denominator of y and f, and the
-    result's keys); ``arith._product_sum`` adds each exponent's products as ints
-    and reduces them once, at C_e: the lcm of the conductors and row orders that
-    meet q^e over the nonzero rows, as when each product was reduced apart.  Only
-    a row of several roots can vanish; its vector is reduced as a zero test, no
-    Cyclo built.
+    Each nonzero orbit row, at its order m, is paired with each coefficient term
+    under the output q-numerator over R (the lcm of every q-denominator of y and
+    f, and the result's keys).  A row of several roots is reduced once, as a zero
+    test, so that a row that cancels adds no conductor, and keeps its remainder
+    mod Phi_m.  A q-exponent met by one pair, a rational coefficient times a
+    row, is that remainder scaled, as a rational multiple of a remainder is one;
+    a row of one root reads it from the memo of ``Cyclo.root_of_unity``, times
+    its count.  Every other q-exponent goes to ``arith._product_sum`` with its
+    rows as sparse factors ``(m, 1, [(a m/N, count), ..])``, which adds the
+    products as ints and reduces them once, at C_e: the lcm of the conductors
+    and row orders that meet q^e, as when each product was reduced apart.
     """
     if f.nvars != y.rank:
         raise RankMismatch(f"f has {f.nvars} variables, parameter has rank {y.rank}")
     coords = y.coords
     N = lcm(*(c.n for c in coords))
     R = lcm(*(c.r for c in coords), *(coef.den for coef in f.terms.values()))
-    pairs = []
+    filed: Dict[int, list] = {}
     for k, coef in f.terms.items():
         cterms = coef._over(R).items()
         for t, row in _orbit_rows(coords, k, f.shift, N, R).items():
             m = N // gcd(N, *row)
-            if len(row) > 1 and not _reduce(_row_vector(row, N), m):
+            v = None  # a row of one root reads its remainder from the root memo
+            if len(row) > 1 and not (v := _reduce(_row_vector(row, N), m)):
                 continue
-            b = (m, 1, [(a * m // N, h) for a, h in row.items()])
             for e, c in cterms:
-                pairs.append((e + t, (c, b)))
-    return _filed_sum(R, pairs)
+                filed.setdefault(e + t, []).append((c, m, row, v))
+    out = {}
+    for e, ps in filed.items():
+        c, m, row, v = ps[0]
+        if len(ps) == 1 and c.conductor == 1:
+            k = c.num[0]
+            if v is None:
+                ((a, h),) = row.items()
+                v, k = Cyclo.root_of_unity(a * m // N, m).num, k * h
+            out[e] = _scaled(m, v, k, c.den)
+        else:
+            pairs = [(c, (m, 1, [(a * m // N, h) for a, h in row.items()])) for c, m, row, _ in ps]
+            out[e] = _product_sum(pairs)
+    return QCyclo(out, R)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from autoind import arith
 from autoind.arith import (
-    MAX_CONDUCTOR, Cyclo, QCyclo, _chain, _divide, _reduce, cyclotomic_polynomial,
+    MAX_CONDUCTOR, MAX_ROOTS, Cyclo, QCyclo, _chain, _divide, _reduce, cyclotomic_polynomial,
 )
 from autoind.errors import BudgetExceeded
 from autoind.hecke import SymLaurent, satake_eval
@@ -536,6 +536,44 @@ def test_scaling_and_negation_reduce_nothing(a, c):
     assert fields(got[1]) == fields(Cyclo(a.conductor, [-x for x in a.coeffs]))
     for x in got:
         assert_normalised(x)
+
+
+@given(st.integers(1, 60), st.integers(-120, 120))
+def test_a_root_of_unity_is_one_shared_cyclo_per_residue(n, a):
+    x = Cyclo.root_of_unity(a, n)
+    assert x is Cyclo.root_of_unity(a + n, n) is Cyclo.root_of_unity(a % n, n)
+    assert fields(x) == fields(Cyclo(n, [0] * (a % n) + [1]))
+
+
+def test_the_root_memo_is_bounded_and_keeps_no_refused_conductor():
+    memo = arith._root_of_unity
+    assert memo.cache_info().maxsize == MAX_ROOTS
+    Cyclo.root_of_unity(1, 7)
+    size = memo.cache_info().currsize
+    for n, error in ((0, ValueError), (-3, ValueError), (MAX_CONDUCTOR + 1, BudgetExceeded)):
+        with pytest.raises(error):
+            Cyclo.root_of_unity(1, n)
+        assert memo.cache_info().currsize == size
+
+
+def filed_product(a, b):
+    """a * b as each pair of terms filed under its output exponent."""
+    den = lcm(a.den, b.den)
+    pairs = [(e1 + e2, (c1, c2._sparse())) for e1, c1 in a._over(den).items() for e2, c2 in b._over(den).items()]
+    return arith._filed_sum(den, pairs)
+
+
+@given(st.sampled_from((0, 1, -2, 5)), st.sampled_from((1, 2, -3)), small_fraction.filter(bool), spread_qcyclos)
+def test_a_product_by_a_rational_is_a_scale(e, d, r, y):
+    """r q^(e/d) times y, on either side, has the fields of the filed pairs of
+    terms, and builds no product sum."""
+    x = QCyclo({e: Cyclo.rational(r)}, d)
+    refs = [qfields(filed_product(x, y)), qfields(filed_product(y, x))]
+    built, product_sum = [], arith._product_sum
+    with patch.object(arith, "_product_sum", lambda ps: built.append(1) or product_sum(ps)):
+        got = x * y, y * x
+    assert not built
+    assert [qfields(z) for z in got] == refs
 
 
 def test_a_negative_denominator_is_normalised_and_zero_refused():

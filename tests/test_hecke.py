@@ -223,14 +223,22 @@ class TestOrbitKernel:
     def fields(x):
         return sorted((e, c.conductor, c.num, c.den) for e, c in x.terms.items())
 
-    def test_kernel_matches_the_element_wise_sum_field_for_field(self):
+    def test_kernel_matches_the_element_wise_sum_field_for_field(self, monkeypatch):
         rng = random.Random(53)
-        seen = {"shift": 0, "zero": 0, "repeat": 0, "half": 0, "big": 0}
+        seen = {"shift": 0, "zero": 0, "repeat": 0, "half": 0, "big": 0, "scale": 0, "product_sum": 0}
+        paths = []  # the path each q-exponent of satake_eval took
+        for name in ("_scaled", "_product_sum"):
+            op = getattr(hecke, name)
+            monkeypatch.setattr(hecke, name, lambda *a, op=op, name=name: paths.append(name) or op(*a))
         for _ in range(400):
             n = rng.randint(1, 6)
             y = SatakeParam(self.random_coords(rng, n))
             f = random_laurent(rng, n)
-            got, ref = satake_eval(f, y), satake_eval_reference(f, y)
+            paths.clear()
+            got = satake_eval(f, y)
+            seen["scale"] += paths.count("_scaled")
+            seen["product_sum"] += paths.count("_product_sum")
+            ref = satake_eval_reference(f, y)
             assert self.fields(got) == self.fields(ref)
             for k in f.terms:
                 part = satake_eval(SymLaurent(n, f.shift, {k: f.terms[k]}), y)
@@ -312,16 +320,22 @@ class TestOrbitKernel:
         for p in _perms((5, 4, 3, 2, 1, 0)):
             v = reduce(mul, (c**e for c, e in zip(y.coords, p)))
             rows.setdefault(v.qexp, set()).add(v.zeta)
-        bound = len(rows) + sum(len(roots) > 1 for roots in rows.values())
+        several = sum(len(roots) > 1 for roots in rows.values())
         built, reduced = [], []
         product_sum = arith._product_sum
-        monkeypatch.setattr(arith, "_product_sum", lambda ps: built.append(1) or product_sum(ps))
         for module in (arith, hecke):
+            monkeypatch.setattr(module, "_product_sum", lambda ps: built.append(1) or product_sum(ps))
             monkeypatch.setattr(module, "_reduce", lambda v, n: reduced.append(1) or _reduce(v, n))
+        arith._root_of_unity.cache_clear()
         out = satake_eval(f, y)
-        # one Cyclo per output q-exponent; a row of several roots is only reduced
-        assert len(built) == len(out.terms) == len(rows)
-        assert len(reduced) == bound
+        # each q-exponent is the rational 1 times one row: a scale of the row's
+        # remainder, no product sum; a row of several roots is reduced once, a
+        # row of one root only when the root memo misses
+        assert len(out.terms) == len(rows) and not built
+        assert len(reduced) == several + arith._root_of_unity.cache_info().misses
+        reduced.clear()
+        assert satake_eval(f, y) == out
+        assert not built and len(reduced) == several
 
     def random_coefficient(self, rng):
         """A sum of two to four scaled coordinates: often several q-terms."""
