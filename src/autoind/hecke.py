@@ -17,7 +17,9 @@ memoised, keyed by int tuples: orbits, m-basis products, the rows of e_lam,
 their inverse and the induction rows.  Evaluation walks at most ``MAX_ORBIT``
 exponent vectors per key, one dot product of packed ints each, and reduces at
 most one int vector per output q-exponent: none where the exponent is a rational
-times one row, whose remainder is scaled.
+times one row, whose remainder is scaled.  The last ``MAX_EVALS`` evaluations
+are memoised, keyed by every int of f and y, conductors included: over a split
+algebra the two sides of the induction identity are one (f, y), evaluated once.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ DEGREE_BUDGET = 12
 # Largest orbit (exponent vectors of one m_lam) that evaluation expands: just
 # above 6! = 720, the most in the 6 variables the seeded suites and bench use.
 MAX_ORBIT = 1_000
+# Most ``satake_eval`` results kept at once.  Over a split algebra a transfer
+# identity evaluates one (f, y) on both sides, one call after the other.
+MAX_EVALS = 16
 
 ExpVec = Tuple[int, ...]
 
@@ -114,6 +119,8 @@ class SymLaurent(Record):
     def __init__(self, nvars: int, shift: int, terms: Dict[ExpVec, QCyclo]):
         if nvars < 1:
             raise ValueError(f"nvars must be at least 1, got {nvars}")
+        if type(shift) is not int:  # the shift keys the evaluation memo: 1.0 == 1
+            raise ValueError(f"shift must be an int, got {shift!r}")
         clean = {}
         for k, c in terms.items():
             if len(k) != nvars or any(type(e) is not int or e < 0 for e in k) or _dominant(k) != k:
@@ -243,6 +250,30 @@ def satake_eval(f: SymLaurent, y) -> QCyclo:
     """Substitute the coordinates of y, a ``satake.SatakeParam``, into f: the trace of
     the Hecke operator.  The factor ``(z_1 ... z_n)^(-shift)`` lowers every exponent by the shift.
 
+    The ranks are checked; then the result comes from a memo of the last
+    ``MAX_EVALS`` results (an ``lru_cache``), keyed by the full identity of the
+    arguments: f's shift; per term its exponent vector, its coefficient's den and
+    every (q-numerator, conductor, num, den) of that coefficient; and y's
+    coordinates, each equal only to the same four ints.  f's nvars is the length
+    of each exponent vector and of the coordinates.  So an equal number held at
+    another conductor has its own entry.  Over a split algebra the two sides of
+    the ``ai_transfer`` identity are one (f, y), evaluated one after the other.
+    A refusal raises before anything is stored.  The result is shared: no
+    caller writes its fields.
+    """
+    if f.nvars != y.rank:
+        raise RankMismatch(f"f has {f.nvars} variables, parameter has rank {y.rank}")
+    terms = tuple(
+        (k, coef.den, tuple((e, c.conductor, c.num, c.den) for e, c in coef.terms.items()))
+        for k, coef in f.terms.items()
+    )
+    return _evaluate(f.shift, terms, y.coords)
+
+
+@lru_cache(maxsize=MAX_EVALS)
+def _evaluate(shift: int, terms: tuple, coords: tuple) -> QCyclo:
+    """:func:`satake_eval` on its memo key alone, so it reads nothing the key lacks.
+
     Each nonzero orbit row, at its order m, is paired with each coefficient term
     under the output q-numerator over R (the lcm of every q-denominator of y and
     f, and the result's keys).  A row of several roots is reduced once, as a zero
@@ -255,15 +286,13 @@ def satake_eval(f: SymLaurent, y) -> QCyclo:
     products as ints and reduces them once, at C_e: the lcm of the conductors
     and row orders that meet q^e, as when each product was reduced apart.
     """
-    if f.nvars != y.rank:
-        raise RankMismatch(f"f has {f.nvars} variables, parameter has rank {y.rank}")
-    coords = y.coords
     N = lcm(*(c.n for c in coords))
-    R = lcm(*(c.r for c in coords), *(coef.den for coef in f.terms.values()))
+    R = lcm(*(c.r for c in coords), *(den for _, den, _ in terms))
     filed: Dict[int, list] = {}
-    for k, coef in f.terms.items():
-        cterms = coef._over(R).items()
-        for t, row in _orbit_rows(coords, k, f.shift, N, R).items():
+    for k, den, cterms in terms:
+        # the coefficient's terms over R, each Cyclo set again from its key ints
+        cterms = [(e * (R // den), _scaled(n, num, 1, d)) for e, n, num, d in cterms]
+        for t, row in _orbit_rows(coords, k, shift, N, R).items():
             m = N // gcd(N, *row)
             v = None  # a row of one root reads its remainder from the root memo
             if len(row) > 1 and not (v := _reduce(_row_vector(row, N), m)):

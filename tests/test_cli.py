@@ -2,7 +2,9 @@ import gc
 import io
 import json
 import os
+import random
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -908,3 +910,74 @@ def test_rank_zero_fiber_is_one_member(doc):
     proc = run_cli_process(["fibers"], doc)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["count"] == 1
+
+
+MUTANTS = 24  # mutated documents per golden document
+EXTREME_INTS = (10**9, 2**63, 0, -1)
+OTHER_TYPES = (None, True, 1.5, "x", [], {})
+MUTANT_CAP_S = 2.0
+
+
+class Overtime(BaseException):
+    """Raised by the alarm in the middle of a document; nothing in ``main`` catches it."""
+
+
+def _paths(doc, path=()):
+    """The path of every value below the root of doc: keys and list indexes."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _paths(v, path + (k,))
+
+
+def _mutant(doc, rng):
+    """A copy of doc with one value replaced by another type or an extreme int,
+    one key dropped, or one list entry repeated."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = rng.choice(list(_paths(doc)))
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    kinds = ["replace", "drop" if isinstance(parent, dict) else "repeat"]
+    if rng.choice(kinds) == "replace":
+        parent[last] = rng.choice(EXTREME_INTS + OTHER_TYPES)
+    elif isinstance(parent, dict):
+        del parent[last]
+    else:
+        parent.insert(last, parent[last])
+    return doc
+
+
+def _alarm(signum, frame):
+    raise Overtime
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_mutated_golden_documents_keep_the_contract(golden, capsys, monkeypatch):
+    """Every mutant of a golden document ends in exit 0, 1 or 2 with one JSON
+    object on stdout, within ``MUTANT_CAP_S``.  A failure prints the document."""
+    verb, doc = golden.stem.split("_")[0], json.loads(golden.read_text())
+    rng = random.Random(f"mutants:{golden.stem}")
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        for i in range(MUTANTS):
+            mutant = _mutant(doc, rng)
+            replay = f"mutant {i}: autoind {verb} <<< '{json.dumps(mutant)}'"
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(mutant)))
+            signal.setitimer(signal.ITIMER_REAL, MUTANT_CAP_S)
+            try:
+                code = main([verb])
+            except Overtime:
+                pytest.fail(f"over {MUTANT_CAP_S} s: {replay}")
+            except Exception as exc:
+                pytest.fail(f"{exc!r}: {replay}")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2), replay
+            try:
+                assert isinstance(json.loads(out), dict), replay
+            except ValueError:
+                pytest.fail(f"stdout {out!r} is not one JSON object: {replay}")
+    finally:
+        signal.signal(signal.SIGALRM, previous)

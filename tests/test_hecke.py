@@ -298,6 +298,9 @@ class TestOrbitKernel:
         for bad in ((1.0, 0), (True, 0), (F(1), 0)):
             with pytest.raises(ValueError, match="exponent vector"):
                 SymLaurent(2, 0, {bad: QCyclo.rational(1)})
+        for bad in (1.0, True, F(1)):  # the shift keys the evaluation memo
+            with pytest.raises(ValueError, match="shift"):
+                SymLaurent(2, bad, {(2, 1): QCyclo.rational(1)})
 
     def test_no_coordinate_arithmetic_per_orbit_element(self, monkeypatch):
         calls = []
@@ -310,6 +313,7 @@ class TestOrbitKernel:
         f = monomial(6, (5, 4, 3, 2, 1))  # 6! = 720 exponent vectors
         assert satake_eval(f, y) == satake_eval_reference(f, y)
         calls.clear()
+        hecke._evaluate.cache_clear()  # evaluate again, not from the memo
         satake_eval(f, y)
         assert len(calls) <= y.rank
 
@@ -327,6 +331,7 @@ class TestOrbitKernel:
             monkeypatch.setattr(module, "_product_sum", lambda ps: built.append(1) or product_sum(ps))
             monkeypatch.setattr(module, "_reduce", lambda v, n: reduced.append(1) or _reduce(v, n))
         arith._root_of_unity.cache_clear()
+        hecke._evaluate.cache_clear()
         out = satake_eval(f, y)
         # each q-exponent is the rational 1 times one row: a scale of the row's
         # remainder, no product sum; a row of several roots is reduced once, a
@@ -334,6 +339,9 @@ class TestOrbitKernel:
         assert len(out.terms) == len(rows) and not built
         assert len(reduced) == several + arith._root_of_unity.cache_info().misses
         reduced.clear()
+        assert satake_eval(f, y) == out  # the repeat is read from the evaluation memo
+        assert not built and not reduced
+        hecke._evaluate.cache_clear()
         assert satake_eval(f, y) == out
         assert not built and len(reduced) == several
 
@@ -368,6 +376,76 @@ class TestOrbitKernel:
         got, ref = satake_eval(f, y), satake_eval_reference(f, y)
         assert got == ref == qc(z5) + qc(coord(0, 1)) - qc(coord(F(1, 5), 2))
         assert (got.terms[F(1)].conductor, ref.terms[F(1)].conductor) == (5, 1)
+
+
+class TestEvaluationMemo:
+    """``satake_eval`` keeps its last ``MAX_EVALS`` results, keyed by every int of
+    its arguments; a refusal raises before anything is stored."""
+
+    fields = staticmethod(TestOrbitKernel.fields)
+
+    @staticmethod
+    def case():
+        """A fresh (f, y): rows of several roots, and a coefficient of two q-terms."""
+        y = SatakeParam((coord(F(1, 3)), coord(F(2, 5)), coord(F(1, 6), -1)))
+        f = SymLaurent(3, 1, {
+            (3, 1, 0): QCyclo.rational(F(2, 3)) + qc(coord(F(1, 4), 1)),
+            (2, 2, 1): QCyclo.rational(-1),
+        })
+        return f, y
+
+    def test_a_repeat_runs_no_reduction(self, monkeypatch):
+        ran = []
+        for module in (arith, hecke):
+            for name in ("_reduce", "_product_sum"):
+                op = getattr(arith, name)
+                monkeypatch.setattr(module, name, lambda *a, op=op: ran.append(op) or op(*a))
+        hecke._evaluate.cache_clear()
+        f, y = self.case()
+        out = satake_eval(f, y)
+        assert {arith._reduce, arith._product_sum} <= set(ran)
+        g, z = self.case()  # equal, but no object shared with the first call
+        assert (g, z) == (f, y) and g is not f and z is not y
+        ran.clear()
+        again = satake_eval(g, z)
+        assert not ran and again == out and self.fields(again) == self.fields(out)
+
+    def test_an_equal_coefficient_at_another_conductor_is_its_own_entry(self):
+        y = SatakeParam((coord(F(1, 3)), coord(F(2, 3)), coord(0, 1)))
+        one, one_at_2 = QCyclo.rational(1), QCyclo({0: Cyclo(2, [1])})
+        assert one == one_at_2 and one_at_2.terms[0].conductor == 2
+        fs = [SymLaurent(3, 0, {(2, 1, 0): c, (1, 0, 0): QCyclo.rational(3)}) for c in (one, one_at_2)]
+        hecke._evaluate.cache_clear()
+        outs = [satake_eval(f, y) for f in fs]
+        assert hecke._evaluate.cache_info().currsize == 2
+        assert outs[0] == outs[1] and self.fields(outs[0]) != self.fields(outs[1])
+        for f, out in zip(fs, outs):
+            hecke._evaluate.cache_clear()
+            assert self.fields(out) == self.fields(satake_eval(f, y))
+
+    def test_the_memo_holds_at_most_max_evals_results(self):
+        hecke._evaluate.cache_clear()
+        assert hecke._evaluate.cache_info().maxsize == hecke.MAX_EVALS
+        f = monomial(2, (1,))
+        for j in range(3 * hecke.MAX_EVALS):
+            y = SatakeParam((coord(F(1, j + 2)), coord(0, j)))
+            assert satake_eval(f, y) == satake_eval_reference(f, y)
+            assert hecke._evaluate.cache_info().currsize == min(j + 1, hecke.MAX_EVALS)
+
+    @pytest.mark.parametrize("f, coords, refusal", [
+        (monomial(2, (1,)), (coord(0),), "variables"),
+        # m_(1^8) in 24 variables: 735471 exponent vectors
+        (monomial(24, (1,) * 8), (coord(F(1, 5)),) * 24, f"exceeds {MAX_ORBIT}"),
+        # a row of two roots of order 30011
+        (monomial(2, (1,)), (coord(F(1, 30011)), coord(F(2, 30011))), "conductor 30011"),
+    ], ids=["rank", "orbit", "conductor"])
+    def test_a_refusal_raises_on_every_call_and_is_not_stored(self, f, coords, refusal):
+        hecke._evaluate.cache_clear()
+        satake_eval(monomial(1, (2,)), SatakeParam((coord(F(1, 7)),)))
+        for _ in range(2):
+            with pytest.raises((RankMismatch, BudgetExceeded), match=refusal):
+                satake_eval(f, SatakeParam(coords))
+            assert hecke._evaluate.cache_info().currsize == 1
 
 
 class TestPowerSums:
