@@ -29,10 +29,9 @@ class BlocksDiffer(DomainError):
 
 
 class BudgetExceeded(DomainError):
-    """A fiber past ``satake.MAX_FIBER_RANK`` or ``satake.MAX_FIBER_SIZE``, a
-    cyclotomic conductor past ``arith.MAX_CONDUCTOR``, an orbit past
-    ``hecke.MAX_ORBIT``, or more coordinates, blocks or factors than
-    :data:`MAX_PARTS`."""
+    """A fiber past ``satake.MAX_FIBER_SIZE`` members, a cyclotomic conductor
+    past ``arith.MAX_CONDUCTOR``, an orbit past ``hecke.MAX_ORBIT``, or more
+    coordinates, blocks or factors than :data:`MAX_PARTS`."""
 
 
 # Most coordinates, blocks or factors one call may build, checked before it

@@ -7,12 +7,11 @@ twist-stable rank-(m d) multiset over F by taking canonical s-th roots and
 spreading them along the powers of the twist root zeta.
 
 All maps here are the parameter-level (weak-lift) versions; fibers are
-computed constructively and are exponential in the rank, so constant bounds
-on the rank (``MAX_FIBER_RANK``) and the members (``MAX_FIBER_SIZE``, checked
-before any is built) stop runaway enumeration; ``twist_split`` solves each
-<zeta>-coset in closed form, so it needs no bound.  The maps that build one
-coordinate, block or factor per unit of a number in their input (d, r or l)
-check ``MAX_PARTS`` first.
+computed constructively and are exponential in the rank, so a constant bound
+on the members (``MAX_FIBER_SIZE``, checked before any is built) stops
+runaway enumeration; ``twist_split`` solves each <zeta>-coset in closed form,
+so it needs no bound.  The maps that build one coordinate, block or factor
+per unit of a number in their input (d, r or l) check ``MAX_PARTS`` first.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from typing import Optional, Tuple
 from .values import ONE, Coordinate, CyclicAlgebra, Record, _reduced, primitive_root, set_field
 from .errors import MAX_PARTS, BlocksDiffer, BudgetExceeded, NotStable, RankMismatch, check_parts
 
-MAX_FIBER_RANK = 12
-# Most members a fiber may have, checked before enumeration.  It lies above
+# Most members a fiber may have, checked before enumeration, so also the most
+# blocks and distinct values ``_multiset_splits`` recurses over.  It lies above
 # 64, the largest fiber the seeded suites and the lift-global benchmark reach.
 MAX_FIBER_SIZE = 100
 class SatakeParam(Record):
@@ -195,13 +194,15 @@ def twist_split(pi: SatakeParam, zeta: Coordinate, r: int) -> Optional[Tuple[Coo
     f = zeta.torsion_order()
     g = gcd(r, f)
     step = pow(zeta.a, -1, f)  # the angle u/f above c's coset root is zeta^(u step)
-    cosets, where = defaultdict(lambda: [0] * f), {}
+    cosets, where = defaultdict(dict), {}
     for c, mult in Counter(pi.coords).items():
         u, low = divmod(c.a * f, c.n)
         h = gcd(low, c.n)
         key, j = where[c] = (low // h, c.n // h, c.p, c.r), u * step % f
         cosets[key][j] = mult
-    cosets = {key: _window_solutions(m, r) for key, m in cosets.items()}
+    if r >= f and any(len(m) < f for m in cosets.values()):  # a window covers a cycle
+        return None
+    cosets = {key: _window_solutions([m.get(j, 0) for j in range(f)], r) for key, m in cosets.items()}
     if None in cosets.values():
         return None
     inverse, tries = zeta.inverse(), min(r, f)
@@ -240,10 +241,10 @@ def _multiset_splits(items: tuple, r: int, size: int):
 
     A block is a sub-multiset, not a choice of positions, and every head
     extends to a split, so each split comes once and the work grows with the
-    number of splits taken.
+    number of splits taken, in a recursion at most r + D deep (D values).
     """
-    if r == 1 or not items:  # an empty pool would recurse once per block
-        yield (items,) * r
+    if r == 1 or len(set(items)) < 2:
+        yield (items[:size],) * r
         return
     pool = Counter(items)
     for head in _sub_multisets(tuple(pool.values()), size):
@@ -263,21 +264,22 @@ def ai_fiber(pi: SatakeParam, algebra: CyclicAlgebra) -> set[SphericalRepE]:
 
     ``twist_split(pi, zeta, s)`` splits pi into zeta-orbits, or returns None
     exactly when pi is not zeta-stable (zeta acts freely).  The distributions
-    of the orbits' s-th powers into r blocks are the fiber; for r = 1 it is a
-    singleton.  Ranks above ``MAX_FIBER_RANK`` raise :class:`BudgetExceeded` first,
-    and so do fibers of more than ``MAX_FIBER_SIZE`` members, seen by taking
-    at most one split more than that before any member is built.
+    of the orbits' s-th powers into r blocks are the fiber.  More than
+    ``MAX_FIBER_SIZE`` members raise :class:`BudgetExceeded` before any is
+    built: at r, D >= 2 (D distinct powers) there are at least max(r, D), the
+    orderings of a split with two different blocks and the swaps H - x + y of
+    a head H; the enumerator is stopped one split past the bound.
     """
     alg = algebra
     if pi.rank % alg.d:
         raise RankMismatch(f"rank {pi.rank} not divisible by d={alg.d}")
-    if pi.rank > MAX_FIBER_RANK:
-        raise BudgetExceeded(f"rank {pi.rank} exceeds fiber cap {MAX_FIBER_RANK}")
     check_parts(alg.r, "blocks")
     reps = twist_split(pi, alg.zeta, alg.s)
     if reps is None:
         raise NotStable("parameter is not stable under the zeta twist")
     pool = tuple(sorted(c**alg.s for c in reps))
+    if alg.r > 1 and len(set(pool)) > 1:
+        _check_fiber_size(max(alg.r, len(set(pool))))
     splits = list(islice(_multiset_splits(pool, alg.r, len(pool) // alg.r), MAX_FIBER_SIZE + 1))
     _check_fiber_size(len(splits))
     return {SphericalRepE(alg, tuple(SatakeParam(b) for b in split)) for split in splits}
@@ -300,15 +302,12 @@ def bc_fiber(z: SphericalRepE) -> set[SatakeParam]:
     Fiber members differ by coordinatewise multiplication by s-th roots of
     unity, up to permutation: a coordinate of multiplicity k takes a
     multiset of k of its s roots, so the fiber has prod C(k + s - 1, k)
-    members.  Block ranks above ``MAX_FIBER_RANK``, and fibers of more than
-    ``MAX_FIBER_SIZE`` members, raise :class:`BudgetExceeded` before any work.
+    members; more than ``MAX_FIBER_SIZE`` raise :class:`BudgetExceeded` first.
     """
     alg = z.algebra
     if any(b != z.blocks[0] for b in z.blocks[1:]):
         raise BlocksDiffer("blocks differ: parameter is not a base-change image")
     block = z.blocks[0]
-    if block.rank > MAX_FIBER_RANK:
-        raise BudgetExceeded(f"rank {block.rank} exceeds fiber cap {MAX_FIBER_RANK}")
     counts = Counter(block.coords)
     _check_fiber_size(prod(comb(k + alg.s - 1, k) for k in counts.values()))
     zeta = primitive_root(alg.s)
@@ -316,7 +315,7 @@ def bc_fiber(z: SphericalRepE) -> set[SatakeParam]:
         combinations_with_replacement([zeta**j * c.root(alg.s) for j in range(alg.s)], k)
         for c, k in counts.items()
     ]
-    return {SatakeParam(sum(choice, ())) for choice in product(*picks)}
+    return {SatakeParam([c for part in choice for c in part]) for choice in product(*picks)}
 
 
 def check_ia_bc_compat(y: SphericalRepE):

@@ -74,6 +74,10 @@ class PropertyResult(Record):
 # Pool builders
 
 
+def _divisors(d: int) -> list:
+    return [k for k in range(1, d + 1) if d % k == 0]
+
+
 def random_coordinate(rng: random.Random, max_order: int = 24, qspan: int = 3) -> Coordinate:
     n = rng.randint(1, max_order)
     a = rng.randrange(n)
@@ -92,8 +96,7 @@ def random_spherical(
 
 
 def random_algebra(rng: random.Random, d: int) -> CyclicAlgebra:
-    divisors = [r for r in range(1, d + 1) if d % r == 0]
-    r = rng.choice(divisors)
+    r = rng.choice(_divisors(d))
     return CyclicAlgebra(d, r, d // r)
 
 
@@ -151,8 +154,7 @@ def random_symbolic_product(rng: random.Random, d: int) -> Product:
     """Symbolic (payload-free) unitary product mixing all factor kinds."""
     factors = []
     for i in range(rng.randint(1, 3)):
-        divisors = [r for r in range(1, d + 1) if d % r == 0]
-        r = rng.choice(divisors)
+        r = rng.choice(_divisors(d))
         atom = CuspidalAtom(f"s{rng.randrange(10**6)}.{i}", "E", rng.randint(1, 2), d, r)
         kind = rng.random()
         k = rng.randint(1, 3)
@@ -171,9 +173,8 @@ def random_symbolic_product(rng: random.Random, d: int) -> Product:
 def random_places(rng: random.Random, d: int, count: int = None) -> tuple:
     count = count or rng.randint(1, 3)
     out = []
-    divisors = [f for f in range(1, d + 1) if d % f == 0]
     for i in range(count):
-        out.append(Place(f"v{i}", d, rng.choice(divisors)))
+        out.append(Place(f"v{i}", d, rng.choice(_divisors(d))))
     return tuple(out)
 
 
@@ -433,8 +434,7 @@ def crit9_lemma46(seed: int = 0, cases: int = 1000) -> PropertyResult:
 def crit9_separate(seed: int = 0, cases: int = 200) -> PropertyResult:
     def check(rng, i):
         d = rng.choice((2, 3, 4))
-        divisors = [r for r in range(1, d + 1) if d % r == 0]
-        r = rng.choice(divisors)
+        r = rng.choice(_divisors(d))
         places = random_places(rng, d)
         delta = random_global_discrete(rng, d, r, places)
         l = rng.randint(1, 3)

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import io
 import json
 import os
@@ -155,6 +156,18 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("usage: autoind") and refused in proc.stderr
+
+
+def test_the_readme_bound_table_names_each_constant_with_its_value():
+    # | `module.NAME` (also `other.NAME`) | value | ...: a row for a constant
+    # that was renamed, retuned or deleted fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (`\w+\.[A-Z_]+`[^|]*)\| ([\d ]+) \|", readme, re.M)
+    assert rows
+    for names, value in rows:
+        for module, name in re.findall(r"`(\w+)\.([A-Z_]+)`", names):
+            got = getattr(importlib.import_module(f"autoind.{module}"), name, None)
+            assert got == int(value.replace(" ", "")), f"{module}.{name}: README {value}, code {got}"
 
 
 class TestUsage:
@@ -357,7 +370,8 @@ def test_golden_output_is_byte_identical(doc, capsys):
     conductors 1, 3, 4, 6 and 12 and mixed denominators; lift-unitary and
     lift-elliptic on every factor kind, r < d, payloads and translates;
     lift-spherical, bc-spherical, fibers (ai and bc, members whose
-    coordinates tie on qexp and differ in (N, a)), global-lift (with the two
+    coordinates tie on qexp and differ in (N, a), and fibers of 1, 1 and 14
+    members at ranks 14, 13 and 13), global-lift (with the two
     repeated-coordinate documents a backtracking split refused) and separate."""
     verb = doc.stem.split("_")[0]
     code = main([verb, "--input", str(doc)])
@@ -387,6 +401,35 @@ class TestFibers:
         proc = run_cli_process(["fibers"], doc)
         assert proc.returncode == 2, proc.stderr
         assert json.loads(proc.stdout)["error"]["kind"] == "BudgetExceeded"
+
+
+    @pytest.mark.parametrize("doc, kind, count", [
+        # the lower bound max(r, D) refuses before any split is built
+        ({"direction": "ai", "algebra": {"d": 2, "r": 2, "s": 1},
+          "param": {"coords": [coord(0, 1, j, 1) for j in range(2500)]}}, "BudgetExceeded", None),
+        ({"direction": "ai", "algebra": {"d": 5000, "r": 5000, "s": 1},
+          "param": {"coords": [coord(0, 1, j, 1) for j in range(5000)]}}, "BudgetExceeded", None),
+        ({"direction": "ai", "algebra": {"d": 101, "r": 101, "s": 1},
+          "param": {"coords": [coord(0, 1, 0, 1)] * 100 + [coord(0, 1, 1, 1)]}}, "BudgetExceeded", None),
+        # one value: one split, 5000 blocks
+        ({"direction": "ai", "algebra": {"d": 5000, "r": 5000, "s": 1},
+          "param": {"coords": [coord(0, 1, 1, 1)] * 5000}}, None, 1),
+        # each coordinate alone in its <zeta>-coset of 5000 slots
+        ({"direction": "ai", "algebra": {"d": 5000, "r": 1, "s": 5000},
+          "param": {"coords": [coord(0, 1, j, 1) for j in range(5000)]}}, "NotStable", None),
+    ], ids=["split2-2500-distinct", "split5000-5000-distinct", "split101-a100-b",
+            "split5000-one-value", "field5000-separate-cosets"])
+    def test_a_large_fiber_document_ends_within_a_second(self, doc, kind, count):
+        proc = run_cli_process(["fibers"], doc, timeout=1)
+        got = json.loads(proc.stdout)
+        if kind:
+            assert proc.returncode == 2, proc.stderr
+            assert got["error"]["kind"] == kind
+            if kind == "BudgetExceeded":
+                assert got["error"]["detail"] == "fiber of more than 100 members"
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert got["count"] == count
 
 
 class TestLiftUnitary:

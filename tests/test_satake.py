@@ -1,19 +1,23 @@
 import random
+import sys
+import time
 from collections import Counter
 from fractions import Fraction as F
-from itertools import accumulate, product, repeat
+from itertools import accumulate, combinations, product, repeat
 from math import gcd
 from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from autoind import satake
 from autoind.errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
 from autoind.satake import (
     MAX_FIBER_SIZE,
     CyclicAlgebra,
     SatakeParam,
     SphericalRepE,
+    _multiset_splits,
     ai_fiber,
     bc_fiber,
     bc_map,
@@ -166,10 +170,46 @@ class TestAiFiber:
             ai_fiber(SatakeParam((coord(0),)), alg)
 
     def test_budget(self):
-        alg = CyclicAlgebra.field(2)
-        big = SatakeParam(tuple(coord(F(j, 14)) for j in range(14)))
+        # 14 distinct coordinates into two blocks of 7: C(14, 7) = 3432 members
+        big = SatakeParam(tuple(coord(0, j) for j in range(14)))
         with pytest.raises(BudgetExceeded):
-            ai_fiber(big, alg)
+            ai_fiber(big, CyclicAlgebra.split(2))
+
+    def test_a_high_rank_fiber_of_one_member(self):
+        # the 14 fourteenth roots of unity are stable under zeta = -1, and
+        # their squares, the 7 seventh roots, make the one block over field(2)
+        alg = CyclicAlgebra.field(2)
+        pi = SatakeParam(tuple(coord(F(j, 14)) for j in range(14)))
+        assert ai_fiber(pi, alg) == {rep(alg, [coord(F(j, 7)) for j in range(7)])}
+
+    @pytest.mark.parametrize("r, distinct", [(101, 2), (2, 101)])
+    def test_the_lower_bound_refuses_before_any_split(self, r, distinct, monkeypatch):
+        # at least max(r, D) members: refused without enumerating a split
+        def no_split(*args):
+            raise AssertionError("a split was enumerated")
+            yield
+
+        monkeypatch.setattr(satake, "_multiset_splits", no_split)
+        coords = [coord(0, j) for j in range(distinct)]
+        pi = SatakeParam(tuple(coords + [coords[0]] * (r * distinct - distinct)))
+        with pytest.raises(BudgetExceeded, match=f"more than {MAX_FIBER_SIZE} members"):
+            ai_fiber(pi, CyclicAlgebra.split(r))
+
+    def test_the_deepest_enumerated_fibers_fit_a_small_stack(self):
+        # a^99 b over split(100) has 100 members, one per block that holds b,
+        # and 100 distinct values at r = 2 are enumerated up to the bound:
+        # the recursion is r + D deep, both at most MAX_FIBER_SIZE
+        a, b = coord(0, 0), coord(0, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(400)
+        try:
+            fib = ai_fiber(SatakeParam((a,) * 99 + (b,)), CyclicAlgebra.split(100))
+            with pytest.raises(BudgetExceeded, match=f"more than {MAX_FIBER_SIZE} members"):
+                ai_fiber(SatakeParam(tuple(coord(0, j) for j in range(100))), CyclicAlgebra.split(2))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(fib) == 100
+        assert {y.blocks.index(SatakeParam((b,))) for y in fib} == set(range(100))
 
     def test_repeated_pool_is_counted_exactly(self):
         # six copies each of a and b into 3 blocks of 4: a block is a^k b^(4-k)
@@ -188,6 +228,35 @@ class TestAiFiber:
         pi = SatakeParam(tuple(coord(F(j, 8)) for j in range(8)))
         with pytest.raises(BudgetExceeded, match=f"more than {MAX_FIBER_SIZE} members"):
             ai_fiber(pi, CyclicAlgebra.split(4))
+
+
+def brute_splits(pool, r, size):
+    """Every split of pool into r ordered blocks of ``size``, from the choices
+    of positions for each block, sorted blocks, as a set."""
+    if not r:
+        return {()}
+    out = set()
+    for idx in combinations(range(len(pool)), size):
+        rest = tuple(v for i, v in enumerate(pool) if i not in idx)
+        block = tuple(pool[i] for i in idx)
+        out |= {(block,) + tail for tail in brute_splits(rest, r - 1, size)}
+    return out
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_multiset_splits_are_the_brute_force_splits_at_least_max_r_d_of_them(data):
+    # each split once, all of them, and at r, D >= 2 (D distinct values) at
+    # least max(r, D): the bound ai_fiber refuses by before enumerating
+    r = data.draw(st.integers(1, 4))
+    size = data.draw(st.integers(1, 8 // r))
+    pool = tuple(sorted(data.draw(st.lists(st.integers(0, 3), min_size=r * size, max_size=r * size))))
+    splits = list(_multiset_splits(pool, r, size))
+    assert len(splits) == len(set(splits))
+    assert set(splits) == brute_splits(pool, r, size)
+    distinct = len(set(pool))
+    if r > 1 and distinct > 1:
+        assert len(splits) >= max(r, distinct)
 
 
 def spread(a, zeta, r):
@@ -352,6 +421,15 @@ class TestBaseChange:
         mu = [primitive_root(3) ** j for j in range(3)]
         brute = {SatakeParam(tuple(w * x for w, x in zip(ch, roots))) for ch in product(mu, repeat=3)}
         assert fib == brute and len(fib) == 18
+
+    def test_a_high_rank_fiber_is_built_in_linear_time(self):
+        # at s = 1 a block of any rank has one member; joining its coordinates
+        # by tuple addition took 3.6 s at rank 40 000, where this takes 0.25 s
+        alg = CyclicAlgebra.split(2)
+        block = SatakeParam(tuple(coord(F(1, 3), j) for j in range(40_000)))
+        start = time.perf_counter()
+        assert bc_fiber(SphericalRepE(alg, (block, block))) == {block}
+        assert time.perf_counter() - start < 2
 
     def test_differing_blocks_rejected(self):
         alg = CyclicAlgebra(4, 2, 2)
