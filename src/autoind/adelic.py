@@ -10,7 +10,7 @@ are then all placewise-checkable statements.
 
 The Galois generator acts at a place by rotating the e_v local blocks; the
 twist character acts by the place's root of unity zeta_v of order f_v.  The
-global lift splits with ``satake.twist_split``, as the local fibers do;
+global lift reads its F-side datum off the E-side blocks, in closed form;
 separation searches the Galois translates, which act at v modulo e_v.
 """
 
@@ -35,7 +35,6 @@ from .satake import (
     check_ia_bc_compat,
     delta_map,
     param_of_unramified_character,
-    twist_split,
 )
 
 
@@ -267,11 +266,16 @@ class InducedGlobal(Record):
 def global_ai_lift(Pi: GlobalDiscrete) -> InducedGlobal:
     """The r-fold twisted product lifting a discrete datum over E.
 
-    Builds the F-side discrete delta placewise by splitting the lifted
-    cuspidal multiset into r twist-translates with ``satake.twist_split``,
-    then verifies placewise, on the cuspidal data, that the induced local
-    datum equals the lifting map of Pi's local datum; so the work does not
-    grow with the Speh length q.
+    Builds the F-side discrete delta placewise off Pi's cuspidal blocks, with
+    no search.  At v (e blocks of degree f, zeta of order f) the blocks repeat
+    with period p = gcd(g, e), and delta's datum holds, for each f-th root t
+    of a coordinate of the first p blocks, zeta^(h j) top(t) for j < f/h,
+    h = gcd(r, f), top(t) the greatest member of t's <zeta>-coset.  Each class
+    mod h occurs r/h times among the twists zeta^i, i < r, so the r twists
+    hold each coset r/h = e/p times, as the lifting map does.  It then
+    verifies placewise, on the cuspidal data, that the induced local datum
+    equals the lifting map of Pi's local datum; so the work does not grow
+    with the Speh length q.
     """
     if Pi.side != "E":
         raise ShapeError("global lift is defined on E-side data")
@@ -280,13 +284,12 @@ def global_ai_lift(Pi: GlobalDiscrete) -> InducedGlobal:
     cusp_locals: Dict[str, SatakeParam] = {}
     lifted = []  # each place's lifted cuspidal datum, for the coherence check
     for v in Pi.places:
-        lifted.append(delta_map(Pi.cusp_local(v)))
-        a = twist_split(lifted[-1], v.zeta, r)
-        if a is None:
-            raise LocalMismatch(
-                v.label, "lifted local datum does not split into twist translates"
-            )
-        cusp_locals[v.label] = SatakeParam(a)
+        y = Pi.cusp_local(v)
+        lifted.append(delta_map(y))  # refuses m d past MAX_PARTS: the tops cost m p f <= m d
+        coset = [v.zeta**i for i in range(v.f)]
+        firsts = (c for b in y.blocks[: gcd(Pi.g, v.e)] for c in b.coords)
+        tops = [max(c.root(v.f) * z for z in coset) for c in firsts]
+        cusp_locals[v.label] = SatakeParam(tuple(z * t for t in tops for z in coset[:: gcd(r, v.f)]))
     delta = GlobalDiscrete(
         label=f"ai:{Pi.label}",
         side="F",

@@ -9,17 +9,18 @@ spreading them along the powers of the twist root zeta.
 All maps here are the parameter-level (weak-lift) versions; fibers are
 computed constructively and are exponential in the rank, so a constant bound
 on the members (``MAX_FIBER_SIZE``, checked before any is built) stops
-runaway enumeration; ``twist_split`` solves each <zeta>-coset in closed form,
-so it needs no bound.  The maps that build one coordinate, block or factor
-per unit of a number in their input (d, r or l) check ``MAX_PARTS`` first.
+runaway enumeration.  Whether pi is in the image of ``delta_map`` is read off
+its multiset: every value must occur as often as its zeta-twist.  The maps
+that build one coordinate, block or factor per unit of a number in their
+input (d, r or l) check ``MAX_PARTS`` first.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import combinations_with_replacement, islice, product
-from math import comb, gcd, prod
-from typing import Optional, Tuple
+from math import comb, prod
+from typing import Tuple
 
 from .values import ONE, Coordinate, CyclicAlgebra, Record, _reduced, primitive_root, set_field
 from .errors import MAX_PARTS, BlocksDiffer, BudgetExceeded, NotStable, RankMismatch, check_parts
@@ -149,82 +150,6 @@ def delta_map(y: SphericalRepE) -> SatakeParam:
     return SatakeParam(tuple(out))
 
 
-def _window_solutions(m: list, r: int):
-    """Every a >= 0 with ``sum(a[j - i] for i < r) == m[j]`` at each j mod f = len(m),
-    as ``[m, w, X]``: the a are w + x[j mod g], g = gcd(r, f), for the x >= 0
-    summing to X; None when there is none.  With r = k f + t and S = sum(a) =
-    sum(m) / r, b = m - k S holds the length-t window sums, so a[j + t] - a[j] =
-    b[j + t] - b[j + t - 1] fixes a on each class mod g up to a constant, and w
-    shifts each class to least entry 0."""
-    f = len(m)
-    k, t = divmod(r, f)
-    S, rest = divmod(sum(m), r)
-    b = [x - k * S for x in m]
-    g = gcd(r, f)
-    if rest or min(b) < 0 or len({sum(b[c::g]) for c in range(g)}) > 1:
-        return None
-    if not t:  # whole cycles: b sums to t S = 0, and any a summing to S is one
-        return [m, [0] * f, S]
-    w = [0] * f
-    for c in range(g):
-        for j in range(c, c + t * (f // g - 1), t):
-            w[(j + t) % f] = w[j % f] + b[(j + t) % f] - b[(j + t - 1) % f]
-        low = min(w[c::g])
-        w[c::g] = [x - low for x in w[c::g]]
-    X, rest = divmod(b[0] - sum(w[-i] for i in range(t)), t // g)
-    return None if rest or X < 0 else [m, w, X]
-
-
-def twist_split(pi: SatakeParam, zeta: Coordinate, r: int) -> Optional[Tuple[Coordinate, ...]]:
-    """Find A with the union of ``zeta^i A`` (i < r) equal to pi, or None.
-
-    The twist-orbit splitter of ``ai_fiber`` (r = s, the order of the root
-    of unity zeta) and of ``adelic.global_ai_lift`` (r below or above it).
-    The largest remaining coordinate c lies in some ``zeta^i A``, so A holds
-    one of the distinct ``c zeta^(-i)``, i < min(r, order of zeta): the split
-    places the first that leaves a split of the rest.  Whether it does is read
-    off c's <zeta>-coset, solved once by ``_window_solutions`` and kept up to
-    date, so nothing is undone and the answer is a search's first one.
-    """
-    if pi.rank % r:
-        return None
-    size = pi.rank // r
-    if not size:  # before anything of size r or f: both are unbounded on an empty pi
-        return ()
-    f = zeta.torsion_order()
-    g = gcd(r, f)
-    step = pow(zeta.a, -1, f)  # the angle u/f above c's coset root is zeta^(u step)
-    cosets, where = defaultdict(dict), {}
-    for c, mult in Counter(pi.coords).items():
-        u, low = divmod(c.a * f, c.n)
-        h = gcd(low, c.n)
-        key, j = where[c] = (low // h, c.n // h, c.p, c.r), u * step % f
-        cosets[key][j] = mult
-    if r >= f and any(len(m) < f for m in cosets.values()):  # a window covers a cycle
-        return None
-    cosets = {key: _window_solutions([m.get(j, 0) for j in range(f)], r) for key, m in cosets.items()}
-    if None in cosets.values():
-        return None
-    inverse, tries = zeta.inverse(), min(r, f)
-    coords, top, out = pi.coords, len(pi.coords) - 1, []
-    while len(out) < size:
-        key, j = where[coords[top]]
-        m, w, X = coset = cosets[key]
-        if not m[j]:
-            top -= 1
-            continue
-        i = next(i for i in range(tries) if w[(j - i) % f] + X > 0)
-        s = (j - i) % f
-        if not w[s]:  # only the solutions with one more in s's class are left
-            coset[2] -= 1
-            w[s % g :: g] = [x + 1 for x in w[s % g :: g]]
-        w[s] -= 1
-        for u in range(s, s + r):
-            m[u % f] -= 1
-        out.append(coords[top] * inverse**i if i else coords[top])
-    return tuple(out)
-
-
 def _sub_multisets(mults: tuple, size: int, i: int = 0):
     """Every tuple c of the length of mults, c <= mults entrywise, with sum size."""
     if i == len(mults):
@@ -236,22 +161,22 @@ def _sub_multisets(mults: tuple, size: int, i: int = 0):
             yield (c,) + tail
 
 
-def _multiset_splits(items: tuple, r: int, size: int):
-    """All ways to split the sorted multiset into r ordered blocks of ``size``.
+def _multiset_splits(mults: tuple, r: int, size: int):
+    """All ways to split the multiset with multiplicities ``mults`` into r
+    ordered blocks of ``size``, each split as r count vectors.
 
     A block is a sub-multiset, not a choice of positions, and every head
     extends to a split, so each split comes once and the work grows with the
-    number of splits taken, in a recursion at most r + D deep (D values).
+    number of splits taken times r D (D values), not with the rank, in a
+    recursion at most r + D deep.
     """
-    if r == 1 or len(set(items)) < 2:
-        yield (items[:size],) * r
+    if r == 1 or sum(1 for k in mults if k) < 2:
+        yield (tuple(k // r for k in mults),) * r
         return
-    pool = Counter(items)
-    for head in _sub_multisets(tuple(pool.values()), size):
-        block = tuple(v for v, h in zip(pool, head) for _ in range(h))
-        rest = tuple(v for v, k, h in zip(pool, pool.values(), head) for _ in range(k - h))
+    for head in _sub_multisets(mults, size):
+        rest = tuple(k - h for k, h in zip(mults, head))
         for tail in _multiset_splits(rest, r - 1, size):
-            yield (block,) + tail
+            yield (head,) + tail
 
 
 def _check_fiber_size(size: int):
@@ -262,27 +187,39 @@ def _check_fiber_size(size: int):
 def ai_fiber(pi: SatakeParam, algebra: CyclicAlgebra) -> set[SphericalRepE]:
     """All y over E with ``delta_map(y) == pi``, computed constructively.
 
-    ``twist_split(pi, zeta, s)`` splits pi into zeta-orbits, or returns None
-    exactly when pi is not zeta-stable (zeta acts freely).  The distributions
-    of the orbits' s-th powers into r blocks are the fiber.  More than
+    pi is in the image exactly when it is zeta-stable, that is when every
+    value c has the multiplicity of zeta c; zeta has exact order s, so the
+    values of one s-th power make whole orbits of s, and the fiber is the
+    distributions of those powers, one per orbit, into r blocks.  More than
     ``MAX_FIBER_SIZE`` members raise :class:`BudgetExceeded` before any is
     built: at r, D >= 2 (D distinct powers) there are at least max(r, D), the
     orderings of a split with two different blocks and the swaps H - x + y of
-    a head H; the enumerator is stopped one split past the bound.
+    a head H; the enumerator is stopped one split past the bound, and builds
+    its splits as count vectors, so a refusal costs no block.
     """
     alg = algebra
     if pi.rank % alg.d:
         raise RankMismatch(f"rank {pi.rank} not divisible by d={alg.d}")
     check_parts(alg.r, "blocks")
-    reps = twist_split(pi, alg.zeta, alg.s)
-    if reps is None:
+    counts = Counter(pi.coords)
+    if any(counts[alg.zeta * c] != k for c, k in counts.items()):
         raise NotStable("parameter is not stable under the zeta twist")
-    pool = tuple(sorted(c**alg.s for c in reps))
-    if alg.r > 1 and len(set(pool)) > 1:
-        _check_fiber_size(max(alg.r, len(set(pool))))
-    splits = list(islice(_multiset_splits(pool, alg.r, len(pool) // alg.r), MAX_FIBER_SIZE + 1))
+    pool = Counter()
+    for c, k in counts.items():
+        pool[c**alg.s] += k
+    values = sorted(pool)
+    mults = tuple(pool[v] // alg.s for v in values)
+    if alg.r > 1 and len(values) > 1:
+        _check_fiber_size(max(alg.r, len(values)))
+    size = pi.rank // alg.d
+    splits = list(islice(_multiset_splits(mults, alg.r, size), MAX_FIBER_SIZE + 1))
     _check_fiber_size(len(splits))
-    return {SphericalRepE(alg, tuple(SatakeParam(b) for b in split)) for split in splits}
+    return {
+        SphericalRepE(alg, tuple(
+            SatakeParam(tuple(v for v, k in zip(values, block) for _ in range(k))) for block in split
+        ))
+        for split in splits
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,10 @@ def _divisors(d: int) -> list:
     return [k for k in range(1, d + 1) if d % k == 0]
 
 
-def random_coordinate(rng: random.Random, max_order: int = 24, qspan: int = 3) -> Coordinate:
+def random_coordinate(rng: random.Random, max_order: int = 24) -> Coordinate:
     n = rng.randint(1, max_order)
     a = rng.randrange(n)
-    qexp = Fraction(rng.randint(-qspan * 2, qspan * 2), rng.choice((1, 2)))
+    qexp = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
     return Coordinate.of(Fraction(a, n), qexp)
 
 
@@ -127,15 +127,15 @@ def random_unramified_atom(rng: random.Random, d: int, uid: str) -> CuspidalAtom
     return CuspidalAtom(uid, "E", 1, d, d, random_coordinate(rng, max_order=12))
 
 
-def random_unitary_product(rng: random.Random, d: int, max_rank: int = 6) -> Product:
-    """Unramified unitary product over E of total rank <= max_rank."""
+def random_unitary_product(rng: random.Random, d: int) -> Product:
+    """Unramified unitary product over E of total rank <= 6."""
     factors = []
     rank = 0
     i = 0
-    while rank < max_rank and (not factors or rng.random() < 0.7):
+    while rank < 6 and (not factors or rng.random() < 0.7):
         atom = random_unramified_atom(rng, d, f"x{rng.randrange(10**6)}.{i}")
         i += 1
-        budget = max_rank - rank
+        budget = 6 - rank
         if budget >= 2 and rng.random() < 0.3:
             q = rng.randint(1, budget // 2)
             twist = Fraction(rng.randint(-2, 2), 2)
@@ -179,7 +179,7 @@ def random_places(rng: random.Random, d: int, count: int = None) -> tuple:
 
 
 def random_global_discrete(
-    rng: random.Random, d: int, r: int, places, m0: int = None, q: int = None, label=None
+    rng: random.Random, d: int, r: int, places, m0: int = None, q: int = None
 ) -> GlobalDiscrete:
     """E-side discrete datum with sigma^g-stable local data at every place."""
     g = d // r
@@ -194,9 +194,7 @@ def random_global_discrete(
         ]
         blocks = tuple(base[i % p] for i in range(v.e))
         locals_[v.label] = SphericalRepE(v.algebra, blocks)
-    return GlobalDiscrete(
-        label or f"L{rng.randrange(10**6)}", "E", d, r, q, places, locals_
-    )
+    return GlobalDiscrete(f"L{rng.randrange(10**6)}", "E", d, r, q, places, locals_)
 
 
 # ---------------------------------------------------------------------------

@@ -727,10 +727,11 @@ class TestGlobalVerbs:
         assert [(f["q"], f["translate"]) for f in got["factors"]] == [(1000000, 0), (1000000, 1)]
 
     def test_global_lift_is_linear_in_r(self):
-        # r = d = f = 4000 twist translates of one coordinate: the split tries
-        # each candidate once and the lift is built as one tuple per place;
-        # r = 1 places the 4000 lifted coordinates one at a time, so a split
-        # that did work of the size of f per candidate would be quadratic
+        # r = d = f = 4000 twist translates of one coordinate, and r = 1: the
+        # lift takes f products for the top of the one coset, then one per
+        # coordinate of the datum (1 and 4000), built as one tuple per place,
+        # so a lift that did work of the size of f per coordinate would be
+        # quadratic
         d = 4000
         for r in (d, 1):
             doc = {
@@ -745,7 +746,7 @@ class TestGlobalVerbs:
             coords = got["factors"][0]["locals"]["v"]["coords"]
             assert len(coords) == d // r
             if r == d:
-                # the split keeps the largest 4000-th root of (1/3, q): the
+                # the datum is the largest 4000-th root of (1/3, q): the
                 # canonical order puts zeta = 11989/12000 last among the roots
                 assert coords == [coord(11989, 12000, 1, 4000)]
 

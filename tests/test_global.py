@@ -1,7 +1,9 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
-from math import gcd
+from itertools import accumulate, repeat
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +218,71 @@ def test_every_valid_datum_has_a_strong_lift(Pi):
     assert len(lift.factors) == Pi.orbit
     for v in Pi.places:
         assert lift.local(v) == delta_map(Pi.local(v))
+
+
+class Refused(Exception):
+    """The reference search undid more placements than it may."""
+
+
+def backtracking_split(pi, zeta, r, max_undos=100):
+    """The reference of the global lift's F-side datum: a depth-first search
+    for A with the union of ``zeta^i A`` (i < r) equal to pi.  On the largest
+    remaining coordinate c, place the first ``c zeta^-i``, i < min(r, order of
+    zeta), whose r translates are all left, and undo the last placement when
+    none is.  Past ``max_undos`` undos it raises Refused."""
+    if pi.rank % r:
+        return None
+    size = pi.rank // r
+    if not size:
+        return ()
+    coords = pi.coords
+    counter = Counter(coords)
+    powers = [zeta**i for i in range(r)]
+    tries = min(r, zeta.torsion_order())
+    stack = []  # per coordinate placed: (it, its need, the level's untried candidates, top)
+    top, untried, undos = len(coords) - 1, None, 0
+    while len(stack) < size:
+        if untried is None:
+            while not counter[coords[top]]:
+                top -= 1
+            untried = accumulate(repeat(zeta.inverse(), tries - 1), mul, initial=coords[top])
+        for a in untried:
+            need = Counter(z * a for z in powers)
+            if all(counter[m] >= k for m, k in need.items()):
+                counter.subtract(need)
+                stack.append((a, need, untried, top))
+                untried = None
+                break
+        else:
+            if not stack:
+                return None
+            undos += 1
+            if undos > max_undos:
+                raise Refused
+            _, need, untried, top = stack.pop()
+            counter.update(need)
+    return tuple(a for a, *_ in stack)
+
+
+@settings(deadline=None)
+@given(global_data())
+def test_the_lift_is_the_backtracking_split_at_every_place_and_translate(Pi):
+    # the F-side datum read off the blocks is the search's first split, for
+    # Pi and each of its distinct translates, wherever the search finishes
+    want = {}
+    for v in Pi.places:
+        try:
+            split = backtracking_split(delta_map(Pi.cusp_local(v)), v.zeta, Pi.orbit)
+        except Refused:
+            continue
+        assert split is not None
+        want[v] = SatakeParam(split)
+    for j in range(lcm(*(v.e for v in Pi.places))):
+        P = Pi.translated(j)
+        delta = next(f for f in global_ai_lift(P).factors if f.translate == 0)
+        for v, split in want.items():
+            assert delta_map(P.cusp_local(v)) == delta_map(Pi.cusp_local(v))
+            assert delta.cusp_local(v) == split
 
 
 class TestRigidity:

@@ -3,12 +3,11 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction as F
-from itertools import accumulate, combinations, product, repeat
+from itertools import combinations, product
 from math import gcd
-from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from autoind import satake
 from autoind.errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch
@@ -24,7 +23,6 @@ from autoind.satake import (
     check_ia_bc_compat,
     delta_map,
     param_of_unramified_character,
-    twist_split,
 )
 from autoind.values import Coordinate, primitive_root
 from autoind.verify import (
@@ -221,6 +219,57 @@ class TestAiFiber:
         assert len(fib) == sum(1 for ks in product(range(5), repeat=3) if sum(ks) == 6) == 19
         assert all(delta_map(y) == pi for y in fib)
 
+    def test_a_refused_fiber_builds_no_block(self):
+        # a^N b^N over split(2) has N + 1 members: the enumerator takes 101
+        # splits as count vectors, where rebuilding the rank-N blocks of
+        # every split took 0.4-0.6 s at N = 25 000
+        a, b = coord(0, 0), coord(0, 1)
+        pi = SatakeParam((a,) * 25_000 + (b,) * 25_000)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=f"more than {MAX_FIBER_SIZE} members"):
+            ai_fiber(pi, CyclicAlgebra.split(2))
+        assert time.perf_counter() - start < 0.1
+
+    def test_none_exactly_when_not_stable(self):
+        # NotStable exactly when pi is not zeta-stable, over a field or two
+        # blocks, for any generator zeta of order s; otherwise the fiber is
+        # the brute-force one
+        rng = random.Random(11)
+        seen = Counter()
+        for _ in range(300):
+            s, r = rng.choice((2, 3, 4)), rng.choice((1, 2))
+            zeta = primitive_root(s) ** rng.choice([a for a in range(1, s) if gcd(a, s) == 1])
+            alg = CyclicAlgebra(r * s, r, s, zeta)
+            if rng.random() < 0.5:
+                orbits = [coord(F(rng.randrange(6), 6), rng.randint(-1, 1)) for _ in range(r * rng.randint(1, 2))]
+                pi = spread(orbits, zeta, s)
+                if rng.random() < 0.5:
+                    cs = list(pi.coords)
+                    cs[rng.randrange(len(cs))] = coord(F(rng.randrange(6), 6))
+                    pi = SatakeParam(tuple(cs))
+            else:
+                pi = SatakeParam(tuple(coord(F(rng.randrange(4), 4)) for _ in range(alg.d * rng.randint(1, 2))))
+            stable = pi.twist(zeta) == pi
+            seen[stable, r] += 1
+            if stable:
+                assert ai_fiber(pi, alg) == _brute_ai_fiber(pi, alg)
+            else:
+                with pytest.raises(NotStable):
+                    ai_fiber(pi, alg)
+        assert len(seen) == 4 and min(seen.values()) >= 30, seen
+
+    def test_a_field_with_another_generator(self):
+        # zeta = e^(2 pi i 2/5) spreads y's fifth roots in another order, to
+        # the same multiset; one coordinate moved within its orbit is refused
+        alg = CyclicAlgebra.field(5, coord(F(2, 5)))
+        y = rep(alg, [coord(F(1, 3), 1), coord(0, -1), coord(0, -1)])
+        pi = delta_map(y)
+        assert pi == delta_map(rep(CyclicAlgebra.field(5), *(b.coords for b in y.blocks)))
+        assert ai_fiber(pi, alg) == {y}
+        moved = SatakeParam(pi.coords[1:] + (pi.coords[0] * coord(F(1, 5)) ** 2,))
+        with pytest.raises(NotStable):
+            ai_fiber(moved, alg)
+
     def test_fiber_size_cap(self):
         # 3 distinct coordinates over split(3): 6 members; over split(4) with
         # 8 distinct ones, 8!/2^4 = 2520 > MAX_FIBER_SIZE
@@ -251,7 +300,11 @@ def test_multiset_splits_are_the_brute_force_splits_at_least_max_r_d_of_them(dat
     r = data.draw(st.integers(1, 4))
     size = data.draw(st.integers(1, 8 // r))
     pool = tuple(sorted(data.draw(st.lists(st.integers(0, 3), min_size=r * size, max_size=r * size))))
-    splits = list(_multiset_splits(pool, r, size))
+    # the count vectors over the values 0..3, a value of the pool's or not
+    splits = [
+        tuple(tuple(v for v, k in enumerate(block) for _ in range(k)) for block in split)
+        for split in _multiset_splits(tuple(pool.count(v) for v in range(4)), r, size)
+    ]
     assert len(splits) == len(set(splits))
     assert set(splits) == brute_splits(pool, r, size)
     distinct = len(set(pool))
@@ -262,138 +315,6 @@ def test_multiset_splits_are_the_brute_force_splits_at_least_max_r_d_of_them(dat
 def spread(a, zeta, r):
     """The multiset union of zeta^i a for a in A and i < r."""
     return SatakeParam(tuple(zeta**i * c for c in a for i in range(r)))
-
-
-class Refused(Exception):
-    """The reference search undid more placements than it may."""
-
-
-def backtracking_split(pi, zeta, r, max_undos=100):
-    """The depth-first search ``twist_split`` replaced, kept as its reference:
-    on the largest remaining coordinate c, place the first ``c zeta^-i``,
-    i < min(r, order of zeta), whose r translates are all left, and undo the
-    last placement when none is.  Past ``max_undos`` undos it raises Refused."""
-    if pi.rank % r:
-        return None
-    size = pi.rank // r
-    if not size:
-        return ()
-    coords = pi.coords
-    counter = Counter(coords)
-    powers = [zeta**i for i in range(r)]
-    tries = min(r, zeta.torsion_order())
-    stack = []  # per coordinate placed: (it, its need, the level's untried candidates, top)
-    top, untried, undos = len(coords) - 1, None, 0
-    while len(stack) < size:
-        if untried is None:
-            while not counter[coords[top]]:
-                top -= 1
-            untried = accumulate(repeat(zeta.inverse(), tries - 1), mul, initial=coords[top])
-        for a in untried:
-            need = Counter(z * a for z in powers)
-            if all(counter[m] >= k for m, k in need.items()):
-                counter.subtract(need)
-                stack.append((a, need, untried, top))
-                untried = None
-                break
-        else:
-            if not stack:
-                return None
-            undos += 1
-            if undos > max_undos:
-                raise Refused
-            _, need, untried, top = stack.pop()
-            counter.update(need)
-    return tuple(a for a, *_ in stack)
-
-
-@st.composite
-def split_cases(draw):
-    """(pi, zeta, r): f <= 12, zeta any generator of order f, r <= 2f + 2, and
-    pi the r translates of A over 1-3 values, so that coordinates repeat; in
-    about 30% of the cases one coordinate is moved off the split."""
-    f = draw(st.integers(1, 12))
-    zeta = coord(F(draw(st.sampled_from([k for k in range(f) if gcd(k, f) == 1])), f))
-    r = draw(st.integers(1, 2 * f + 2))
-    values = draw(st.lists(
-        st.builds(coord, st.integers(0, 23).map(lambda a: F(a, 24)), st.sampled_from((0, F(1, 2), 1))),
-        min_size=1, max_size=3,
-    ))
-    coords = [zeta**i * a for a in draw(st.lists(st.sampled_from(values), max_size=6)) for i in range(r)]
-    if coords and draw(st.integers(0, 9)) < 3:
-        moved = draw(st.sampled_from(values)) * zeta ** draw(st.integers(0, f - 1))
-        coords[draw(st.integers(0, len(coords) - 1))] = moved
-    return SatakeParam(tuple(coords)), zeta, r
-
-
-@settings(deadline=None)
-@given(split_cases())
-def test_twist_split_answers_as_the_backtracking_search(case):
-    pi, zeta, r = case
-    try:
-        want = backtracking_split(pi, zeta, r)
-    except Refused:
-        assume(False)
-    got = twist_split(pi, zeta, r)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None and SatakeParam(got) == SatakeParam(want)
-
-
-class TestTwistSplit:
-    def test_full_orbits(self):
-        z3 = primitive_root(3)
-        a, b = coord(F(1, 5), 1), coord(0, -1)
-        pi = spread((a, b, b), z3, 3)
-        got = twist_split(pi, z3, 3)
-        assert len(got) == 3 and spread(got, z3, 3) == pi
-
-    def test_r_below_the_order_of_zeta(self):
-        z4 = primitive_root(4)
-        c = coord(F(3, 28), 2)
-        # the largest coordinate c cannot open a window {c, zeta c}: the
-        # split must start one step back, at c zeta^-1
-        pi = SatakeParam((c * z4.inverse(), c))
-        assert pi.coords[-1] == c
-        assert twist_split(pi, z4, 2) == (c * z4.inverse(),)
-        pi = spread((c, coord(0)), z4, 2)
-        got = twist_split(pi, z4, 2)
-        assert len(got) == 2 and spread(got, z4, 2) == pi
-
-    def test_r_above_the_order_of_zeta(self):
-        # global_ai_lift at a place with f < d: r = 4 translates by a zeta of
-        # order 2 visit each orbit member twice
-        z2 = primitive_root(2)
-        a = coord(F(1, 3), 1)
-        pi = spread((a,), z2, 4)
-        assert pi.rank == 4
-        got = twist_split(pi, z2, 4)
-        assert len(got) == 1 and spread(got, z2, 4) == pi
-
-    def test_none_when_no_split(self):
-        z2 = primitive_root(2)
-        assert twist_split(SatakeParam((coord(0), coord(F(1, 3)))), z2, 2) is None
-        assert twist_split(SatakeParam((coord(0),) * 3), z2, 2) is None
-
-    def test_none_exactly_when_not_stable(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            s = rng.choice((2, 3, 4))
-            zeta = primitive_root(s)
-            if rng.random() < 0.5:
-                orbits = [coord(F(rng.randrange(6), 6), rng.randint(-1, 1)) for _ in range(rng.randint(1, 3))]
-                pi = spread(orbits, zeta, s)
-                if rng.random() < 0.5:
-                    cs = list(pi.coords)
-                    cs[rng.randrange(len(cs))] = coord(F(rng.randrange(6), 6))
-                    pi = SatakeParam(tuple(cs))
-            else:
-                pi = SatakeParam(tuple(coord(F(rng.randrange(4), 4)) for _ in range(s * rng.randint(1, 2))))
-            got = twist_split(pi, zeta, s)
-            assert (got is None) == (pi.twist(zeta) != pi)
-            if got is not None:
-                assert spread(got, zeta, s) == pi
 
 
 class TestBaseChange:
