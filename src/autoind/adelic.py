@@ -17,25 +17,12 @@ separation searches the Galois translates, which act at v modulo e_v.
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Optional, Tuple
 
 from .values import Coordinate, CyclicAlgebra, Record, json_int, primitive_root, set_field
-from .errors import (
-    BadOrbit,
-    HypothesisViolated,
-    LocalMismatch,
-    PlaceSetMismatch,
-    ShapeError,
-    check_parts,
-)
-from .satake import (
-    SatakeParam,
-    SphericalRepE,
-    check_ia_bc_compat,
-    delta_map,
-    param_of_unramified_character,
-)
+from .errors import BadOrbit, HypothesisViolated, LocalMismatch, PlaceSetMismatch, ShapeError, check_parts
+from .satake import SatakeParam, SphericalRepE, check_ia_bc_compat, delta_map, staircase
 
 
 class Place(Record):
@@ -77,13 +64,7 @@ def _staircase(y: SatakeParam, q: int, qscale: int) -> SatakeParam:
     """Replace every coordinate c of y by the staircase of c of length q; more
     than ``MAX_PARTS`` coordinates are refused before any is built."""
     check_parts(q * y.rank, "coordinates")
-    return SatakeParam(
-        tuple(
-            x
-            for c in y.coords
-            for x in param_of_unramified_character(c, q, qscale).coords
-        )
-    )
+    return SatakeParam(tuple(x for c in y.coords for x in staircase(c, q, qscale)))
 
 
 class GlobalDiscrete(Record):
@@ -154,7 +135,8 @@ class GlobalDiscrete(Record):
         z = self.cusp_locals[v.label]
         if self.side == "E":
             return z.rotate(self.translate % v.e)
-        return z.twist(v.zeta**self.translate)
+        j = self.translate % v.f
+        return z.twist(v.zeta**j) if j else z
 
     def local(self, v: Place):
         """Local component of the Speh datum at v: staircases of length q."""
@@ -290,15 +272,7 @@ def global_ai_lift(Pi: GlobalDiscrete) -> InducedGlobal:
         firsts = (c for b in y.blocks[: gcd(Pi.g, v.e)] for c in b.coords)
         tops = [max(c.root(v.f) * z for z in coset) for c in firsts]
         cusp_locals[v.label] = SatakeParam(tuple(z * t for t in tops for z in coset[:: gcd(r, v.f)]))
-    delta = GlobalDiscrete(
-        label=f"ai:{Pi.label}",
-        side="F",
-        d=Pi.d,
-        orbit=r,
-        q=Pi.q,
-        places=Pi.places,
-        cusp_locals=cusp_locals,
-    )
+    delta = GlobalDiscrete(f"ai:{Pi.label}", "F", Pi.d, r, Pi.q, Pi.places, cusp_locals)
     out = InducedGlobal(tuple(delta.translated(i) for i in range(r)))
     for v, image in zip(Pi.places, lifted):
         # delta_map commutes with the staircase, injective on multisets: same as the Speh check
@@ -319,13 +293,25 @@ def rigidity_check(a: InducedGlobal, b: InducedGlobal) -> bool:
 # The Euler-factor identity of the separation lemma
 
 
-def _quotients(a: Counter, b: Counter) -> Counter:
-    """Every quotient x/y of x in a and y in b: m*n for each distinct pair."""
-    out = Counter()
-    for y, n in b.items():
-        y = y.inverse()  # once per distinct y
-        for x, m in a.items():
-            out[x * y] += m * n
+def _packed(*params: SatakeParam):
+    """N and each multiset as int counts ``{t N + i: count}``, t the q-numerator over
+    R and i the root index mod N, N and R the lcms of all their q and zeta
+    denominators: injective at fixed (N, R)."""
+    n = lcm(*(c.n for x in params for c in x.coords))
+    r = lcm(*(c.r for x in params for c in x.coords))
+    return n, [Counter(c.p * (r // c.r) * n + c.a * (n // c.n) for c in x.coords) for x in params]
+
+
+def _quotients(a: dict, b: dict, n: int) -> dict:
+    """Every quotient x/y of packed x in a and y in b, by int subtraction (plus n
+    where the root index would go below 0): m*k for each distinct pair."""
+    out = {}
+    xs = [(x, x % n, m) for x, m in a.items()]
+    for y, k in b.items():
+        i = y % n
+        for x, j, m in xs:
+            key = x - y + n if j < i else x - y
+            out[key] = out.get(key, 0) + m * k
     return out
 
 
@@ -336,18 +322,19 @@ def lemma46_local_identity(
 
     Requires l copies of delta and l_p copies of delta_p to agree as one
     multiset; then d*l_p copies of the (delta_p, delta) inverse roots must
-    equal d*l copies of the (delta, delta) inverse roots.  Both sides are
-    counted over the distinct values, one product per distinct pair.
+    equal d*l copies of the (delta, delta) inverse roots.  Both multisets are
+    packed once as ints (:func:`_packed`), so both sides are counted over the
+    distinct values by int subtraction, one per distinct pair.
     """
-    a, b = Counter(delta.coords), Counter(delta_p.coords)
+    n, (a, b) = _packed(delta, delta_p)
     if _scaled(a, l) != _scaled(b, l_p):
         raise HypothesisViolated("l copies of delta and l' of delta' differ")
-    return _scaled(_quotients(b, a), d * l_p) == _scaled(_quotients(a, a), d * l)
+    return _scaled(_quotients(b, a, n), d * l_p) == _scaled(_quotients(a, a, n), d * l)
 
 
-def _scaled(counts: Counter, k: int) -> Counter:
+def _scaled(counts: dict, k: int) -> dict:
     """The multiset with every multiplicity multiplied by k."""
-    return Counter({c: n * k for c, n in counts.items()})
+    return {c: m * k for c, m in counts.items()}
 
 
 # ---------------------------------------------------------------------------

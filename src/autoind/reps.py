@@ -22,6 +22,7 @@ A :class:`Product` is a multiset of factors of three kinds (:class:`Speh`,
 from __future__ import annotations
 
 from itertools import islice, product
+from math import prod
 from typing import Optional, Tuple
 
 from .values import Coordinate, Record, _reduced, json_int, json_pair, primitive_root, set_field
@@ -162,8 +163,8 @@ class Speh(Record):
             xi = xi * primitive_root(d) ** b.translate
         # nu^c multiplies by q^(-c), scaled by the residue degree of the side
         xi = xi * b.twist ** -qscale
-        from .satake import param_of_unramified_character  # the lift verbs never get here
-        return param_of_unramified_character(xi, self.q, qscale).coords
+        from .satake import staircase  # the lift verbs never get here
+        return tuple(staircase(xi, self.q, qscale))
 
     def to_json(self):
         b = self.base
@@ -342,10 +343,13 @@ def lift_unitary(tau) -> Product:
 
 
 def fiber_unitary(pi: Product, source: Product) -> set[Product]:
-    """All E-side products lifting to pi: factorwise Galois translates of source."""
+    """All E-side products lifting to pi: factorwise Galois translates of source, the
+    product of the factors' g of them; past ``MAX_PARTS`` factors in all, none is built."""
+    factors = _factors(source)
+    check_parts(prod(f.atom.g for f in factors) * len(factors), "factors")
     if lift_unitary(source) != pi:
         raise NoProvenance("the given product is not a lift of the given source")
-    translates = [[f.translated(j) for j in range(f.atom.g)] for f in _factors(source)]
+    translates = [[f.translated(j) for j in range(f.atom.g)] for f in factors]
     return {Product(choice) for choice in product(*translates)}
 
 

@@ -118,18 +118,20 @@ class SphericalRepE(Record):
 # Parameter constructions
 
 
-def param_of_unramified_character(xi: Coordinate, n: int, qscale: int = 1) -> SatakeParam:
-    """Parameter of the character xi o det of GL_n: the staircase
-    ``{xi * q^(qscale*(j - (n-1)/2))}``.  ``qscale`` is the residue-degree
-    factor (s over a field factor of degree s; 1 over F).  xi = 1 gives the
-    trivial representation.
+def staircase(xi: Coordinate, n: int, qscale: int = 1):
+    """The staircase ``xi * q^(qscale*(j - (n-1)/2))``, j < n, lazily and in
+    increasing order.  ``qscale`` is the residue-degree factor (s over a field
+    factor of degree s; 1 over F).
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
     step = xi.r * qscale  # xi * q^(qscale (2j + 1 - n)/2), over the denominator 2 xi.r
-    return SatakeParam(
-        tuple(_reduced(xi.a, xi.n, 2 * xi.p + step * (2 * j + 1 - n), 2 * xi.r) for j in range(n))
-    )
+    return (_reduced(xi.a, xi.n, 2 * xi.p + step * (2 * j + 1 - n), 2 * xi.r) for j in range(n))
+
+
+def param_of_unramified_character(xi: Coordinate, n: int, qscale: int = 1) -> SatakeParam:
+    """Parameter of the character xi o det of GL_n (xi = 1: the trivial one): its staircase."""
+    return SatakeParam(tuple(staircase(xi, n, qscale)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +139,18 @@ def param_of_unramified_character(xi: Coordinate, n: int, qscale: int = 1) -> Sa
 
 
 def delta_map(y: SphericalRepE) -> SatakeParam:
-    """The lifting map: flatten, take canonical s-th roots t, return
-    ``{zeta^j t_i : 0 <= j < s}``.  Independent of root choice and block order.
+    """The lifting map: the canonical s-th root t of every coordinate of y,
+    spread as ``{zeta^j t : 0 <= j < s}``.  Independent of root choice and
+    block order.  For c = (a/n, p/r) and zeta = (k/s, 0), zeta^j t is
+    ((a + j k n)/(n s), p/(r s)), built from those ints directly.
     """
     alg = y.algebra
     check_parts(alg.d * max(y.block_rank, 1), "coordinates")
-    t = [c.root(alg.s) for c in y.flatten().coords]
-    out = []
-    for j in range(alg.s):
-        zj = alg.zeta**j
-        out.extend(zj * ti for ti in t)
-    return SatakeParam(tuple(out))
+    s, k = alg.s, alg.zeta.a
+    return SatakeParam(tuple(
+        _reduced((c.a + j * k * c.n) % (c.n * s), c.n * s, c.p, c.r * s)
+        for b in y.blocks for c in b.coords for j in range(s)
+    ))
 
 
 def _sub_multisets(mults: tuple, size: int, i: int = 0):

@@ -22,6 +22,7 @@ from autoind.adelic import (
     Verdict,
     check_global_compat,
     global_ai_lift,
+    _packed,
     _quotients,
     lemma46_local_identity,
     rigidity_check,
@@ -112,6 +113,21 @@ class TestGlobalDiscrete:
                 assert type(got) is GlobalDiscrete
                 assert all(getattr(got, k) == getattr(want, k) for k in GlobalDiscrete.__slots__)
                 assert got == want and all(got.local(v) == want.local(v) for v in D.places)
+
+    def test_an_untwisted_f_side_datum_is_its_stored_one(self):
+        # the translate acts at v by zeta_v^translate, of order f_v: 0 mod f_v is no twist
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(40):
+            d = rng.choice((2, 4, 6))
+            Pi = make_discrete(rng.randrange(10**6), d, d // 2, [1, 2, d])
+            for D in global_ai_lift(Pi).factors:
+                for v in D.places:
+                    z, got = D.cusp_locals[v.label], D.cusp_local(v)
+                    untwisted = D.translate % v.f == 0
+                    assert (got is z) == untwisted and got == z.twist(v.zeta**D.translate)
+                    seen.add(untwisted)
+        assert seen == {True, False}
 
     def test_equality_with_itself_reads_no_local_datum(self, monkeypatch):
         Pi = make_discrete(3, 2, 1, [1, 2])
@@ -322,9 +338,14 @@ class LocalRSFactor(Record):
         return sum(1 for c in self.inverse_roots if c == target)
 
 
+def _all_quotients(p1, p2):
+    """The n^2 list of every quotient a/b, a in p1 and b in p2."""
+    return [a * b.inverse() for a in p1.coords for b in p2.coords]
+
+
 def rs_local_factor(p1, p2) -> LocalRSFactor:
     """Inverse roots of the pair (p1, contragredient of p2): all quotients a/b."""
-    return LocalRSFactor(tuple(_quotients(Counter(p1.coords), Counter(p2.coords)).elements()))
+    return LocalRSFactor(_all_quotients(p1, p2))
 
 
 class TestRSFactor:
@@ -341,11 +362,6 @@ class TestRSFactor:
     def test_equal_coordinates_no_pole(self):
         p = SatakeParam((coord(F(1, 3), 2),) * 3)
         assert rs_local_factor(p, p).pole_order_at_1() == 0
-
-
-def _all_quotients(p1, p2):
-    """The n^2 list of every quotient a/b, a in p1 and b in p2."""
-    return [a * b.inverse() for a in p1.coords for b in p2.coords]
 
 
 def _scaled(coords, k):
@@ -421,12 +437,53 @@ class TestLemma46:
             verdicts[want] += 1
         assert verdicts[True] > 100 and verdicts[HypothesisViolated] > 30
 
+    def test_mixed_denominators_match_the_reference(self):
+        # zeta denominators 1..12 and q denominators 1..6 in one pair of data, so
+        # the packed ints of the two sides share lcms that no coordinate has alone
+        rng = random.Random(461)
+        verdicts = Counter()
+        for _ in range(300):
+            l, l_p, d = (rng.randint(1, 4) for _ in range(3))
+            g = gcd(l, l_p)
+            core = [Coordinate.of(F(rng.randrange(12), rng.randint(1, 12)),
+                                  F(rng.randint(-6, 6), rng.randint(1, 6)))
+                    for _ in range(rng.randint(1, 5))]
+            delta = SatakeParam(tuple(core * (l_p // g)))
+            delta_p = SatakeParam(tuple(core * (l // g)))
+            if rng.random() < 0.3:
+                delta_p = SatakeParam(delta_p.coords[1:] + (rng.choice(core),))
+            outcomes = []
+            for fn in (lemma46_reference, lemma46_local_identity):
+                try:
+                    outcomes.append(fn(delta, l, delta_p, l_p, d))
+                except HypothesisViolated:
+                    outcomes.append(HypothesisViolated)
+            assert outcomes[0] == outcomes[1]
+            verdicts[outcomes[0]] += 1
+        assert verdicts[True] > 100 and verdicts[HypothesisViolated] > 50
+
+    def test_packed_quotients_are_the_packed_list_of_all_quotients(self):
+        # the hypothesis forces the identity, so the verdict alone cannot see a
+        # wrong quotient: compare the packed multisets with the reference's
+        rng = random.Random(462)
+        for _ in range(200):
+            p1, p2 = (SatakeParam(tuple(Coordinate.of(F(rng.randrange(12), rng.randint(1, 12)),
+                                                      F(rng.randint(-6, 6), rng.randint(1, 6)))
+                                        for _ in range(rng.randint(1, 6)))) for _ in "ab")
+            cs = p1.coords + p2.coords
+            N, R = lcm(*(c.n for c in cs)), lcm(*(c.r for c in cs))
+            n, (a, b) = _packed(p1, p2)
+            assert n == N
+            want = Counter(c.p * (R // c.r) * N + c.a * (N // c.n) for c in _all_quotients(p1, p2))
+            assert _quotients(a, b, n) == want
+
     def test_rs_factor_is_the_list_of_all_quotients(self):
         rng = random.Random(9)
         for _ in range(50):
             p1, p2 = (SatakeParam(tuple(Coordinate.of(F(rng.randrange(3), 3), rng.randint(-1, 1))
                                         for _ in range(rng.randint(1, 5)))) for _ in "ab")
-            assert rs_local_factor(p1, p2).inverse_roots == tuple(sorted(_all_quotients(p1, p2)))
+            want = [Coordinate.of(a.zeta - b.zeta, a.qexp - b.qexp) for a in p1.coords for b in p2.coords]
+            assert rs_local_factor(p1, p2).inverse_roots == tuple(sorted(want))
 
 
 class TestSeparate:

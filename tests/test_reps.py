@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from autoind.errors import BadOrbit, NoProvenance, NotUnramified, ShapeError
+from autoind.errors import BadOrbit, BudgetExceeded, NoProvenance, NotUnramified, ShapeError
 from autoind.reps import (
     CuspidalAtom,
     Elliptic,
@@ -165,6 +166,15 @@ class TestFibers:
         assert len(fib) == 4
         pi = lift_unitary(tau)
         assert all(lift_unitary(t) == pi for t in fib)
+
+    def test_a_fiber_past_the_parts_bound_is_refused_before_any_member(self):
+        # 22 factors over distinct atoms with g = 2: 2^22 members of 22 factors
+        tau = Product(tuple(Speh(EssDiscrete(atom(f"b{i}", 2, 1), 1), 1) for i in range(22)))
+        pi = lift_unitary(tau)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="factors"):
+            fiber_unitary(pi, tau)
+        assert time.perf_counter() - start < 0.1
 
     def test_no_provenance(self):
         a = atom("f5", 2, 2)

@@ -23,6 +23,7 @@ from autoind.satake import (
     check_ia_bc_compat,
     delta_map,
     param_of_unramified_character,
+    staircase,
 )
 from autoind.values import Coordinate, primitive_root
 from autoind.verify import (
@@ -103,6 +104,11 @@ class TestParam:
             )
             got = param_of_unramified_character(xi, n, qscale)
             assert got == SatakeParam(want) and got.coords == want
+            assert tuple(staircase(xi, n, qscale)) == want  # already in increasing order
+
+    def test_staircase_refuses_an_empty_rank_when_called(self):
+        with pytest.raises(ValueError):
+            staircase(coord(0), 0)
 
     def test_twist_orbit_cardinality(self):
         z4 = primitive_root(4)
@@ -140,6 +146,24 @@ class TestDeltaMap:
         alg = CyclicAlgebra(6, 3, 2)
         y = rep(alg, *([[coord(0)]] * 3))
         assert delta_map(y).rank == 6
+
+    def test_closed_form_is_the_root_and_spread_reference(self):
+        # every algebra with d <= 6 and every generator zeta = (k/s, 0), over
+        # coordinates whose zeta and q denominators n, r exceed 1
+        rng = random.Random(17)
+        pool = [coord(F(a, n), F(p, r)) for a, n, p, r in
+                ((0, 1, 0, 1), (1, 2, 1, 3), (3, 4, -2, 5), (5, 6, 7, 2), (2, 9, -1, 4), (1, 10, 3, 1))]
+        assert any(c.n > 1 and c.r > 1 for c in pool)
+        algebras = [CyclicAlgebra(d, d // s, s, coord(F(k, s)))
+                    for d in range(1, 7) for s in range(1, d + 1) if d % s == 0
+                    for k in range(s) if gcd(k, s) == 1]
+        assert len(algebras) == 21  # sum of phi(s) over s | d, d <= 6: d each
+        for alg in algebras:
+            for _ in range(6):
+                m = rng.randint(1, 3)
+                y = rep(alg, *([rng.choice(pool) for _ in range(m)] for _ in range(alg.r)))
+                want = [c.root(alg.s) * alg.zeta**j for c in y.flatten().coords for j in range(alg.s)]
+                assert delta_map(y) == SatakeParam(tuple(want))
 
 
 class TestAiFiber:

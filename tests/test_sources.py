@@ -1,6 +1,7 @@
 """Checks on the source text of the package itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -24,3 +25,85 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name for name in imported - used if (path.stem, name) not in REEXPORTS}
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+# Every function of src/autoind that enumerates with itertools' product,
+# combinations or permutations, or recurses as a generator, and what keeps its
+# output small: a bound checked before it starts (every upper-case name must be
+# one the module binds), or the draws of the seeded suites that call it.
+# hecke._perms is listed by hand: a next-permutation walk, not a recursion.
+ENUMERATORS = {
+    "hecke._perms": "MAX_ORBIT in _orbit; DEGREE_BUDGET on the keys _m_product multiplies",
+    "reps.compositions": "2^(k-1) for the k of its callers, at most 5 (verify's crit8)",
+    "reps.fiber_unitary": "MAX_PARTS on members x factors",
+    "satake._sub_multisets": "MAX_FIBER_SIZE: ai_fiber takes at most that many splits plus one",
+    "satake._multiset_splits": "MAX_FIBER_SIZE: ai_fiber takes at most that many splits plus one",
+    "satake.bc_fiber": "MAX_FIBER_SIZE on prod C(k + s - 1, k)",
+    "verify.crit1_delta_well_defined.check": "s^(rm) root choices: at most 729 for d <= 6, m <= 3",
+    "verify._brute_ai_fiber": "crit5's draws: d <= 4, rank dm <= 4",
+    "verify._brute_bc_fiber": "crit5's draws: s <= 4, rank <= 3",
+}
+ITERTOOLS = {"product", "combinations", "combinations_with_replacement", "permutations"}
+
+
+def _enumerators(path):
+    """Qualified names of the functions that call an itertools enumerator or
+    recurse as generators; a call outside any function is named ``<module>``."""
+    tree = ast.parse(path.read_text())
+    names, modules = set(), set()  # local names of the enumerators and of itertools
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            names |= {a.asname or a.name for a in node.names if a.name in ITERTOOLS}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "itertools"}
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+            if not isinstance(node, ast.ClassDef):
+                own = [n for stmt in node.body for n in _own_nodes(stmt)]
+                recursive = any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                                and n.func.id == node.name for n in own)
+                if recursive and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own):
+                    found.add(".".join([path.stem] + scope))
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id in names) or (
+                isinstance(f, ast.Attribute) and f.attr in ITERTOOLS
+                and isinstance(f.value, ast.Name) and f.value.id in modules
+            ):
+                found.add(".".join([path.stem] + (scope or ["<module>"])))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def _own_nodes(node):
+    """The nodes of a statement, without descending into nested functions or classes."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            yield from _own_nodes(child)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_every_enumeration_is_registered_with_its_bound(path):
+    unregistered = _enumerators(path) - set(ENUMERATORS)
+    assert not unregistered, f"{path.name}: {sorted(unregistered)} enumerate with no registered bound"
+
+
+def test_the_registry_holds_the_enumerators_and_names_bound_constants():
+    found = set().union(*(_enumerators(p) for p in SRC.glob("*.py")))
+    hecke = ast.parse((SRC / "hecke.py").read_text())
+    assert any(isinstance(n, ast.FunctionDef) and n.name == "_perms" for n in hecke.body)
+    assert found | {"hecke._perms"} == set(ENUMERATORS)
+    for qualname, bound in ENUMERATORS.items():
+        tree = ast.parse((SRC / f"{qualname.split('.')[0]}.py").read_text())
+        names = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name)}
+        names |= {a.asname or a.name for node in tree.body
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+        assert set(re.findall(r"\b[A-Z][A-Z_]{2,}\b", bound)) <= names, qualname
