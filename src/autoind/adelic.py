@@ -325,6 +325,10 @@ def lemma46_local_identity(
     equal d*l copies of the (delta, delta) inverse roots.  Both multisets are
     packed once as ints (:func:`_packed`), so both sides are counted over the
     distinct values by int subtraction, one per distinct pair.
+
+    Under the hypothesis the counts of delta_p are l/l_p times those of delta, so
+    the identity follows and the verdict is never False: :func:`_quotients` is
+    guarded only by ``test_packed_quotients_are_the_packed_list_of_all_quotients``.
     """
     n, (a, b) = _packed(delta, delta_p)
     if _scaled(a, l) != _scaled(b, l_p):

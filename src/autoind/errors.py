@@ -66,8 +66,8 @@ class NotUnramified(DomainError):
 class LocalMismatch(DomainError):
     """Synthetic global data inconsistent at a stored place."""
 
-    def __init__(self, place, detail=""):
-        super().__init__(detail or f"inconsistent local data at place {place!r}")
+    def __init__(self, place, detail):
+        super().__init__(f"place {place!r}: {detail}")
         self.place = place
 
 

@@ -21,8 +21,9 @@ A :class:`Product` is a multiset of factors of three kinds (:class:`Speh`,
 
 from __future__ import annotations
 
-from itertools import islice, product
-from math import prod
+from collections import Counter
+from itertools import combinations_with_replacement, islice, product
+from math import comb, prod
 from typing import Optional, Tuple
 
 from .values import Coordinate, Record, _reduced, json_int, json_pair, primitive_root, set_field
@@ -92,61 +93,58 @@ def _q_power(c) -> Coordinate:  # q^c from an int or Fraction c, or from q^c its
     return c if isinstance(c, Coordinate) else Coordinate(0, c)
 
 
-class EssDiscrete(Record):
-    """Essentially square-integrable datum: segment of length k, twisted by nu^c.
+def _translated(x, j: int):  # Speh and Elliptic: the translate index moves by j
+    return x._derive(translate=(x.translate + j) % x.atom.translates)
 
-    ``twist`` is q^c, built from an int or a Fraction c.  ``translate`` indexes a
-    twist-translate (F side, mod x) or Galois translate (E side, mod g) of the atom.
-    """
 
-    __slots__ = ("atom", "k", "twist", "translate")
+def _speh(atom: CuspidalAtom, k: int, twist, translate: int, q: int) -> "Speh":
+    """The one builder of a Speh datum: checks k and q, reads the twist as q^c
+    and reduces the translate.  ``Speh``, ``EssDiscrete``, copy and pickle call it."""
+    if k < 1:
+        raise ValueError("segment length must be >= 1")
+    if q < 1:
+        raise ValueError("Speh parameter q must be >= 1")
+    x = object.__new__(Speh)
+    set_field(x, "atom", atom)
+    set_field(x, "k", k)
+    set_field(x, "twist", _q_power(twist))
+    set_field(x, "translate", translate % atom.translates)
+    set_field(x, "q", q)
+    return x
 
-    def __init__(self, atom: CuspidalAtom, k: int, twist=0, translate: int = 0):
-        if k < 1:
-            raise ValueError("segment length must be >= 1")
-        set_field(self, "atom", atom)
-        set_field(self, "k", k)
-        set_field(self, "twist", _q_power(twist))
-        set_field(self, "translate", translate % atom.translates)
 
-    @property
-    def rank(self) -> int:
-        return self.atom.size * self.k
-
-    def sort_key(self):
-        return (self.atom.side, self.atom.uid, self.k, self.twist, self.translate)
+def EssDiscrete(atom: CuspidalAtom, k: int, twist=0, translate: int = 0) -> "Speh":
+    """The segment delta of length k over the atom, twisted by nu^c (``twist``
+    is c, or q^c), as its Speh datum u(delta, 1) = delta.  ``translate`` indexes
+    a twist-translate (F side, mod x) or Galois translate (E side, mod g)."""
+    return _speh(atom, k, twist, translate, 1)
 
 
 class Speh(Record):
-    """u(base, q): Langlands quotient of the length-q staircase of the base."""
+    """u(delta, q): Langlands quotient of the length-q staircase of the segment
+    delta, which has length k over the atom, twist q^c and a translate index."""
 
-    __slots__ = ("base", "q")
+    __slots__ = ("atom", "k", "twist", "translate", "q")
 
-    def __init__(self, base: EssDiscrete, q: int):
-        if q < 1:
-            raise ValueError("Speh parameter q must be >= 1")
-        set_field(self, "base", base)
-        set_field(self, "q", q)
+    def __new__(cls, base: "Speh", q: int):
+        if base.q != 1:
+            raise ValueError("the base of a Speh datum is a segment (q = 1)")
+        return _speh(base.atom, base.k, base.twist, base.translate, q)
 
-    @property
-    def atom(self) -> CuspidalAtom:
-        return self.base.atom
+    __reduce__ = lambda self: (_speh, self._values(self))  # copy and pickle by the fields
 
     @property
     def rank(self) -> int:
-        return self.base.rank * self.q
+        return self.atom.size * self.k * self.q
 
     def twisted(self, t: Coordinate) -> "Speh":  # by nu^c more, for t = q^c
-        return self._derive(base=self.base._derive(twist=self.base.twist * t))
+        return self._derive(twist=self.twist * t)
 
-    def translated(self, j: int) -> "Speh":
-        b = self.base
-        return self._derive(base=b._derive(translate=(b.translate + j) % b.atom.translates))
+    translated = _translated
 
     def lift(self):
         """The r twist-translates of the same Speh datum over the paired atom."""
-        b = self.base
-        return _translates(b.atom, lambda a, i: self._derive(base=b._derive(atom=a, translate=i)))
+        return _translates(self)
 
     def is_generic(self) -> bool:
         return self.q == 1
@@ -154,25 +152,24 @@ class Speh(Record):
     def coords(self, qscale: int, d: int) -> tuple:
         """Satake coordinates of the spherical member; ``qscale`` is the
         residue degree of the side, applied to q-exponents."""
-        b, xi = self.base, self.atom.payload
+        xi = self.atom.payload
         if xi is None:
-            raise NotUnramified(f"atom {b.atom.uid!r} carries no unramified payload")
-        if b.k != 1:
+            raise NotUnramified(f"atom {self.atom.uid!r} carries no unramified payload")
+        if self.k != 1:
             raise NotUnramified("segments of length > 1 are not spherical")
-        if b.atom.side == "F" and b.translate:
-            xi = xi * primitive_root(d) ** b.translate
+        if self.atom.side == "F" and self.translate:
+            xi = xi * primitive_root(d) ** self.translate
         # nu^c multiplies by q^(-c), scaled by the residue degree of the side
-        xi = xi * b.twist ** -qscale
+        xi = xi * self.twist ** -qscale
         from .satake import staircase  # the lift verbs never get here
         return tuple(staircase(xi, self.q, qscale))
 
     def to_json(self):
-        b = self.base
-        return {"kind": "speh", "atom": b.atom.to_json(), "k": b.k,
-                "twist": [b.twist.p, b.twist.r], "translate": b.translate, "q": self.q}
+        return {"kind": "speh", "atom": self.atom.to_json(), "k": self.k,
+                "twist": [self.twist.p, self.twist.r], "translate": self.translate, "q": self.q}
 
     def sort_key(self):
-        return (0,) + self.base.sort_key() + (self.q,)
+        return (0, self.atom.side, self.atom.uid, self.k, self.twist, self.translate, self.q)
 
 
 class TwistedPair(Record):
@@ -244,8 +241,7 @@ class Elliptic(Record):
 
     is_generic = is_square_integrable
 
-    def translated(self, j: int) -> "Elliptic":
-        return self._derive(translate=(self.translate + j) % self.atom.translates)
+    translated = _translated
 
     def lift(self):
         """Same composition over the paired atom.
@@ -254,12 +250,12 @@ class Elliptic(Record):
         normalized composition of k is unchanged; the square-integrable corner
         (levi = (k,)) maps to the square-integrable corner.
         """
-        return _translates(self.atom, lambda atomF, i: self._derive(atom=atomF, translate=i))
+        return _translates(self)
 
     def coords(self, qscale: int, d: int) -> tuple:
         if self.k != 1:
             raise NotUnramified("elliptic data of length > 1 have no spherical member")
-        return Speh(EssDiscrete(self.atom, 1, translate=self.translate), 1).coords(qscale, d)
+        return EssDiscrete(self.atom, 1, translate=self.translate).coords(qscale, d)
 
     def to_json(self):
         return {"kind": "elliptic", "atom": self.atom.to_json(), "k": self.k,
@@ -317,16 +313,14 @@ def pair_atom(atom: CuspidalAtom) -> CuspidalAtom:
 # Lifting maps
 
 
-def _translates(atom: CuspidalAtom, make):
-    """The r factors ``make(atomF, i)``, i < r, over the paired atom atomF, lazily.
-
-    The translate index of the source is dropped: Galois translates share a
-    lift, which is what makes the fibers Galois orbits.
-    """
-    if atom.side != "E":
+def _translates(x):
+    """The lift of a Speh or Elliptic datum x: its r translates i < r over the
+    paired atom, lazily.  The translate index of x is dropped: Galois translates
+    share a lift, which is what makes the fibers Galois orbits."""
+    if x.atom.side != "E":
         raise ShapeError("lifting is defined on E-side data")
-    atomF = pair_atom(atom)
-    return (make(atomF, i) for i in range(atom.orbit))
+    atomF = pair_atom(x.atom)
+    return (x._derive(atom=atomF, translate=i) for i in range(x.atom.orbit))
 
 
 def lift_unitary(tau) -> Product:
@@ -343,14 +337,16 @@ def lift_unitary(tau) -> Product:
 
 
 def fiber_unitary(pi: Product, source: Product) -> set[Product]:
-    """All E-side products lifting to pi: factorwise Galois translates of source, the
-    product of the factors' g of them; past ``MAX_PARTS`` factors in all, none is built."""
+    """All E-side products lifting to pi: an orbit of n source factors under Galois
+    translates takes a multiset of n of its g translates, prod C(g + n - 1, n)
+    members in all; past ``MAX_PARTS`` factors in all, none is built."""
     factors = _factors(source)
-    check_parts(prod(f.atom.g for f in factors) * len(factors), "factors")
+    orbits = Counter(frozenset(f.translated(j) for j in range(f.atom.g)) for f in factors)
+    check_parts(prod(comb(len(o) + n - 1, n) for o, n in orbits.items()) * len(factors), "factors")
     if lift_unitary(source) != pi:
         raise NoProvenance("the given product is not a lift of the given source")
-    translates = [[f.translated(j) for j in range(f.atom.g)] for f in factors]
-    return {Product(choice) for choice in product(*translates)}
+    picks = [combinations_with_replacement(tuple(o), n) for o, n in orbits.items()]
+    return {Product(tuple(f for part in choice for f in part)) for choice in product(*picks)}
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +399,7 @@ def factor_from_json(doc):
     if kind == "elliptic":
         return Elliptic(atom, k, tuple(json_int(p, "levi") for p in doc["levi"]), translate)
     twist = _reduced(0, 1, *json_pair(doc.get("twist", [0, 1]), "twist"))
-    speh = Speh(EssDiscrete(atom, k, twist, translate), json_int(doc.get("q", 1), "q"))
+    speh = _speh(atom, k, twist, translate, json_int(doc.get("q", 1), "q"))
     if kind == "speh":
         return speh
     return TwistedPair(speh, _reduced(0, 1, *json_pair(doc["alpha"], "alpha")))

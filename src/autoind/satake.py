@@ -129,11 +129,6 @@ def staircase(xi: Coordinate, n: int, qscale: int = 1):
     return (_reduced(xi.a, xi.n, 2 * xi.p + step * (2 * j + 1 - n), 2 * xi.r) for j in range(n))
 
 
-def param_of_unramified_character(xi: Coordinate, n: int, qscale: int = 1) -> SatakeParam:
-    """Parameter of the character xi o det of GL_n (xi = 1: the trivial one): its staircase."""
-    return SatakeParam(tuple(staircase(xi, n, qscale)))
-
-
 # ---------------------------------------------------------------------------
 # Automorphic induction at the Satake level
 

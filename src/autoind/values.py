@@ -30,9 +30,9 @@ def json_pair(pair, name: str) -> tuple:
 
 class Record:
     """Base of the immutable records: the fields are a subclass's ``__slots__``,
-    each set once by its ``__init__`` with :data:`set_field`.  Equality and the
+    each set once by its constructor with :data:`set_field`.  Equality and the
     hash go by the exact class and the field tuple; copy and pickle call the
-    constructor on the fields again."""
+    constructor, or the builder it calls, on the fields again."""
 
     __slots__ = ()
 

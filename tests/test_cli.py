@@ -651,6 +651,17 @@ class TestGlobalVerbs:
         assert code == 2, out
         assert json.loads(out)["error"]["kind"] == "PlaceSetMismatch"
 
+    def test_a_local_mismatch_names_its_place(self, capsys):
+        # the golden document with the last two of v2's four blocks swapped:
+        # A B B A is not stable under sigma^g = sigma^2, which rotates by 2
+        doc = json.loads((GOLDEN / "global-lift_d4_three_places_r2q2.json").read_text())
+        blocks = doc["rep"]["locals"]["v2"]["blocks"]
+        blocks[2], blocks[3] = blocks[3], blocks[2]
+        code, out = run_cli(["global-lift"], doc, capsys)
+        assert code == 2, out
+        assert json.loads(out) == {"error": {
+            "kind": "LocalMismatch", "detail": "place 'v2': local datum not stable under sigma^2"}}
+
     def test_separate_is_bounded_by_the_places_not_by_d(self):
         # one place with f = d: each translate acts on its single block as
         # the identity, so only gamma = 0 is tried and no lift is built

@@ -11,9 +11,9 @@ import pytest
 from autoind.adelic import GlobalDiscrete, InducedGlobal, Place, Verdict
 from autoind.arith import QCyclo
 from autoind.hecke import SymLaurent
-from autoind.reps import CuspidalAtom, Elliptic, EssDiscrete, Product, Speh, TwistedPair
+from autoind.reps import CuspidalAtom, Elliptic, EssDiscrete, Product, Speh, TwistedPair, _speh
 from autoind.satake import CyclicAlgebra, SatakeParam, SphericalRepE
-from autoind.values import Coordinate, primitive_root
+from autoind.values import Coordinate, Record, primitive_root
 from autoind.verify import PropertyResult
 from test_global import LocalRSFactor  # a record that only the tests define
 
@@ -31,7 +31,6 @@ RECORDS = {
     "SatakeParam": PARAM,
     "SphericalRepE": SphericalRepE(CyclicAlgebra.field(2), (PARAM,)),
     "CuspidalAtom": CuspidalAtom("u", "E", 1, 2, 2, X),
-    "EssDiscrete": SPEH.base,
     "Speh": SPEH,
     "TwistedPair": TwistedPair(SPEH, F(1, 3)),
     "Elliptic": Elliptic(ATOM, 3, (1, 2), translate=1),
@@ -122,18 +121,18 @@ def test_keyword_calls_and_defaults():
 def test_derived_records_are_validated_and_normalised():
     # a reps twist, translate or lift copies the validated fields with
     # Record._derive; a translate is still reduced modulo the atom's translates
-    assert SPEH.translated(3).base.translate == 0
-    assert SPEH.twisted(Coordinate(0, 1)).base.twist == Coordinate(0, F(3, 2))
+    assert SPEH.translated(3).translate == 0
+    assert SPEH.twisted(Coordinate(0, 1)).twist == Coordinate(0, F(3, 2))
     assert Elliptic(ATOM, 2, (2,)).translated(5).translate == 1
     # GlobalDiscrete keeps its own equality, on the local data as translated:
     # its two blocks are equal, so every translate equals it
     assert DELTA.translated(3).translate == 3 and DELTA.translated(3) == DELTA
     with pytest.raises(ValueError):
-        Speh(SPEH.base, 0)
+        Speh(EssDiscrete(ATOM, 1), 0)
     with pytest.raises(ValueError):
         TwistedPair(SPEH, F(1, 2))
     # a twist or an alpha is q^c: an int or a Fraction c, or a q-only Coordinate
-    assert EssDiscrete(ATOM, 1, Coordinate(0, F(1, 2)), 1) == SPEH.base
+    assert Speh(EssDiscrete(ATOM, 1, Coordinate(0, F(1, 2)), 1), 2) == SPEH
     assert TwistedPair(SPEH, Coordinate(0, F(1, 3))) == RECORDS["TwistedPair"]
     for bad in (X, primitive_root(2)):
         with pytest.raises(ValueError):
@@ -142,3 +141,39 @@ def test_derived_records_are_validated_and_normalised():
             TwistedPair(SPEH, bad)
     with pytest.raises(ValueError):
         CyclicAlgebra(4, 2, 2, primitive_root(4))
+
+
+def test_a_segment_is_the_speh_datum_with_q_one():
+    assert Speh.__slots__ == ("atom", "k", "twist", "translate", "q")
+    for k, c, j in ((1, 0, 0), (2, F(1, 2), 1), (3, F(-2, 3), 5), (1, Coordinate(0, 2), 3)):
+        delta = EssDiscrete(ATOM, k, c, j)
+        assert type(delta) is Speh and delta.q == 1
+        assert delta == Speh(EssDiscrete(ATOM, k, c, j), 1)
+        assert Speh(delta, 3).q == 3 and fields(Speh(delta, 3))[:4] == fields(delta)[:4]
+    # u(delta, q) is built on a segment, not on another Speh datum
+    with pytest.raises(ValueError):
+        Speh(Speh(EssDiscrete(ATOM, 1), 2), 3)
+
+
+def test_a_speh_datum_copies_and_pickles_through_its_builder():
+    assert SPEH.__reduce__() == (_speh, fields(SPEH))
+    for twin in (copy.copy(SPEH), copy.deepcopy(SPEH), pickle.loads(pickle.dumps(SPEH))):
+        assert twin == SPEH and fields(twin) == fields(SPEH)
+    # the builder checks what it rebuilds and reduces the translate
+    assert _speh(ATOM, 1, F(1, 2), 3, 2) == SPEH
+    for k, q in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            _speh(ATOM, k, 0, 0, q)
+
+
+def test_a_twist_translate_or_lifted_factor_derives_one_record(monkeypatch):
+    derived = []
+    derive = Record._derive
+    monkeypatch.setattr(Record, "_derive", lambda x, **kw: derived.append(type(x)) or derive(x, **kw))
+    SPEH.twisted(Y)
+    SPEH.translated(1)
+    assert derived == [Speh, Speh]
+    for x in (SPEH, Elliptic(ATOM, 2, (1, 1))):
+        derived.clear()
+        assert len(list(x.lift())) == ATOM.orbit == len(derived)
+        assert derived == [type(x)] * ATOM.orbit

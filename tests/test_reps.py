@@ -74,8 +74,8 @@ class TestLiftShapes:
         d1 = EssDiscrete(atom("r3", 6, 3, size=2), 2, F(1, 2))
         pi = lift_unitary(Speh(d1, 1))
         assert len(pi.factors) == 3
-        assert sorted(f.base.translate for f in pi.factors) == [0, 1, 2]
-        assert all(f.q == 1 and f.base.twist == coord(0, F(1, 2)) for f in pi.factors)
+        assert sorted(f.translate for f in pi.factors) == [0, 1, 2]
+        assert all(f.q == 1 and f.twist == coord(0, F(1, 2)) for f in pi.factors)
 
     def test_galois_translates_share_lift(self):
         a = atom("g2", 4, 2, size=2)
@@ -88,7 +88,7 @@ class TestLiftShapes:
         tau = Product((TwistedPair(Speh(EssDiscrete(a, 1), 2), F(1, 4)),))
         pi = lift_unitary(tau)
         assert len(pi.factors) == 4
-        assert sorted(f.base.twist for f in pi.factors) == [
+        assert sorted(f.twist for f in pi.factors) == [
             coord(0, -F(1, 4)), coord(0, -F(1, 4)), coord(0, F(1, 4)), coord(0, F(1, 4))
         ]
 
@@ -101,7 +101,7 @@ class TestLiftShapes:
     def test_orbit_bookkeeping(self):
         a = atom("bk", 6, 3, size=2)
         for f in lift_unitary(Speh(EssDiscrete(a, 1), 2)).factors:
-            assert f.base.atom.orbit == 3
+            assert f.atom.orbit == 3
 
 
 class TestElliptic:
@@ -175,6 +175,21 @@ class TestFibers:
         with pytest.raises(BudgetExceeded, match="factors"):
             fiber_unitary(pi, tau)
         assert time.perf_counter() - start < 0.1
+
+    def test_an_orbit_of_n_factors_takes_a_multiset_of_its_translates(self):
+        # 22 copies of one factor with g = 2: a multiset of 22 of its two
+        # translates, 23 members, where the product of translates has 2^22
+        f = Speh(EssDiscrete(atom("c", 2, 1), 1), 1)
+        tau = Product((f,) * 22)
+        fib = fiber_unitary(lift_unitary(tau), tau)
+        assert len(fib) == 23
+        assert {sum(x.translate for x in t.factors) for t in fib} == set(range(23))
+        # f and its translate f.sigma share an orbit: (f, f.sigma, f) takes
+        # 3 of the 2 translates, C(4, 3) = 4 members
+        tau = Product((f, f.translated(1), f))
+        pi = lift_unitary(tau)
+        fib = fiber_unitary(pi, tau)
+        assert len(fib) == 4 and tau in fib and all(lift_unitary(t) == pi for t in fib)
 
     def test_no_provenance(self):
         a = atom("f5", 2, 2)

@@ -22,7 +22,6 @@ from autoind.satake import (
     bc_map,
     check_ia_bc_compat,
     delta_map,
-    param_of_unramified_character,
     staircase,
 )
 from autoind.values import Coordinate, primitive_root
@@ -83,11 +82,11 @@ class TestParam:
         assert a == b and a.coords == b.coords
 
     def test_trivial_character_staircase(self):
-        y = param_of_unramified_character(coord(0), 2)
+        y = SatakeParam(tuple(staircase(coord(0), 2)))
         assert y.coords == (coord(0, F(-1, 2)), coord(0, F(1, 2)))
 
     def test_staircase_scaled(self):
-        y = param_of_unramified_character(coord(F(1, 3)), 3, qscale=2)
+        y = SatakeParam(tuple(staircase(coord(F(1, 3)), 3, qscale=2)))
         assert [c.qexp for c in y.coords] == [-2, 0, 2]
         assert all(c.zeta == F(1, 3) for c in y.coords)
 
@@ -102,7 +101,7 @@ class TestParam:
             want = tuple(
                 Coordinate(xi.zeta, xi.qexp + F(qscale * (2 * j + 1 - n), 2)) for j in range(n)
             )
-            got = param_of_unramified_character(xi, n, qscale)
+            got = SatakeParam(tuple(staircase(xi, n, qscale)))
             assert got == SatakeParam(want) and got.coords == want
             assert tuple(staircase(xi, n, qscale)) == want  # already in increasing order
 

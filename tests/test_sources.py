@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from test_records import RECORDS
+
 SRC = Path(__file__).parents[1] / "src" / "autoind"
 
 # Names a module imports only for others to import from it: the README's
@@ -35,7 +37,7 @@ def test_every_imported_name_is_used(path):
 ENUMERATORS = {
     "hecke._perms": "MAX_ORBIT in _orbit; DEGREE_BUDGET on the keys _m_product multiplies",
     "reps.compositions": "2^(k-1) for the k of its callers, at most 5 (verify's crit8)",
-    "reps.fiber_unitary": "MAX_PARTS on members x factors",
+    "reps.fiber_unitary": "MAX_PARTS on prod C(g + n - 1, n) x factors, n factors per Galois orbit",
     "satake._sub_multisets": "MAX_FIBER_SIZE: ai_fiber takes at most that many splits plus one",
     "satake._multiset_splits": "MAX_FIBER_SIZE: ai_fiber takes at most that many splits plus one",
     "satake.bc_fiber": "MAX_FIBER_SIZE on prod C(k + s - 1, k)",
@@ -107,3 +109,20 @@ def test_the_registry_holds_the_enumerators_and_names_bound_constants():
         names |= {a.asname or a.name for node in tree.body
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
         assert set(re.findall(r"\b[A-Z][A-Z_]{2,}\b", bound)) <= names, qualname
+
+
+def test_every_record_class_is_in_the_record_suite():
+    # a class of src/autoind that derives from Record, directly or through
+    # another such class, gets the copy, pickle and immutability checks
+    classes = [node for p in SRC.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    records = {"Record"}
+    while True:
+        more = {c.name for c in classes
+                if any(isinstance(b, ast.Name) and b.id in records for b in c.bases)} - records
+        if not more:
+            break
+        records |= more
+    records.discard("Record")
+    assert {"Coordinate", "Speh", "SymLaurent"} <= records
+    assert records <= set(RECORDS), f"not in test_records.RECORDS: {sorted(records - set(RECORDS))}"
