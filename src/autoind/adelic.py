@@ -20,7 +20,7 @@ from collections import Counter
 from math import gcd, lcm
 from typing import Dict, Optional, Tuple
 
-from .values import Coordinate, CyclicAlgebra, Record, json_int, primitive_root, set_field
+from .values import Coordinate, CyclicAlgebra, Record, json_int, set_field
 from .errors import BadOrbit, HypothesisViolated, LocalMismatch, PlaceSetMismatch, ShapeError, check_parts
 from .satake import SatakeParam, SphericalRepE, check_ia_bc_compat, delta_map, staircase
 
@@ -44,7 +44,7 @@ class Place(Record):
 
     @property
     def zeta(self) -> Coordinate:
-        return primitive_root(self.f)
+        return self.algebra.zeta
 
     @property
     def algebra(self) -> CyclicAlgebra:
@@ -250,9 +250,9 @@ def global_ai_lift(Pi: GlobalDiscrete) -> InducedGlobal:
 
     Builds the F-side discrete delta placewise off Pi's cuspidal blocks, with
     no search.  At v (e blocks of degree f, zeta of order f) the blocks repeat
-    with period p = gcd(g, e), and delta's datum holds, for each f-th root t
-    of a coordinate of the first p blocks, zeta^(h j) top(t) for j < f/h,
-    h = gcd(r, f), top(t) the greatest member of t's <zeta>-coset.  Each class
+    with period p = gcd(g, e), and delta's datum holds, for each coordinate c
+    of the first p blocks, zeta^(h j) top(c) for j < f/h, h = gcd(r, f),
+    top(c) the greatest f-th root of c (the roots are one <zeta>-coset).  Each class
     mod h occurs r/h times among the twists zeta^i, i < r, so the r twists
     hold each coset r/h = e/p times, as the lifting map does.  It then
     verifies placewise, on the cuspidal data, that the induced local datum
@@ -270,7 +270,7 @@ def global_ai_lift(Pi: GlobalDiscrete) -> InducedGlobal:
         lifted.append(delta_map(y))  # refuses m d past MAX_PARTS: the tops cost m p f <= m d
         coset = [v.zeta**i for i in range(v.f)]
         firsts = (c for b in y.blocks[: gcd(Pi.g, v.e)] for c in b.coords)
-        tops = [max(c.root(v.f) * z for z in coset) for c in firsts]
+        tops = [max(c.roots(v.f)) for c in firsts]
         cusp_locals[v.label] = SatakeParam(tuple(z * t for t in tops for z in coset[:: gcd(r, v.f)]))
     delta = GlobalDiscrete(f"ai:{Pi.label}", "F", Pi.d, r, Pi.q, Pi.places, cusp_locals)
     out = InducedGlobal(tuple(delta.translated(i) for i in range(r)))

@@ -22,8 +22,8 @@ from itertools import combinations_with_replacement, islice, product
 from math import comb, prod
 from typing import Tuple
 
-from .values import ONE, Coordinate, CyclicAlgebra, Record, _reduced, primitive_root, set_field
-from .errors import MAX_PARTS, BlocksDiffer, BudgetExceeded, NotStable, RankMismatch, check_parts
+from .values import ONE, Coordinate, CyclicAlgebra, Record, _reduced, set_field
+from .errors import BlocksDiffer, BudgetExceeded, NotStable, RankMismatch, check_parts
 
 # Most members a fiber may have, checked before enumeration, so also the most
 # blocks and distinct values ``_multiset_splits`` recurses over.  It lies above
@@ -135,17 +135,12 @@ def staircase(xi: Coordinate, n: int, qscale: int = 1):
 
 def delta_map(y: SphericalRepE) -> SatakeParam:
     """The lifting map: the canonical s-th root t of every coordinate of y,
-    spread as ``{zeta^j t : 0 <= j < s}``.  Independent of root choice and
-    block order.  For c = (a/n, p/r) and zeta = (k/s, 0), zeta^j t is
-    ((a + j k n)/(n s), p/(r s)), built from those ints directly.
+    spread as ``{zeta^j t : 0 <= j < s}``, which is every s-th root of it, as
+    zeta has exact order s.  Independent of root choice and block order.
     """
     alg = y.algebra
     check_parts(alg.d * max(y.block_rank, 1), "coordinates")
-    s, k = alg.s, alg.zeta.a
-    return SatakeParam(tuple(
-        _reduced((c.a + j * k * c.n) % (c.n * s), c.n * s, c.p, c.r * s)
-        for b in y.blocks for c in b.coords for j in range(s)
-    ))
+    return SatakeParam(tuple(t for b in y.blocks for c in b.coords for t in c.roots(alg.s)))
 
 
 def _sub_multisets(mults: tuple, size: int, i: int = 0):
@@ -245,11 +240,7 @@ def bc_fiber(z: SphericalRepE) -> set[SatakeParam]:
     block = z.blocks[0]
     counts = Counter(block.coords)
     _check_fiber_size(prod(comb(k + alg.s - 1, k) for k in counts.values()))
-    zeta = primitive_root(alg.s)
-    picks = [
-        combinations_with_replacement([zeta**j * c.root(alg.s) for j in range(alg.s)], k)
-        for c, k in counts.items()
-    ]
+    picks = [combinations_with_replacement(c.roots(alg.s), k) for c, k in counts.items()]
     return {SatakeParam([c for part in choice for c in part]) for choice in product(*picks)}
 
 

@@ -113,10 +113,16 @@ class Coordinate(Record):
         return _reduced(self.a * k % self.n, self.n, self.p * k, self.r)
 
     def root(self, k: int) -> "Coordinate":
-        """Canonical k-th root; all others are this times ``(j/k, 0)``."""
+        """Canonical k-th root, the first of :meth:`roots`: both exponents over k."""
+        return next(self.roots(k))
+
+    def roots(self, k: int):
+        """The k k-th roots, lazily: the canonical one times ``(j/k, 0)`` for j < k,
+        which is ((a + j n)/(n k), p/(r k)) with 0 <= a + j n < n k."""
         if k < 1:
             raise ValueError("root index must be >= 1")
-        return _reduced(self.a, self.n * k, self.p, self.r * k)
+        a, n, p, rk = self.a, self.n, self.p, self.r * k
+        return (_reduced(a + j * n, n * k, p, rk) for j in range(k))
 
     def torsion_order(self):
         """Multiplicative order, or None if the q-part is nontrivial."""

@@ -17,7 +17,7 @@ from autoind.arith import (
 from autoind.errors import BudgetExceeded
 from autoind.hecke import SymLaurent, satake_eval
 from autoind.satake import SatakeParam
-from autoind.values import ONE, Coordinate
+from autoind.values import ONE, Coordinate, primitive_root
 
 
 def coord(z, q=0):
@@ -50,6 +50,22 @@ class TestCoordinate:
         a = coord(F(1, 3), F(1, 2))
         b = coord(F(1, 4), 2)
         assert (a * b).root(5) == a.root(5) * b.root(5)
+
+    def test_roots_are_the_k_distinct_k_th_roots_canonical_first(self):
+        rng = random.Random(33)
+        for _ in range(300):
+            n, r, k = rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12)
+            c = coord(F(rng.randrange(n), n), F(rng.randint(-30, 30), r))
+            ts = list(c.roots(k))
+            assert len(set(ts)) == k and all(t**k == c for t in ts)
+            assert ts[0] == c.root(k)
+            assert set(ts) == {c.root(k) * primitive_root(k) ** j for j in range(k)}
+
+    def test_roots_of_one_index_and_a_refused_index(self):
+        c = coord(F(2, 5), F(-3, 4))
+        assert list(c.roots(1)) == [c]
+        with pytest.raises(ValueError):
+            c.roots(0)
 
     def test_torsion_order(self):
         assert coord(F(2, 6)).torsion_order() == 3

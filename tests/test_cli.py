@@ -14,7 +14,7 @@ import pytest
 
 import autoind
 from autoind.cli import VERBS, main
-from autoind.satake import MAX_PARTS
+from autoind.errors import MAX_PARTS
 
 
 def run_cli(argv, stdin_doc=None, capsys=None):

@@ -10,10 +10,6 @@ from test_records import RECORDS
 
 SRC = Path(__file__).parents[1] / "src" / "autoind"
 
-# Names a module imports only for others to import from it: the README's
-# layout table documents ``satake.MAX_PARTS``, and tests/test_cli.py imports it.
-REEXPORTS = {("satake", "MAX_PARTS")}
-
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_every_imported_name_is_used(path):
@@ -25,7 +21,7 @@ def test_every_imported_name_is_used(path):
         for alias in node.names
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = {name for name in imported - used if (path.stem, name) not in REEXPORTS}
+    unused = imported - used
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
@@ -48,38 +44,45 @@ ENUMERATORS = {
 ITERTOOLS = {"product", "combinations", "combinations_with_replacement", "permutations"}
 
 
+def _scoped(path):
+    """Every node of the module at path, with the qualified name of the
+    function or class it is in (its own, for a definition); a node outside
+    any is in ``<module>``."""
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        yield ".".join([path.stem] + (scope or ["<module>"])), node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(ast.parse(path.read_text()), [])
+
+
 def _enumerators(path):
     """Qualified names of the functions that call an itertools enumerator or
-    recurse as generators; a call outside any function is named ``<module>``."""
-    tree = ast.parse(path.read_text())
+    recurse as generators."""
     names, modules = set(), set()  # local names of the enumerators and of itertools
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and node.module == "itertools":
             names |= {a.asname or a.name for a in node.names if a.name in ITERTOOLS}
         elif isinstance(node, ast.Import):
             modules |= {a.asname or a.name for a in node.names if a.name == "itertools"}
     found = set()
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = scope + [node.name]
-            if not isinstance(node, ast.ClassDef):
-                own = [n for stmt in node.body for n in _own_nodes(stmt)]
-                recursive = any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-                                and n.func.id == node.name for n in own)
-                if recursive and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own):
-                    found.add(".".join([path.stem] + scope))
+    for qualname, node in _scoped(path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = [n for stmt in node.body for n in _own_nodes(stmt)]
+            recursive = any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                            and n.func.id == node.name for n in own)
+            if recursive and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own):
+                found.add(qualname)
         if isinstance(node, ast.Call):
             f = node.func
             if (isinstance(f, ast.Name) and f.id in names) or (
                 isinstance(f, ast.Attribute) and f.attr in ITERTOOLS
                 and isinstance(f.value, ast.Name) and f.value.id in modules
             ):
-                found.add(".".join([path.stem] + (scope or ["<module>"])))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, [])
+                found.add(qualname)
     return found
 
 
@@ -109,6 +112,23 @@ def test_the_registry_holds_the_enumerators_and_names_bound_constants():
         names |= {a.asname or a.name for node in tree.body
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
         assert set(re.findall(r"\b[A-Z][A-Z_]{2,}\b", bound)) <= names, qualname
+
+
+# Every function of src/autoind that calls ``.root(``, and why: the spread of
+# a coordinate over its k-th roots is built by ``Coordinate.roots`` alone.
+ROOT_CALLERS = {
+    "reps.pair_atom": "a payload's canonical d-th root, not a spread",
+    "verify.crit1_delta_well_defined.check": "the reference for delta_map, which must not share its code",
+    "verify._brute_bc_fiber": "the reference for bc_fiber, which must not share its code",
+}
+
+
+def test_every_root_caller_is_registered_with_its_reason():
+    found = {qualname for p in SRC.glob("*.py") for qualname, node in _scoped(p)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "root"}
+    known = set(ROOT_CALLERS)
+    assert found == known, f"unregistered {sorted(found - known)}, gone {sorted(known - found)}"
 
 
 def test_every_record_class_is_in_the_record_suite():
