@@ -25,8 +25,16 @@ from .errors import BadOrbit, HypothesisViolated, LocalMismatch, PlaceSetMismatc
 from .satake import SatakeParam, SphericalRepE, check_ia_bc_compat, delta_map, staircase
 
 
-class Place(Record):
-    """A place of the base field: residue degree f of the extension above it."""
+class _LocalAlgebra:
+    """The slot of a place's local algebra, outside the fields of :class:`Place`,
+    so its equality, hash, repr, copy and pickle go by (label, d, f) alone."""
+
+    __slots__ = ("algebra",)
+
+
+class Place(Record, _LocalAlgebra):
+    """A place of the base field: residue degree f of the extension above it.
+    Its local algebra ``CyclicAlgebra(d, e, f)`` is built once, by the constructor."""
 
     __slots__ = ("label", "d", "f")
 
@@ -36,6 +44,7 @@ class Place(Record):
         set_field(self, "label", label)
         set_field(self, "d", d)
         set_field(self, "f", f)
+        set_field(self, "algebra", CyclicAlgebra(d, d // f, f))
 
     @property
     def e(self) -> int:
@@ -45,10 +54,6 @@ class Place(Record):
     @property
     def zeta(self) -> Coordinate:
         return self.algebra.zeta
-
-    @property
-    def algebra(self) -> CyclicAlgebra:
-        return CyclicAlgebra(self.d, self.e, self.f)
 
     def to_json(self):
         return {"label": self.label, "f": self.f}

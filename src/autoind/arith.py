@@ -7,13 +7,16 @@ ending at Phi_N itself.  :class:`QCyclo` is the ring where sums of coordinates
 live: Q-linear sums of q-powers with ``Cyclo`` coefficients, the q-exponents kept
 as int numerators over one least common denominator, so equality compares ints.
 Every sum and product of ``Cyclo``s, in both classes and in ``hecke.satake_eval``,
-goes through one accumulator, :func:`_product_sum`: int products spread into one
-vector at the lcm conductor and reduced once, one ``Cyclo`` per q-exponent.  The
-one exception is a product by a rational, which is a scale (:func:`_scaled`): a
-rational multiple of a remainder is a remainder, so only the gcd is taken.  Roots
-of unity are reduced once each and memoised, at most ``MAX_ROOTS`` of them.  Zero
-tests are exact, so Hecke trace identities hold with tolerance zero.  Only the
-Hecke layer and ``verify`` load this kernel; coordinates are :mod:`autoind.values`.
+goes through one accumulator, :func:`_product_sum`: int products added at the lcm
+conductor and reduced once, one ``Cyclo`` per q-exponent.  The one exception is a
+product by a rational, which is a scale (:func:`_scaled`): a rational multiple of
+a remainder is a remainder, so only the gcd is taken.  A sparse accumulator, the
+common case, takes one remainder step (:func:`_remainder`): each entry at or above
+phi(m) adds its multiple of the reduced root zeta_m^e, and only a dense one goes
+through the chain.  Roots of unity are reduced once each and memoised with their
+nonzero terms, at most ``MAX_ROOTS`` of them.  Zero tests are exact, so Hecke
+trace identities hold with tolerance zero.  Only the Hecke layer and ``verify``
+load this kernel; coordinates are :mod:`autoind.values`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add
 from typing import Iterable, Mapping
 
@@ -31,8 +34,11 @@ from .values import Coordinate, _new, json_int, json_pair
 # Largest conductor of a Cyclo (about N entries; the lcm of two document
 # conductors can be their product), above the seeded suites' lcm(1..12) = 27720.
 MAX_CONDUCTOR = 30_000
-# Most reduced roots of unity kept at once: above the ~1100 (a, n) that 40k
-# ops of the hecke-transfer benchmark meet and the 130 of ``verify all``.
+# Most reduced roots of unity kept at once, each a Cyclo and its nonzero terms
+# (about 1 kB at conductor 420).  40k ops of the hecke-transfer benchmark (seed
+# 5) meet 1693 roots: the 1084 that ``Cyclo.root_of_unity`` is asked for and
+# those the remainder step reads.  At this bound none is evicted (368 039 hits,
+# 1693 misses); at 1024 there are 8350 misses.  ``verify all`` meets 286.
 MAX_ROOTS = 2048
 
 
@@ -116,9 +122,46 @@ def _reduce(v: list, n: int) -> list:
                 for j, p in terms:
                     v[k + j] -= c * p
             del v[deg:]
+    return _trimmed(v)
+
+
+def _trimmed(v: list) -> list:
+    """v without its trailing zeros, found at C speed."""
     if v and not v[-1]:
         del v[next(compress(range(len(v), 0, -1), reversed(v)), 0) :]
     return v
+
+
+def _remainder(acc: dict, m: int) -> list:
+    """Trimmed remainder modulo Phi_m of the sparse accumulator ``{e mod m: int}``,
+    m already bounded.  Reduction is linear, so each entry is reduced apart: an
+    exponent below phi(m) is already a remainder, and one at or above it adds its
+    multiple of the reduced root zeta_m^e, read from the root memo.  For even m
+    an exponent e >= m/2 is first folded to e - m/2 with its sign changed, since
+    zeta_m^(m/2) = -1: the memo then holds roots below m/2 only.  The memo
+    pays while the accumulator is sparse; past isqrt(m) entries it is laid out
+    densely and goes through :func:`_reduce`.  With a warm memo the measured
+    crossover lies at 1 to 4 times isqrt(m) (m = 12 to 27720); staying below
+    it bounds what a cold process pays, where each root is a miss reduced by
+    the chain."""
+    if len(acc) > isqrt(m):
+        v = [0] * m
+        for e, c in acc.items():
+            v[e] = c
+        return _reduce(v, m)
+    deg = len(cyclotomic_polynomial(m)) - 1
+    half = m // 2 if m % 2 == 0 else m  # zeta_m^(m/2) = -1 for even m
+    v = [0] * deg
+    for e, c in acc.items():
+        if e >= half:
+            e, c = e - half, -c
+        if e < deg:
+            v[e] += c
+        elif c:
+            _, index, value = _root_of_unity(e, m)
+            for j, x in zip(index, value):
+                v[j] += c * x
+    return _trimmed(v)
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +207,14 @@ class Cyclo:
         if not all(map(isinstance, v, repeat((int, Fraction)))):
             raise ValueError(f"coefficients must be ints or Fractions, got {v!r}")
         common = lcm(*(f.denominator for f in v))
-        v = [f.numerator * (common // f.denominator) for f in v]
-        self._set(conductor, _reduce(v, conductor), den * common)
+        v = _reduce([f.numerator * (common // f.denominator) for f in v], conductor)
+        g = _signed_gcd(den * common, *v)
+        self._set(conductor, [c // g for c in v], den * common // g)
 
     def _set(self, conductor: int, v: list, den: int) -> "Cyclo":
-        """Set the fields from a trimmed remainder v over den, dividing out their signed gcd."""
-        g = _signed_gcd(den, *v)
+        """Set the fields from a trimmed remainder v over a positive den, dividing
+        out their gcd: none to take over den 1, the common case."""
+        g = gcd(den, *v) if den != 1 else 1
         self.conductor = conductor
         self.num = tuple(c // g for c in v) if g != 1 else tuple(v)
         self.den = den // g
@@ -185,7 +230,7 @@ class Cyclo:
     def root_of_unity(cls, a: int, n: int) -> "Cyclo":
         """zeta_n^a reduced mod Phi_n: one shared Cyclo per (a mod n, n), from a
         bounded memo that a refused conductor never reaches."""
-        return _root_of_unity(a % _bounded(n), n)
+        return _root_of_unity(a % _bounded(n), n)[0]
 
     @property
     def coeffs(self):
@@ -235,9 +280,13 @@ class Cyclo:
 
 
 @lru_cache(maxsize=MAX_ROOTS)
-def _root_of_unity(a: int, n: int) -> Cyclo:
-    """zeta_n^a reduced mod Phi_n, for 0 <= a < n and a bounded n."""
-    return _new(Cyclo)._set(n, _reduce([0] * a + [1], n), 1)
+def _root_of_unity(a: int, n: int):
+    """zeta_n^a reduced mod Phi_n, for 0 <= a < n and a bounded n: the ``Cyclo``
+    and the indices and values of its nonzero numerators, which :func:`_remainder`
+    adds."""
+    v = _reduce([0] * a + [1], n)
+    index = tuple(compress(range(len(v)), v))
+    return _new(Cyclo)._set(n, v, 1), index, tuple(v[j] for j in index)
 
 
 def _scaled(n: int, v, k: int, den: int) -> Cyclo:
@@ -249,24 +298,38 @@ def _scaled(n: int, v, k: int, den: int) -> Cyclo:
 def _product_sum(pairs) -> Cyclo:
     """The sum of the products over the pairs ``(a, (n, d, terms))`` of a Cyclo a
     and the sparse factor ``sum_(j, c) c zeta_n^j / d``, ``terms`` its nonzero
-    (index, value) pairs.  Every product is added as ints over the lcm of the
-    denominators into one vector of m slots, m the lcm of the conductors, its
-    exponents taken mod m (x^m = 1 modulo Phi_m), reduced once and set by ``_set``:
-    the one place where a Cyclo is built from products or sums.  No pairs give zero."""
+    (index, value) pairs.  Every product of nonzero numerators is added as ints
+    over the lcm of the denominators at m, the lcm of the conductors, its exponent
+    taken mod m (x^m = 1 modulo Phi_m); the sum is reduced once and set by
+    ``_set``: the one place where a Cyclo is built from products or sums.  No
+    pairs give zero.  At most isqrt(m) products, the sparse side of the switch in
+    :func:`_remainder`, are added into a dict of the exponents they meet, which
+    that step reduces; more go into a list of m slots and through :func:`_reduce`."""
     m = den = 1
-    for a, (n, d, _) in pairs:
+    size = 0
+    for a, (n, d, terms) in pairs:
         m = lcm(m, a.conductor, n)
         den = lcm(den, a.den * d)
-    acc = [0] * _bounded(m)
-    for a, (n, d, terms) in pairs:
-        sa, sb, k = m // a.conductor, m // n, den // (a.den * d)
-        bs = [(j * sb, c * k) for j, c in terms]
-        for i, x in enumerate(a.num):
-            if x:
+        size += (len(a.num) - a.num.count(0)) * len(terms)
+    if size > isqrt(_bounded(m)):
+        acc = [0] * m
+        for a, (n, d, terms) in pairs:
+            sa, sb, k = m // a.conductor, m // n, den // (a.den * d)
+            bs = [(j * sb, c * k) for j, c in terms]
+            for i, x in compress(enumerate(a.num), a.num):
                 i *= sa
                 for j, y in bs:
                     acc[(i + j) % m] += x * y
-    return _new(Cyclo)._set(m, _reduce(acc, m), den)
+        return _new(Cyclo)._set(m, _reduce(acc, m), den)
+    acc = {}
+    for a, (n, d, terms) in pairs:
+        sa, sb, k = m // a.conductor, m // n, den // (a.den * d)
+        for i, x in compress(enumerate(a.num), a.num):
+            i *= sa
+            for j, c in terms:
+                e = (i + j * sb) % m
+                acc[e] = acc.get(e, 0) + x * c * k
+    return _new(Cyclo)._set(m, _remainder(acc, m), den)
 
 
 def _filed_sum(den: int, items) -> "QCyclo":
@@ -300,13 +363,21 @@ class QCyclo:
         self.terms = {e // g: c for e, c in terms.items()} if g != 1 else terms
         self.den = den // g
 
+    def _set(self, terms: dict, den: int) -> "QCyclo":
+        """Set the fields from canonical terms: nonzero, over their least den."""
+        self.terms = terms
+        self.den = den
+        return self
+
     @classmethod
     def rational(cls, c) -> "QCyclo":
-        return cls({0: Cyclo.rational(c)})
+        x = Cyclo.rational(c)
+        return _new(cls)._set({0: x} if x.num else {}, 1)
 
     @classmethod
     def from_coordinate(cls, x: Coordinate) -> "QCyclo":
-        return cls({x.p: Cyclo.root_of_unity(x.a, x.n)}, x.r)
+        """q^(p/r) times zeta_n^a: one nonzero term, p/r in lowest terms."""
+        return _new(cls)._set({x.p: Cyclo.root_of_unity(x.a, x.n)}, x.r)
 
     def _over(self, den: int) -> dict:
         """The terms keyed by numerators over ``den``, a multiple of ``self.den``."""

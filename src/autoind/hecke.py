@@ -30,7 +30,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Dict, Tuple
 
-from .arith import Cyclo, QCyclo, _bounded, _product_sum, _reduce, _scaled
+from .arith import Cyclo, QCyclo, _bounded, _product_sum, _remainder, _scaled
 from .values import CyclicAlgebra, Record, set_field
 from .errors import BudgetExceeded, DegreeBudget, RankMismatch
 
@@ -236,16 +236,6 @@ def _orbit_rows(coords, key: ExpVec, shift: int, N: int, R: int) -> Dict[int, Di
     return rows
 
 
-def _row_vector(row: Dict[int, int], N: int) -> list:
-    """The row's counts as an int vector at m = N / gcd(N, roots), the order of
-    the group its roots generate (the lcm of their orders), so len(v) = m."""
-    m = _bounded(N // gcd(N, *row))
-    v = [0] * m
-    for a, k in row.items():
-        v[a * m // N] = k
-    return v
-
-
 def satake_eval(f: SymLaurent, y) -> QCyclo:
     """Substitute the coordinates of y, a ``satake.SatakeParam``, into f: the trace of
     the Hecke operator.  The factor ``(z_1 ... z_n)^(-shift)`` lowers every exponent by the shift.
@@ -276,9 +266,9 @@ def _evaluate(shift: int, terms: tuple, coords: tuple) -> QCyclo:
 
     Each nonzero orbit row, at its order m, is paired with each coefficient term
     under the output q-numerator over R (the lcm of every q-denominator of y and
-    f, and the result's keys).  A row of several roots is reduced once, as a zero
-    test, so that a row that cancels adds no conductor, and keeps its remainder
-    mod Phi_m.  A q-exponent met by one pair, a rational coefficient times a
+    f, and the result's keys).  A row of several roots takes one remainder step,
+    ``arith._remainder`` of ``{a m/N: count}``, as a zero test, so that a row that
+    cancels adds no conductor, and keeps its remainder mod Phi_m.  A q-exponent met by one pair, a rational coefficient times a
     row, is that remainder scaled, as a rational multiple of a remainder is one;
     a row of one root reads it from the memo of ``Cyclo.root_of_unity``, times
     its count.  Every other q-exponent goes to ``arith._product_sum`` with its
@@ -293,10 +283,12 @@ def _evaluate(shift: int, terms: tuple, coords: tuple) -> QCyclo:
         # the coefficient's terms over R, each Cyclo set again from its key ints
         cterms = [(e * (R // den), _scaled(n, num, 1, d)) for e, n, num, d in cterms]
         for t, row in _orbit_rows(coords, k, shift, N, R).items():
-            m = N // gcd(N, *row)
+            m = N // gcd(N, *row)  # the order of the group the row's roots generate
             v = None  # a row of one root reads its remainder from the root memo
-            if len(row) > 1 and not (v := _reduce(_row_vector(row, N), m)):
-                continue
+            if len(row) > 1:
+                v = _remainder({a * m // N: h for a, h in row.items()}, _bounded(m))
+                if not v:
+                    continue
             for e, c in cterms:
                 filed.setdefault(e + t, []).append((c, m, row, v))
     out = {}

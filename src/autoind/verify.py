@@ -465,7 +465,7 @@ def crit9_separate(seed: int, cases: int) -> PropertyResult:
 def crit10_compat(seed: int, cases: int) -> PropertyResult:
     def check(rng, i):
         d = rng.choice((2, 3, 4))
-        r = rng.choice((1, d))
+        r = rng.choice(_divisors(d))
         places = random_places(rng, d)
         Pi = random_global_discrete(rng, d, r, places)
         try:

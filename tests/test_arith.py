@@ -3,7 +3,7 @@ import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from time import perf_counter
 from unittest.mock import patch
 
@@ -294,6 +294,41 @@ def test_dense_vector_at_the_largest_conductor():
         _reduce(w, n)
         times.append(perf_counter() - start)
     assert min(times) < 0.25  # 0.02 s; one division by Phi_n, 0.55 s (2-vCPU x86-64, Python 3.11)
+
+
+def prime_factors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % k for k in range(2, p))]
+
+
+@st.composite
+def accumulators(draw):
+    """A conductor m and a sparse accumulator ``{e mod m: int}`` on either side of
+    :func:`arith._remainder`'s switch at isqrt(m), its entries negative, zero or
+    positive; often plus c times a coset sum ``sum_j x^(e + j m/p)`` for a prime
+    p of m, which is 0 modulo Phi_m, so that some entries cancel.  The flag says
+    whether the accumulator is that coset sum alone, whose remainder is []."""
+    m = draw(st.sampled_from((1, 2, 12, 60, 165, 330, 420, 27720)))
+    size = draw(st.integers(0, min(m, 2 * isqrt(m) + 1)))
+    exps = draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size, unique=True))
+    acc = {e: draw(st.integers(-9, 9)) for e in exps}
+    alone = m > 1 and draw(st.booleans()) and not acc
+    if m > 1 and (alone or draw(st.booleans())):
+        p, e, c = draw(st.sampled_from(prime_factors(m))), draw(st.integers(0, m - 1)), draw(st.integers(1, 9))
+        for k in ((e + j * m // p) % m for j in range(p)):
+            acc[k] = acc.get(k, 0) - c
+    return m, acc, alone
+
+
+@given(accumulators())
+def test_a_sparse_remainder_is_the_chain_remainder_of_the_dense_vector(case):
+    m, acc, alone = case
+    v = [0] * m
+    for e, c in acc.items():
+        v[e] = c
+    got = arith._remainder(dict(acc), m)
+    assert got == _reduce(v, m) and (not got or got[-1])
+    if alone:
+        assert got == []
 
 
 @given(cyclos, cyclos, cyclos)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autoind import arith, hecke
-from autoind.arith import Cyclo, QCyclo, _reduce
+from autoind.arith import Cyclo, QCyclo
 from autoind.errors import BudgetExceeded, DegreeBudget, RankMismatch
 from autoind.hecke import (
     DEGREE_BUDGET,
@@ -326,24 +326,27 @@ class TestOrbitKernel:
             rows.setdefault(v.qexp, set()).add(v.zeta)
         several = sum(len(roots) > 1 for roots in rows.values())
         built, reduced = [], []
-        product_sum = arith._product_sum
+        product_sum, remainder = arith._product_sum, arith._remainder
         for module in (arith, hecke):
             monkeypatch.setattr(module, "_product_sum", lambda ps: built.append(1) or product_sum(ps))
-            monkeypatch.setattr(module, "_reduce", lambda v, n: reduced.append(1) or _reduce(v, n))
-        arith._root_of_unity.cache_clear()
+            monkeypatch.setattr(module, "_remainder", lambda a, m: reduced.append(1) or remainder(a, m))
+        roots = arith._root_of_unity
+        roots.cache_clear()
         hecke._evaluate.cache_clear()
         out = satake_eval(f, y)
         # each q-exponent is the rational 1 times one row: a scale of the row's
-        # remainder, no product sum; a row of several roots is reduced once, a
-        # row of one root only when the root memo misses
+        # remainder, no product sum; a row of several roots takes one remainder
+        # step, and each root it or a row of one root reads is reduced once
         assert len(out.terms) == len(rows) and not built
-        assert len(reduced) == several + arith._root_of_unity.cache_info().misses
+        assert len(reduced) == several
+        misses = roots.cache_info().misses
+        assert misses == roots.cache_info().currsize
         reduced.clear()
         assert satake_eval(f, y) == out  # the repeat is read from the evaluation memo
         assert not built and not reduced
         hecke._evaluate.cache_clear()
         assert satake_eval(f, y) == out
-        assert not built and len(reduced) == several
+        assert not built and len(reduced) == several and roots.cache_info().misses == misses
 
     def random_coefficient(self, rng):
         """A sum of two to four scaled coordinates: often several q-terms."""
@@ -397,13 +400,13 @@ class TestEvaluationMemo:
     def test_a_repeat_runs_no_reduction(self, monkeypatch):
         ran = []
         for module in (arith, hecke):
-            for name in ("_reduce", "_product_sum"):
+            for name in ("_remainder", "_product_sum"):
                 op = getattr(arith, name)
                 monkeypatch.setattr(module, name, lambda *a, op=op: ran.append(op) or op(*a))
         hecke._evaluate.cache_clear()
         f, y = self.case()
         out = satake_eval(f, y)
-        assert {arith._reduce, arith._product_sum} <= set(ran)
+        assert {arith._remainder, arith._product_sum} <= set(ran)
         g, z = self.case()  # equal, but no object shared with the first call
         assert (g, z) == (f, y) and g is not f and z is not y
         ran.clear()

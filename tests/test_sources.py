@@ -146,3 +146,66 @@ def test_every_record_class_is_in_the_record_suite():
     records.discard("Record")
     assert {"Coordinate", "Speh", "SymLaurent"} <= records
     assert records <= set(RECORDS), f"not in test_records.RECORDS: {sorted(records - set(RECORDS))}"
+
+
+# Every memo of src/autoind (a function under ``lru_cache``) and its bound: the
+# module constant its ``maxsize`` names, or, for an unbounded one, the reason
+# that keeps it small.  A memo keyed by a value that a document carries must be
+# bounded; only a table whose key is a shape of ints may grow without one.
+SHAPE_ONLY = "shape-only table keyed by ints"
+MEMOS = {
+    "arith.cyclotomic_polynomial": SHAPE_ONLY,
+    "arith._chain": SHAPE_ONLY,
+    "arith._root_of_unity": "MAX_ROOTS",
+    "hecke._m_product": SHAPE_ONLY,
+    "hecke._orbit": SHAPE_ONLY,
+    "hecke._evaluate": "MAX_EVALS",
+    "hecke._e_row": SHAPE_ONLY,
+    "hecke._m_to_e": SHAPE_ONLY,
+    "hecke._ai_row": SHAPE_ONLY,
+}
+
+
+def _memos(path):
+    """``{qualified name: bound}`` of the functions of the module at path under
+    ``lru_cache`` or ``cache`` (bare or as ``functools.``): see :func:`_bound`."""
+    found = {}
+    for qualname, node in _scoped(path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                f = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(f, "id", getattr(f, "attr", None)) in ("lru_cache", "cache"):
+                    found[qualname] = _bound(dec)
+    return found
+
+
+def _bound(dec):
+    """The name of the constant that a memo decorator's ``maxsize`` reads, None
+    for an unbounded memo, and the source text otherwise (a literal, or
+    ``lru_cache`` with its default of 128)."""
+    f = dec.func if isinstance(dec, ast.Call) else dec
+    if getattr(f, "id", getattr(f, "attr", None)) == "cache":
+        return None
+    args = [*dec.args, *(k.value for k in dec.keywords if k.arg == "maxsize")] if isinstance(dec, ast.Call) else []
+    if not args:
+        return ast.unparse(dec)
+    if isinstance(args[0], ast.Constant) and args[0].value is None:
+        return None
+    return args[0].id if isinstance(args[0], ast.Name) else ast.unparse(args[0])
+
+
+def test_every_memo_is_registered_with_its_bound():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        found.update(_memos(path))
+    assert set(found) == set(MEMOS), (
+        f"unregistered {sorted(set(found) - set(MEMOS))}, gone {sorted(set(MEMOS) - set(found))}")
+    for qualname, size in found.items():
+        module = qualname.split(".")[0]
+        constants = {t.id: node.value for node in ast.parse((SRC / f"{module}.py").read_text()).body
+                     if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+        if size is None:
+            assert MEMOS[qualname] == SHAPE_ONLY, f"{qualname} is unbounded"
+        else:
+            assert size == MEMOS[qualname], f"{qualname}: maxsize {size}, registered {MEMOS[qualname]}"
+            assert isinstance(constants.get(size), ast.Constant), f"{qualname}: {size} is no module constant"

@@ -37,3 +37,11 @@ def test_cli_prints_the_replayable_failure(monkeypatch, capsys):
         lines.append(capsys.readouterr().out.splitlines()[0])
     assert lines[0] == lines[1] == probe(seed=5).line()
     assert lines[0].startswith("FAIL probe [4 cases]  (seed 5, case 3: drew ")
+
+
+def test_global_compatibility_draws_a_proper_divisor_as_the_orbit(monkeypatch):
+    drawn, build = set(), verify.random_global_discrete
+    monkeypatch.setattr(verify, "random_global_discrete",
+                        lambda rng, d, r, *a, **kw: drawn.add((d, r)) or build(rng, d, r, *a, **kw))
+    assert verify.crit10_compat(seed=0, cases=60).passed
+    assert (4, 2) in drawn  # r = 2 at d = 4, neither 1 nor d
